@@ -82,14 +82,6 @@ def smallest_prime_factor(n: int) -> int:
     return n
 
 
-def smallest_prime_in(lo: int, hi: int) -> int | None:
-    """Smallest prime q with lo < q < hi, or None."""
-    for q in range(lo + 1, hi):
-        if is_prime(q):
-            return q
-    return None
-
-
 def primitive_root(p: int) -> int:
     """A generator of the multiplicative group mod p (p prime)."""
     if p == 2:

@@ -62,14 +62,14 @@ def _cache_dir(args) -> str:
 
 
 def cmd_graph(args) -> int:
-    g = build_graph(args.n, _group(args.group), _cache_dir(args), args.threads)
+    g = build_graph(args.n, _group(args.group), _cache_dir(args))
     fmt = args.format if args.format != "text" else "json"
     _emit(export(g, fmt), args.out)
     return 0
 
 
 def cmd_xi(args) -> int:
-    g = xi_subgraph(build_graph(args.n, _group(args.group), _cache_dir(args), args.threads))
+    g = xi_subgraph(build_graph(args.n, _group(args.group), _cache_dir(args)))
     d = diameter(g)
     if args.format == "text":
         tag = "S" if args.group == "sym" else "A"
@@ -111,7 +111,7 @@ def cmd_isolated(args) -> int:
         members = build_isolated_family(args.n, group)
         _emit("\n".join(str(p) for p in members) + "\n", args.out)
         return 0
-    g = build_graph(args.n, group, _cache_dir(args), args.threads)
+    g = build_graph(args.n, group, _cache_dir(args))
     iso = isolated_vertices(g)
     lines = [f"{len(iso)} isolated of {len(g.vertices)} vertices"]
     lines += [v.text() for v in iso]
@@ -143,7 +143,7 @@ def cmd_witness(args) -> int:
 
 def cmd_oracle_edges(args) -> int:
     group = _group(args.group)
-    exact = build_graph(args.n, group, _cache_dir(args), args.threads)
+    exact = build_graph(args.n, group, _cache_dir(args))
     oracle = oracle_adjacency(args.n, group)
     diffs = adjacency_diff(exact, oracle)
     _emit(
@@ -199,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
         p.add_argument("--out", default=None, help="write output to a file")
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--cache-dir", dest="cache_dir", default=None)
         return p
 

@@ -101,9 +101,7 @@ def _vertex_profiles(labels: Sequence[ClassLabel], n: int, cache_dir: str | None
 
 
 @lru_cache(maxsize=None)
-def build_graph(
-    n: int, group: GroupKind, cache_dir: str | None = None, threads: int = 1
-) -> ClassGraph:
+def build_graph(n: int, group: GroupKind, cache_dir: str | None = None) -> ClassGraph:
     """The exact class graph at degree n (requires a complete catalog)."""
     if not primitive_catalog(n).complete:
         raise CatalogAbsent(f"exact mode supports degrees 3..13, 17, 19; not {n}")
@@ -112,7 +110,8 @@ def build_graph(
     count = len(labels)
     sym = group is GroupKind.SYM
 
-    def row_edges(i: int) -> int:
+    rows = []
+    for i in range(count):
         row = 0
         for j in range(count):
             if j == i:
@@ -126,15 +125,7 @@ def build_graph(
             if prims[i] & prims[j]:
                 continue
             row |= 1 << j
-        return row
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(row_edges, range(count)))
-    else:
-        rows = [row_edges(i) for i in range(count)]
+        rows.append(row)
     return ClassGraph(n, group, labels, tuple(rows))
 
 
@@ -149,9 +140,11 @@ def xi_subgraph(g: ClassGraph) -> ClassGraph:
     rows = []
     for old in keep:
         row = 0
-        for j in range(len(g.vertices)):
-            if g.adjacency[old] >> j & 1:
-                row |= 1 << relabel[j]
+        rest = g.adjacency[old]
+        while rest:
+            low = rest & -rest
+            row |= 1 << relabel[low.bit_length() - 1]
+            rest ^= low
         rows.append(row)
     return ClassGraph(g.degree, g.group, tuple(g.vertices[i] for i in keep), tuple(rows))
 
@@ -160,6 +153,7 @@ def diameter(g: ClassGraph) -> int | SpecialDiameter:
     count = len(g.vertices)
     if count == 0:
         return SpecialDiameter.EMPTY
+    adjacency = g.adjacency
     full = (1 << count) - 1
     best = 0
     for start in range(count):
@@ -168,13 +162,10 @@ def diameter(g: ClassGraph) -> int | SpecialDiameter:
         dist = 0
         while seen != full:
             nxt = 0
-            f = frontier
-            i = 0
-            while f:
-                if f & 1:
-                    nxt |= g.adjacency[i]
-                f >>= 1
-                i += 1
+            while frontier:
+                low = frontier & -frontier
+                nxt |= adjacency[low.bit_length() - 1]
+                frontier ^= low
             nxt &= ~seen
             if not nxt:
                 return SpecialDiameter.DISCONNECTED

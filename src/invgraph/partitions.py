@@ -9,7 +9,6 @@ sums to i.  Python integers serve as the fixed-width bit arrays.
 
 from __future__ import annotations
 
-from collections import Counter
 from enum import Enum
 from functools import lru_cache
 from math import gcd
@@ -132,10 +131,6 @@ def power_type(p: Partition, k: int) -> Partition:
     return Partition(out)
 
 
-def fixed_points(p: Partition) -> int:
-    return p.multiplicity(1)
-
-
 class PartExtensionError(ValueError):
     """The part-extension hypotheses fail."""
 
@@ -209,6 +204,3 @@ def even_class_partitions(n: int) -> list[Partition]:
     one_n = (1,) * n
     return [p for p in enumerate_partitions(n) if is_even_type(p) and p.parts != one_n]
 
-
-def multiplicities(p: Partition) -> dict[int, int]:
-    return dict(Counter(p.parts))

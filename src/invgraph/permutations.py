@@ -224,12 +224,6 @@ def closure(
     return frozenset(Permutation(e) for e in elements)
 
 
-def group_order(generators: Iterable[Permutation], cap: int = DEFAULT_CLOSURE_CAP) -> int:
-    gens = list(generators)
-    elements, _ = closure_images([g.images for g in gens], gens[0].degree, cap=cap)
-    return len(elements)
-
-
 def conjugator(x: Permutation, y: Permutation) -> Permutation | None:
     """Some s with s^-1 * x * s == y, or None when the cycle types differ."""
     if x.degree != y.degree:

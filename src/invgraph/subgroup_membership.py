@@ -32,6 +32,7 @@ from invgraph.arith import divisors, primitive_root, proper_block_sizes
 from invgraph.finite_fields import field
 from invgraph.partitions import Partition, has_distinct_odd_parts, partial_sum_mask
 from invgraph.permutations import (
+    DEFAULT_CLOSURE_CAP,
     ClassLabel,
     GroupKind,
     Permutation,
@@ -44,7 +45,6 @@ from invgraph.permutations import (
 
 EXACT_DEGREES = frozenset(range(3, 14)) | {17, 19}
 CATALOG_VERSION = 3
-DEFAULT_CLOSURE_CAP = 10**6
 _WREATH_ORACLE_CAP = 1_200_000
 
 

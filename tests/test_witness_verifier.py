@@ -3,7 +3,7 @@ import json
 import pytest
 
 from invgraph.arith import is_prime
-from invgraph.partitions import Partition, is_even_type
+from invgraph.partitions import Partition, enumerate_partitions, is_even_type, partial_sum_mask
 from invgraph.permutations import GroupKind
 from invgraph.graph_engine import isolated_vertices
 from invgraph.witness_verifier import (
@@ -82,7 +82,7 @@ def test_report_json_schema(cache_dir):
     report = verify_witness(construct_witness("mun", 11), cache_dir)
     payload = json.loads(report.to_json())
     for key in ("lemma", "n", "witness", "targets", "nonadjacency", "adjacency",
-                "ledger", "elapsed_ms"):
+                "ledger"):
         assert key in payload
     assert payload["adjacency"] == "verified"
 
@@ -136,6 +136,37 @@ def test_small_nonsum_pairs_verifier():
     ok17, ce17 = verify_sper(17)
     assert not ok17
     assert {p.parts for p in ce17} == {(12, 3, 2), (7, 6, 4)}
+
+
+def _sper_pair_loop(n):
+    # the quadratic scan over all partition pairs a <= b, kept as a reference
+    parts = list(enumerate_partitions(n))
+    half_mask = (1 << (n // 2 + 1)) - 2
+    masks = [partial_sum_mask(p) for p in parts]
+    good = [
+        any(not m >> i & 1 and not m >> (2 * i) & 1 for i in (2, 3, 5, 7)) for m in masks
+    ]
+    for a in range(len(parts)):
+        ma = masks[a] & half_mask
+        for b in range(a, len(parts)):
+            if ma & masks[b]:
+                continue
+            if not (good[a] or good[b]):
+                return False, (parts[a], parts[b])
+    return True, None
+
+
+def test_sper_matches_pair_loop():
+    # same verdict and the same ordered pair, including the exceptions at 14 and 17
+    for n in range(1, 25):
+        assert verify_sper(n) == _sper_pair_loop(n), n
+    assert [p.parts for p in verify_sper(14)[1]] == [(9, 3, 2), (6, 4, 4)]
+    assert [p.parts for p in verify_sper(17)[1]] == [(12, 3, 2), (7, 6, 4)]
+
+
+def test_sper_verified_18_to_36():
+    for n in range(18, 37):
+        assert verify_sper(n) == (True, None), n
 
 
 def test_isolated_family_counts_and_membership(graph):
