@@ -258,19 +258,27 @@ def oracle_adjacency(n: int, group: GroupKind) -> ClassGraph:
         for p in symmetric_group_elements(n)
         if group is GroupKind.SYM or p.is_even
     ]
-
-    def inverse(p: bytes) -> bytes:
-        inv = bytearray(n)
-        for i, img in enumerate(p):
-            inv[img] = i
-        return bytes(inv)
-
-    def compose(p: bytes, q: bytes) -> bytes:
-        return bytes(map(p.__getitem__, q))
+    # p.translate(q + tail) is the product q * p; maketrans(p, identity)
+    # maps p[i] to i, so its first n bytes are p's inverse
+    tail = bytes(range(n, 256))
+    identity = bytes(range(n))
 
     def generates(x: bytes, y: bytes) -> bool:
         elements, truncated = closure_images([x, y], n, stop_above=half)
         return truncated or len(elements) == group_order
+
+    centralizers: dict[bytes, list[tuple[bytes, bytes]]] = {}
+
+    def centralizer(x: bytes) -> list[tuple[bytes, bytes]]:
+        """(g, table of g^-1) for every g commuting with x."""
+        if x not in centralizers:
+            x_table = x + tail
+            centralizers[x] = [
+                (g, bytes.maketrans(g, identity))
+                for g in all_elements
+                if x.translate(g + tail) == g.translate(x_table)
+            ]
+        return centralizers[x]
 
     count = len(labels)
     rows = [0] * count
@@ -283,14 +291,15 @@ def oracle_adjacency(n: int, group: GroupKind) -> ClassGraph:
             else:
                 fixed_class, moving_class = cj, ci
             x = fixed_class[0]
-            centralizer = [g for g in all_elements if compose(g, x) == compose(x, g)]
+            cent = centralizer(x)
             seen: set[bytes] = set()
             adjacent = True
             for y in moving_class:
                 if y in seen:
                     continue
-                for g in centralizer:
-                    seen.add(compose(inverse(g), compose(y, g)))
+                y_table = y + tail
+                for g, g_inverse in cent:
+                    seen.add(g.translate(y_table).translate(g_inverse))
                 if not generates(x, y):
                     adjacent = False
                     break

@@ -72,12 +72,44 @@ class Partition:
 
 
 def _desc_parts(remaining: int, max_part: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of ``remaining`` with parts <= ``max_part``, descending lex.
+
+    Iterative (Zoghbi-Stojmenovic ZS1): ``x`` holds the current parts padded
+    with 1s, ``m`` counts the parts and ``h`` indexes the last part above 1.
+    Each step lowers ``x[h]`` by one and refills the rest greedily.
+    """
     if remaining == 0:
         yield ()
         return
-    for first in range(min(max_part, remaining), 0, -1):
-        for rest in _desc_parts(remaining - first, first):
-            yield (first,) + rest
+    k = min(max_part, remaining)
+    q, r = divmod(remaining, k)
+    x = [k] * q + [1] * (remaining - q)
+    if r:
+        x[q] = r
+    m = q + (1 if r else 0)
+    h = (q if r > 1 else q - 1) if k > 1 else -1
+    yield tuple(x[:m])
+    while h >= 0:
+        if x[h] == 2:
+            x[h] = 1
+            h -= 1
+            m += 1
+        else:
+            r = x[h] - 1
+            t = m - h
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            if t == 0:
+                m = h + 1
+            else:
+                m = h + 2
+                if t > 1:
+                    h += 1
+                    x[h] = t
+        yield tuple(x[:m])
 
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:

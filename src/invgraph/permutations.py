@@ -2,8 +2,11 @@
 
 Permutations act on {0..n-1}; composition is function composition, so
 ``(p * q)(x) == p(q(x))``.  Closure works internally on ``bytes`` images
-(degree <= 255 everywhere in this package) to keep the breadth-first
-multiplication cheap for groups up to about a million elements.
+(degree <= 255 everywhere in this package).  Each generator g becomes a
+256-byte translate table ``g + bytes(range(degree, 256))``, so one
+breadth-first step is the single C call ``p.translate(table)``, which is the
+left product ``g * p``.  That keeps closure cheap for groups up to about a
+million elements.
 """
 
 from __future__ import annotations
@@ -187,27 +190,34 @@ def closure_images(
 ) -> tuple[set[bytes], bool]:
     """Breadth-first closure on raw images.
 
-    Returns (elements, truncated).  With ``stop_above`` set, stops as soon as
-    the element count exceeds it and reports truncated=True; otherwise the
-    full closure is returned, raising ClosureCapExceeded past ``cap``.
+    Returns (elements, truncated).  Each step multiplies a reached element p
+    by a generator g on the left, ``p.translate(table_g)`` == ``g * p``;
+    the full closure is the same set either way.  With ``stop_above`` set,
+    stops as soon as the element count exceeds it and reports
+    truncated=True; then only the flag and the count being above the limit
+    are meaningful, not which elements were reached.  Otherwise the full
+    closure is returned, raising ClosureCapExceeded past ``cap``.
     """
     gens = [bytes(g) for g in generators]
     if any(len(g) != degree for g in gens):
         raise ValueError("generator degree mismatch")
+    tail = bytes(range(degree, 256))
+    tables = [g + tail for g in gens]
+    limit = cap if stop_above is None else min(cap, stop_above)
     identity = bytes(range(degree))
     seen: set[bytes] = {identity}
     queue: deque[bytes] = deque([identity])
+    add, push, pop = seen.add, queue.append, queue.popleft
     while queue:
-        p = queue.popleft()
-        getter = p.__getitem__
-        for g in gens:
-            q = bytes(map(getter, g))
+        translate = pop().translate
+        for table in tables:
+            q = translate(table)
             if q not in seen:
-                seen.add(q)
-                queue.append(q)
-                if stop_above is not None and len(seen) > stop_above:
-                    return seen, True
-                if len(seen) > cap:
+                add(q)
+                push(q)
+                if len(seen) > limit:
+                    if stop_above is not None and len(seen) > stop_above:
+                        return seen, True
                     raise ClosureCapExceeded(len(seen), cap)
     return seen, False
 

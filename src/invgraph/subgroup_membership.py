@@ -616,13 +616,16 @@ def _compute_fingerprint(spec: GroupSpec, cap: int = DEFAULT_CLOSURE_CAP) -> Fin
         raise RuntimeError(
             f"{spec.name}: closure order {len(elements)} != expected {spec.expected_order}"
         )
-    types: set[tuple[int, ...]] = set()
+    # cycle type -> does its class split in A_n (nontrivial, distinct odd parts)
+    splits: dict[tuple[int, ...], bool] = {}
     incidence: dict[tuple[int, ...], set[Split]] = {}
+    identity = (1,) * spec.degree
     for images in elements:
         t = cycle_type_of_images(images)
-        types.add(t)
-        part = Partition(t)
-        if has_distinct_odd_parts(part) and part.parts != (1,) * part.n:
+        split = splits.get(t)
+        if split is None:
+            split = splits[t] = t != identity and has_distinct_odd_parts(Partition(t))
+        if split:
             inc = incidence.setdefault(t, set())
             if len(inc) < 2:
                 inc.add(split_label(Permutation(images)))
@@ -630,7 +633,7 @@ def _compute_fingerprint(spec: GroupSpec, cap: int = DEFAULT_CLOSURE_CAP) -> Fin
         degree=spec.degree,
         name=spec.name,
         order=spec.expected_order,
-        types_present=frozenset(types),
+        types_present=frozenset(splits),
         split_incidence=tuple(
             sorted((k, frozenset(v)) for k, v in incidence.items())
         ),
@@ -663,9 +666,43 @@ def _fingerprint_from_json(degree: int, data: dict) -> Fingerprint:
     return Fingerprint(degree, data["name"], data["order"], types, split)
 
 
+def _load_fingerprints(
+    cache_file: Path, n: int, digest: str, groups: Sequence[GroupSpec]
+) -> tuple[Fingerprint, ...] | None:
+    """The cached fingerprints, or None unless the file is sound.
+
+    Beyond the digest, the names and orders must match the catalog, every
+    type must be a partition of n, and split marks may only sit on present
+    types with distinct odd parts.
+    """
+    try:
+        data = json.loads(cache_file.read_text())
+        if data.get("schema") != 1 or data.get("digest") != digest:
+            return None
+        fps = tuple(_fingerprint_from_json(n, entry) for entry in data["groups"])
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
+        return None
+    if [(fp.name, fp.order) for fp in fps] != [(g.name, g.expected_order) for g in groups]:
+        return None
+    for fp in fps:
+        for t in fp.types_present:
+            if sum(t) != n or min(t) < 1 or list(t) != sorted(t, reverse=True):
+                return None
+        for t, marks in fp.split_incidence:
+            if not marks or t not in fp.types_present:
+                return None
+            if t == (1,) * n or not has_distinct_odd_parts(Partition(t)):
+                return None
+    return fps
+
+
 @lru_cache(maxsize=None)
 def degree_fingerprints(n: int, cache_dir: str | None = None) -> tuple[Fingerprint, ...]:
-    """Fingerprints of every cataloged group of degree n, disk-cached."""
+    """Fingerprints of every cataloged group of degree n, disk-cached.
+
+    A cache file that is missing, stale or unsound is recomputed and
+    replaced atomically (temporary file in the same directory, then rename).
+    """
     catalog = primitive_catalog(n)
     if not catalog.complete:
         raise CatalogAbsent(f"no complete primitive catalog at degree {n}")
@@ -675,14 +712,9 @@ def degree_fingerprints(n: int, cache_dir: str | None = None) -> tuple[Fingerpri
     cache_path = Path(cache_dir) if cache_dir else default_cache_dir()
     cache_file = cache_path / f"fingerprints-deg{n}.json"
     if cache_file.exists():
-        try:
-            data = json.loads(cache_file.read_text())
-            if data.get("schema") == 1 and data.get("digest") == digest:
-                return tuple(
-                    _fingerprint_from_json(n, entry) for entry in data["groups"]
-                )
-        except (ValueError, KeyError):
-            pass
+        fps = _load_fingerprints(cache_file, n, digest, catalog.groups)
+        if fps is not None:
+            return fps
     fps = tuple(_compute_fingerprint(spec) for spec in catalog.groups)
     cache_path.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -691,7 +723,12 @@ def degree_fingerprints(n: int, cache_dir: str | None = None) -> tuple[Fingerpri
         "digest": digest,
         "groups": [_fingerprint_to_json(fp) for fp in fps],
     }
-    cache_file.write_text(json.dumps(payload, sort_keys=True, indent=1))
+    tmp = cache_file.with_name(f"{cache_file.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(payload, sort_keys=True, indent=1))
+        os.replace(tmp, cache_file)
+    finally:
+        tmp.unlink(missing_ok=True)
     return fps
 
 

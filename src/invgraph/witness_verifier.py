@@ -753,6 +753,8 @@ def verify_sper(n: int) -> tuple[bool, tuple[Partition, Partition] | None]:
     in enumeration order.  Disjointness is symmetric, so the first bad mask
     with a bad disjoint partner (itself allowed) and that partner's first
     partition form the pair a scan over all partitions a <= b meets first.
+    The masks are built here rather than through the ``partial_sum_mask``
+    cache, which would keep every partition of every n alive.
     """
     from invgraph.partitions import enumerate_partitions
 
@@ -760,7 +762,10 @@ def verify_sper(n: int) -> tuple[bool, tuple[Partition, Partition] | None]:
     half_mask = (1 << (n // 2 + 1)) - 2
     first: dict[int, int] = {}
     for index, p in enumerate(parts):
-        first.setdefault(partial_sum_mask(p), index)
+        mask = 1
+        for part in p.parts:
+            mask |= mask << part
+        first.setdefault(mask, index)
     # insertion order is first-partition order, so ``bad`` is sorted by it
     bad = [
         (index, m)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invgraph.partitions import (
+    _desc_parts,
     Parity,
     PartExtensionError,
     Partition,
@@ -56,6 +57,25 @@ def test_enumeration_order_is_descending_lex():
     assert seen[0] == (6,)
     assert seen[-1] == (1,) * 6
     assert seen == sorted(seen, reverse=True)
+
+
+def _desc_parts_recursive(remaining, max_part):
+    # the former recursive generator, kept as the reference order
+    if remaining == 0:
+        yield ()
+        return
+    for first in range(min(max_part, remaining), 0, -1):
+        for rest in _desc_parts_recursive(remaining - first, first):
+            yield (first,) + rest
+
+
+def test_iterative_enumeration_matches_recursive_order():
+    for n in range(1, 31):
+        assert list(_desc_parts(n, n)) == list(_desc_parts_recursive(n, n)), n
+    for n in range(0, 13):
+        for max_part in range(1, n + 2):
+            expected = list(_desc_parts_recursive(n, max_part))
+            assert list(_desc_parts(n, max_part)) == expected, (n, max_part)
 
 
 def test_partition_normalization_and_text():

@@ -15,6 +15,7 @@ from invgraph.permutations import (
     canonical_of_type,
     class_labels,
     closure,
+    closure_images,
     conjugator,
     format_cycles,
     is_primitive,
@@ -85,6 +86,31 @@ def test_closure_identity_and_cap():
     with pytest.raises(ClosureCapExceeded) as info:
         closure(symmetric_group_generators(8), cap=1000)
     assert info.value.partial_count > 1000
+
+
+def test_closure_images_matches_reference_on_symmetric_groups(reference_closure):
+    for n in range(3, 7):
+        gens = [g.images for g in symmetric_group_generators(n)]
+        elements, truncated = closure_images(gens, n)
+        assert not truncated
+        assert elements == reference_closure(gens, n)
+        assert len(elements) == math.factorial(n)
+
+
+def test_closure_images_stop_above(reference_closure):
+    gens = [g.images for g in symmetric_group_generators(6)]
+    full = reference_closure(gens, 6)
+    for limit in (1, 10, 100, 359, 719):
+        elements, truncated = closure_images(gens, 6, stop_above=limit)
+        assert truncated
+        assert len(elements) > limit
+        assert elements <= full
+    elements, truncated = closure_images(gens, 6, stop_above=720)
+    assert not truncated and elements == full
+    with pytest.raises(ClosureCapExceeded):
+        closure_images(gens, 6, cap=100, stop_above=200)
+    elements, truncated = closure_images(gens, 6, cap=200, stop_above=100)
+    assert truncated and len(elements) > 100
 
 
 def test_split_label_examples():

@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -7,20 +9,24 @@ from invgraph.arith import proper_block_sizes
 from invgraph.partitions import (
     Partition,
     enumerate_partitions,
+    has_distinct_odd_parts,
     is_even_type,
     is_partial_sum,
 )
 from invgraph.permutations import (
     ClassLabel,
     GroupKind,
+    Permutation,
     Split,
     closure_images,
     is_primitive,
     is_transitive,
+    split_label,
 )
 from invgraph.subgroup_membership import (
     EXACT_DEGREES,
     CatalogAbsent,
+    _compute_fingerprint,
     degree_fingerprints,
     fingerprint,
     primitive_catalog,
@@ -174,6 +180,49 @@ def _cycles(images):
     return out
 
 
+def _all_catalog_groups():
+    return [spec for n in sorted(EXACT_DEGREES) for spec in primitive_catalog(n).groups]
+
+
+def test_closure_images_matches_reference_on_catalog(reference_closure):
+    for spec in _all_catalog_groups():
+        if spec.degree > 13:
+            continue
+        gens = [g.images for g in spec.generators]
+        elements, truncated = closure_images(gens, spec.degree)
+        assert not truncated
+        assert elements == reference_closure(gens, spec.degree), spec.name
+
+
+def _reference_fingerprint(spec, elements):
+    # one cycle-type classification and split test per element
+    types = set()
+    incidence = {}
+    for images in elements:
+        t = tuple(sorted((len(c) for c in _cycles(images)), reverse=True))
+        types.add(t)
+        if has_distinct_odd_parts(Partition(t)) and t != (1,) * spec.degree:
+            inc = incidence.setdefault(t, set())
+            if len(inc) < 2:
+                inc.add(split_label(Permutation(images)))
+    return (
+        spec.degree,
+        spec.name,
+        len(elements),
+        frozenset(types),
+        tuple(sorted((t, frozenset(inc)) for t, inc in incidence.items())),
+    )
+
+
+def test_compute_fingerprint_matches_per_element_reference(reference_closure):
+    for spec in _all_catalog_groups():
+        elements = reference_closure([g.images for g in spec.generators], spec.degree)
+        fp = _compute_fingerprint(spec)
+        expected = _reference_fingerprint(spec, elements)
+        got = (fp.degree, fp.name, fp.order, fp.types_present, fp.split_incidence)
+        assert got == expected, spec.name
+
+
 def test_fingerprint_cache_roundtrip(tmp_path):
     where = str(tmp_path / "cache")
     first = degree_fingerprints(7, where)
@@ -231,3 +280,61 @@ def test_shares_subgroup_input_validation(cache_dir):
     d = ClassLabel(Partition([2, 1, 1]), GroupKind.SYM)
     with pytest.raises(ValueError):
         shares_subgroup(c, d, cache_dir)
+
+
+def _tamper_order(data):
+    data["groups"][0]["order"] += 1
+
+
+def _tamper_type_sum(data):
+    data["groups"][0]["types"].append("5,1")
+
+
+def _tamper_split_mark(data):
+    # (2,2,1,1,1) is a type of PSL(3,2) with a repeated part, so it cannot split
+    data["groups"][-1]["split"]["2,2,1,1,1"] = "+"
+
+
+@pytest.mark.parametrize("tamper", [_tamper_order, _tamper_type_sum, _tamper_split_mark])
+def test_fingerprint_cache_rejects_unsound_data(tmp_path, tamper):
+    where = str(tmp_path / "cache")
+    first = degree_fingerprints(7, where)
+    path = tmp_path / "cache" / "fingerprints-deg7.json"
+    sound = path.read_text()
+    data = json.loads(sound)
+    tamper(data)
+    path.write_text(json.dumps(data))
+    degree_fingerprints.cache_clear()
+    # the digest still matches, so only the content checks can catch it
+    assert degree_fingerprints(7, where) == first
+    assert path.read_text() == sound
+
+
+def test_fingerprint_cache_recovers_from_truncated_file(tmp_path):
+    where = str(tmp_path / "cache")
+    first = degree_fingerprints(8, where)
+    path = tmp_path / "cache" / "fingerprints-deg8.json"
+    sound = path.read_text()
+    path.write_text(sound[: len(sound) // 2])
+    degree_fingerprints.cache_clear()
+    assert degree_fingerprints(8, where) == first
+    assert path.read_text() == sound
+    assert [p.name for p in path.parent.iterdir()] == [path.name]
+
+
+def _stanzas(text):
+    blocks = (block.strip() for block in text.split("\n\n"))
+    return [block for block in blocks if block.startswith("group ")]
+
+
+def test_curated_generators_are_rederived(capsys):
+    root = Path(__file__).resolve().parent.parent
+    script = root / "scripts" / "find_curated_generators.py"
+    spec = importlib.util.spec_from_file_location("find_curated_generators", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.main()
+    derived = _stanzas(capsys.readouterr().out)
+    shipped = _stanzas((root / "src" / "invgraph" / "data" / "curated_groups.txt").read_text())
+    assert len(derived) == 4
+    assert derived == shipped

@@ -164,6 +164,12 @@ def test_sper_matches_pair_loop():
     assert [p.parts for p in verify_sper(17)[1]] == [(12, 3, 2), (7, 6, 4)]
 
 
+def test_sper_leaves_mask_cache_alone():
+    before = partial_sum_mask.cache_info().currsize
+    verify_sper(30)
+    assert partial_sum_mask.cache_info().currsize == before
+
+
 def test_sper_verified_18_to_36():
     for n in range(18, 37):
         assert verify_sper(n) == (True, None), n
