@@ -2,6 +2,9 @@
 """Survey every cataloged degree: vertex counts, isolated counts, diameters.
 
 Usage: python scripts/run_diameter_survey.py [--cache-dir DIR]
+
+The cache directory defaults to INVGRAPH_CACHE_DIR, else ./.invgraph-cache,
+as for the ``invgraph`` command.
 """
 
 import argparse
@@ -15,13 +18,13 @@ from invgraph.graph_engine import (
     xi_subgraph,
 )
 from invgraph.permutations import GroupKind
-from invgraph.subgroup_membership import EXACT_DEGREES
+from invgraph.subgroup_membership import EXACT_DEGREES, default_cache_dir
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser()
-    parser.add_argument("--cache-dir", default=".invgraph-cache")
-    args = parser.parse_args()
+    parser.add_argument("--cache-dir", default=str(default_cache_dir()))
+    args = parser.parse_args(argv)
 
     print(f"{'graph':>8} {'vertices':>9} {'isolated':>9} {'edges':>7} {'d(Xi)':>10} {'secs':>6}")
     for n in sorted(EXACT_DEGREES):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from invgraph.arith import proper_block_sizes
@@ -27,6 +26,7 @@ from invgraph.graph_engine import (
 )
 from invgraph.subgroup_membership import (
     CatalogAbsent,
+    default_cache_dir,
     degree_fingerprints,
     primitive_catalog,
     wreath_member,
@@ -58,7 +58,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _cache_dir(args) -> str:
-    return args.cache_dir or os.environ.get("INVGRAPH_CACHE_DIR", ".invgraph-cache")
+    return args.cache_dir or str(default_cache_dir())
 
 
 def cmd_graph(args) -> int:
@@ -199,7 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
         p.add_argument("--out", default=None, help="write output to a file")
-        p.add_argument("--cache-dir", dest="cache_dir", default=None)
+        # SUPPRESS keeps a --cache-dir given before the subcommand
+        p.add_argument("--cache-dir", dest="cache_dir", default=argparse.SUPPRESS)
         return p
 
     p = add("graph", cmd_graph, help="build and export the class graph")

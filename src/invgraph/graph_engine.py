@@ -5,6 +5,12 @@ joined exactly when no proper subgroup meets both (equivalently, any pair of
 representatives generates the group however each is conjugated).  Adjacency
 rows are bit masks, so BFS distances and isolated-vertex extraction are a few
 integer operations per vertex.
+
+``build_graph`` reads each class's feature mask from the per-type records
+that also decide ``shares_subgroup``.  For every feature bit it keeps a
+column: the set of vertices having it.  A vertex's non-neighbours are the
+union of its features' columns, so row i is the complement of that union
+and of i itself, O(V * F) integer operations instead of a test per pair.
 """
 
 from __future__ import annotations
@@ -14,10 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import factorial
-from typing import Sequence
 
-from invgraph.arith import proper_block_sizes
-from invgraph.partitions import is_even_type, partial_sum_mask
 from invgraph.permutations import (
     ClassLabel,
     GroupKind,
@@ -26,12 +29,7 @@ from invgraph.permutations import (
     split_label,
     symmetric_group_elements,
 )
-from invgraph.subgroup_membership import (
-    CatalogAbsent,
-    degree_fingerprints,
-    primitive_catalog,
-    wreath_member,
-)
+from invgraph.subgroup_membership import CatalogAbsent, primitive_catalog, type_profile
 
 EXPORT_SCHEMA = 1
 
@@ -52,52 +50,27 @@ class ClassGraph:
     def edges(self) -> list[tuple[int, int]]:
         out = []
         for i, row in enumerate(self.adjacency):
-            row >>= i + 1
-            j = i + 1
-            while row:
-                if row & 1:
-                    out.append((i, j))
-                row >>= 1
-                j += 1
+            rest = row >> (i + 1) << (i + 1)
+            while rest:
+                low = rest & -rest
+                out.append((i, low.bit_length() - 1))
+                rest ^= low
         return out
 
     def degree_of(self, i: int) -> int:
-        return bin(self.adjacency[i]).count("1")
+        return self.adjacency[i].bit_count()
 
     def neighbours(self, i: int) -> list[int]:
-        return [j for j in range(len(self.vertices)) if self.adjacency[i] >> j & 1]
+        out = []
+        rest = self.adjacency[i]
+        while rest:
+            low = rest & -rest
+            out.append(low.bit_length() - 1)
+            rest ^= low
+        return out
 
     def vertex_index(self, label: ClassLabel) -> int:
         return self.vertices.index(label)
-
-
-def _vertex_profiles(labels: Sequence[ClassLabel], n: int, cache_dir: str | None):
-    """Per-vertex data making each pair test a handful of integer ops."""
-    half_mask = (1 << (n // 2 + 1)) - 2
-    sums = [partial_sum_mask(lbl.cycle_type) & half_mask for lbl in labels]
-    evens = [is_even_type(lbl.cycle_type) for lbl in labels]
-    blocks = proper_block_sizes(n)
-    wreaths = []
-    for lbl in labels:
-        mask = 0
-        for bit, m in enumerate(blocks):
-            if wreath_member(lbl.cycle_type, m):
-                mask |= 1 << bit
-        wreaths.append(mask)
-    prims = []
-    fps = degree_fingerprints(n, cache_dir)
-    for lbl in labels:
-        mask = 0
-        for idx, fp in enumerate(fps):
-            if fp.contains_class(lbl, mirrored=False):
-                mask |= 1 << (2 * idx)
-            if fp.mirror_differs:
-                if fp.contains_class(lbl, mirrored=True):
-                    mask |= 1 << (2 * idx + 1)
-            elif mask >> (2 * idx) & 1:
-                mask |= 1 << (2 * idx + 1)
-        prims.append(mask)
-    return sums, evens, wreaths, prims
 
 
 @lru_cache(maxsize=None)
@@ -106,26 +79,25 @@ def build_graph(n: int, group: GroupKind, cache_dir: str | None = None) -> Class
     if not primitive_catalog(n).complete:
         raise CatalogAbsent(f"exact mode supports degrees 3..13, 17, 19; not {n}")
     labels = tuple(class_labels(n, group))
-    sums, evens, wreaths, prims = _vertex_profiles(labels, n, cache_dir)
-    count = len(labels)
-    sym = group is GroupKind.SYM
-
+    profile = type_profile(n, group is GroupKind.SYM, cache_dir)
+    features = [profile.features(lbl) for lbl in labels]
+    # columns[f]: the vertices having feature bit f
+    columns: dict[int, int] = {}
+    for i, rest in enumerate(features):
+        vertex = 1 << i
+        while rest:
+            low = rest & -rest
+            columns[low] = columns.get(low, 0) | vertex
+            rest ^= low
+    full = (1 << len(labels)) - 1
     rows = []
-    for i in range(count):
-        row = 0
-        for j in range(count):
-            if j == i:
-                continue
-            if sym and evens[i] and evens[j]:
-                continue
-            if sums[i] & sums[j]:
-                continue
-            if wreaths[i] & wreaths[j]:
-                continue
-            if prims[i] & prims[j]:
-                continue
-            row |= 1 << j
-        rows.append(row)
+    for i, rest in enumerate(features):
+        blocked = 1 << i
+        while rest:
+            low = rest & -rest
+            blocked |= columns[low]
+            rest ^= low
+        rows.append(full & ~blocked)
     return ClassGraph(n, group, labels, tuple(rows))
 
 
@@ -314,9 +286,10 @@ def adjacency_diff(a: ClassGraph, b: ClassGraph) -> list[tuple[ClassLabel, Class
     if a.vertices != b.vertices:
         raise ValueError("vertex lists differ")
     out = []
-    for i in range(len(a.vertices)):
-        delta = a.adjacency[i] ^ b.adjacency[i]
-        for j in range(i + 1, len(a.vertices)):
-            if delta >> j & 1:
-                out.append((a.vertices[i], a.vertices[j]))
+    for i, (row_a, row_b) in enumerate(zip(a.adjacency, b.adjacency)):
+        rest = (row_a ^ row_b) >> (i + 1) << (i + 1)
+        while rest:
+            low = rest & -rest
+            out.append((a.vertices[i], a.vertices[low.bit_length() - 1]))
+            rest ^= low
     return out

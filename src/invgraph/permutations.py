@@ -31,13 +31,6 @@ class Split(Enum):
     PLUS = "+"
     MINUS = "-"
 
-    def flipped(self) -> "Split":
-        if self is Split.PLUS:
-            return Split.MINUS
-        if self is Split.MINUS:
-            return Split.PLUS
-        return self
-
 
 class Permutation:
     """A bijection of {0..n-1}, stored as the image tuple."""

@@ -1,20 +1,30 @@
 """Membership of conjugacy classes in the proper subgroups of S_n and A_n.
 
-Three families decide every edge question at the supported degrees:
+Four families decide every edge question at the supported degrees:
 
+* the alternating group, in S_n, decided by parity;
 * intransitive subgroups, decided by common partial sums;
 * imprimitive wreath products of block size m, decided by a memoized
   grouping search over the part multiset;
 * primitive groups, decided against fingerprints (the realized cycle types,
   with per-split-class incidence) of a complete per-degree catalog.
 
+Each cycle type gets one feature record per degree and group kind
+(``type_profile``): its parity, its partial sums up to n/2, a bit per block
+size and two bits per fingerprint.  Two classes share a proper subgroup
+exactly when their records meet.  ``shares_subgroup`` ANDs two records
+family by family and names the lowest common bit; ``graph_engine`` builds
+the whole graph from the same records.  Records are filled on a type's
+first lookup, and fingerprints only once a pair gets past the first three
+families.
+
 The catalog covers degrees 3..13, 17 and 19.  Entries are built
 programmatically (affine, projective, product action, subgroups of the
 one-dimensional affine group at prime degree) except for the Mathieu groups
 and two derived groups, whose verified generators ship in a data file.
 Conjugating a subgroup by an odd permutation mirrors its split-class
-incidence, so sharing tests consult each fingerprint and its mirror; that
-covers every S_n-conjugate of every cataloged group.
+incidence, so each fingerprint has a mirror bit beside its own; that covers
+every S_n-conjugate of every cataloged group.
 """
 
 from __future__ import annotations
@@ -207,15 +217,6 @@ class Fingerprint:
             if key == parts:
                 return inc
         return frozenset()
-
-    def contains_class(self, label: ClassLabel, mirrored: bool = False) -> bool:
-        parts = label.cycle_type.parts
-        if parts not in self.types_present:
-            return False
-        if label.split is Split.NONE:
-            return True
-        side = label.split.flipped() if mirrored else label.split
-        return side in self.incidence(parts)
 
     @property
     def mirror_differs(self) -> bool:
@@ -740,7 +741,7 @@ def fingerprint(spec: GroupSpec, cache_dir: str | None = None) -> Fingerprint:
 
 
 # ---------------------------------------------------------------------------
-# the sharing verdict
+# the per-type feature record, the sharing verdict and the graph features
 # ---------------------------------------------------------------------------
 
 
@@ -755,35 +756,155 @@ class Sharing:
         return f"{self.family}({self.witness})"
 
 
+class TypeRecord:
+    """The features of one cycle type that decide every pair it is in.
+
+    ``even`` is 1 for an even type in an S_n profile and 0 otherwise;
+    ``sums`` holds the partial sums 1..n//2; bit k of ``blocks`` is set when
+    the type lies in the wreath product of the k-th proper block size.  The
+    primitive masks are filled on the first pair that gets that far: bit 2k
+    is fingerprint k and bit 2k+1 its mirror, ``plus`` for the PLUS or
+    unsplit class and ``minus`` for the MINUS class.
+    """
+
+    __slots__ = ("even", "sums", "blocks", "plus", "minus")
+
+    def __init__(self, even: int, sums: int, blocks: int):
+        self.even = even
+        self.sums = sums
+        self.blocks = blocks
+        self.plus: int | None = None
+        self.minus: int | None = None
+
+
+class TypeProfile:
+    """Feature records of the cycle types of one degree and group kind.
+
+    A record is built on the first lookup of its type, and the fingerprints
+    are read on the first pair that parity, partial sums and block sizes
+    leave open, so degrees without a catalog answer every pair those decide.
+    Verdicts are prebuilt ``Sharing`` objects keyed by the lowest common
+    feature bit.
+    """
+
+    def __init__(self, n: int, sym: bool, cache_dir: str | None):
+        self.n = n
+        self.sym = sym
+        self.cache_dir = cache_dir
+        self.half_mask = (1 << (n // 2 + 1)) - 2  # bits 1..n//2
+        self.block_sizes = proper_block_sizes(n)
+        self.records: dict[tuple[int, ...], TypeRecord] = {}
+        self.alternating = Sharing("alternating", f"A_{n}")
+        self.intransitive = {
+            1 << i: Sharing("intransitive", f"i={i}") for i in range(1, n // 2 + 1)
+        }
+        self.imprimitive = {
+            1 << k: Sharing("imprimitive", f"m={m}") for k, m in enumerate(self.block_sizes)
+        }
+        self.primitive: dict[int, Sharing] | None = None
+        self._fingerprints: tuple[Fingerprint, ...] = ()
+
+    def fill(self, parts: tuple[int, ...]) -> TypeRecord:
+        """Build, store and return the record of a type not yet looked up."""
+        if sum(parts) != self.n:
+            raise ValueError("degree mismatch")
+        t = Partition(parts)
+        even = int(self.sym and (self.n - len(parts)) % 2 == 0)
+        blocks = 0
+        for k, m in enumerate(self.block_sizes):
+            if wreath_member(t, m):
+                blocks |= 1 << k
+        record = TypeRecord(even, partial_sum_mask(t) & self.half_mask, blocks)
+        self.records[parts] = record
+        return record
+
+    def fill_primitive(self, parts: tuple[int, ...], record: TypeRecord) -> None:
+        """Set the primitive masks of a record; CatalogAbsent without a catalog."""
+        if self.primitive is None:
+            self._fingerprints = degree_fingerprints(self.n, self.cache_dir)
+            self.primitive = {}
+            for k, fp in enumerate(self._fingerprints):
+                self.primitive[1 << (2 * k)] = Sharing("primitive", fp.name)
+                self.primitive[1 << (2 * k + 1)] = Sharing("primitive", fp.name + "'")
+        split = not self.sym and has_distinct_odd_parts(Partition(parts))
+        plus = minus = 0
+        for k, fp in enumerate(self._fingerprints):
+            if parts not in fp.types_present:
+                continue
+            if not split:
+                plus |= 3 << (2 * k)
+                continue
+            incidence = fp.incidence(parts)
+            if Split.PLUS in incidence:
+                plus |= 1 << (2 * k)
+                minus |= 1 << (2 * k + 1)
+            if Split.MINUS in incidence:
+                minus |= 1 << (2 * k)
+                plus |= 1 << (2 * k + 1)
+        record.plus = plus
+        record.minus = minus if split else plus
+
+    def features(self, label: ClassLabel) -> int:
+        """Every feature of a class as one mask, for the column build.
+
+        Bit 0 is S_n parity, bits 1..n//2 the partial sums, then one bit per
+        block size and two per fingerprint.  Two classes of this profile
+        share a proper subgroup exactly when their masks meet.
+        """
+        parts = label.cycle_type.parts
+        record = self.records.get(parts) or self.fill(parts)
+        if record.plus is None:
+            self.fill_primitive(parts, record)
+        primitive = record.minus if label.split is Split.MINUS else record.plus
+        block_shift = self.n // 2 + 1
+        primitive_shift = block_shift + len(self.block_sizes)
+        return (
+            record.even
+            | record.sums
+            | record.blocks << block_shift
+            | primitive << primitive_shift  # type: ignore[operator]
+        )
+
+
+@lru_cache(maxsize=None)
+def type_profile(n: int, sym: bool, cache_dir: str | None = None) -> TypeProfile:
+    """The shared feature records of degree n in S_n (sym) or A_n."""
+    return TypeProfile(n, sym, cache_dir)
+
+
 def shares_subgroup(
     c1: ClassLabel, c2: ClassLabel, cache_dir: str | None = None
 ) -> Sharing | None:
     """First witnessing family for the pair, or None (= edge in the graph).
 
     Check order: alternating parity, intransitive partial sums, imprimitive
-    wreath products, primitive fingerprints (each with its mirror).
+    wreath products, primitive fingerprints (each with its mirror).  Each
+    family is one AND of the two classes' feature records, and the witness
+    is the lowest common bit: the smallest partial sum, the smallest block
+    size, the first fingerprint in catalog order before its mirror.
     """
-    if c1.degree != c2.degree:
-        raise ValueError("degree mismatch")
+    parts1, parts2 = c1.cycle_type.parts, c2.cycle_type.parts
+    profile = type_profile(sum(parts1), c1.group is GroupKind.SYM, cache_dir)
+    records = profile.records
+    r1 = records.get(parts1) or profile.fill(parts1)
+    r2 = records.get(parts2) or profile.fill(parts2)  # raises on a degree mismatch
     if c1.group is not c2.group:
         raise ValueError("group mismatch")
-    n = c1.degree
-    t1, t2 = c1.cycle_type, c2.cycle_type
-    if c1.group is GroupKind.SYM:
-        even1 = (t1.n - len(t1)) % 2 == 0
-        even2 = (t2.n - len(t2)) % 2 == 0
-        if even1 and even2:
-            return Sharing("alternating", f"A_{n}")
-    if shares_intransitive(t1, t2):
-        common = partial_sum_mask(t1) & partial_sum_mask(t2) & ((1 << (n // 2 + 1)) - 2)
-        i = (common & -common).bit_length() - 1
-        return Sharing("intransitive", f"i={i}")
-    for m in proper_block_sizes(n):
-        if wreath_member(t1, m) and wreath_member(t2, m):
-            return Sharing("imprimitive", f"m={m}")
-    for fp in degree_fingerprints(n, cache_dir):
-        for mirrored in (False, True) if fp.mirror_differs else (False,):
-            if fp.contains_class(c1, mirrored) and fp.contains_class(c2, mirrored):
-                suffix = "'" if mirrored else ""
-                return Sharing("primitive", fp.name + suffix)
+    if r1.even & r2.even:
+        return profile.alternating
+    common = r1.sums & r2.sums
+    if common:
+        return profile.intransitive[common & -common]
+    common = r1.blocks & r2.blocks
+    if common:
+        return profile.imprimitive[common & -common]
+    if r1.plus is None:
+        profile.fill_primitive(parts1, r1)
+    if r2.plus is None:
+        profile.fill_primitive(parts2, r2)
+    p1 = r1.minus if c1.split is Split.MINUS else r1.plus
+    p2 = r2.minus if c2.split is Split.MINUS else r2.plus
+    common = p1 & p2  # type: ignore[operator]
+    if common:
+        return profile.primitive[common & -common]  # type: ignore[index]
     return None

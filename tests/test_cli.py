@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 from invgraph.cli import main
 
@@ -99,3 +101,26 @@ def test_output_file(tmp_path, capsys, cache_dir):
     )
     assert code == 0
     assert out_file.read_text().startswith("v1,v2")
+
+
+def test_survey_script_follows_cache_env(tmp_path, monkeypatch, capsys):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_diameter_survey.py"
+    spec = importlib.util.spec_from_file_location("run_diameter_survey", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "EXACT_DEGREES", frozenset({5}))
+    monkeypatch.setenv("INVGRAPH_CACHE_DIR", str(tmp_path))
+    module.main([])
+    assert [p.name for p in tmp_path.iterdir()] == ["fingerprints-deg5.json"]
+    assert "S_5" in capsys.readouterr().out
+
+
+def test_cache_dir_before_the_subcommand(tmp_path, capsys):
+    for argv in (
+        ["--cache-dir", str(tmp_path / "top"), "catalog", "--n", "5"],
+        ["catalog", "--n", "5", "--cache-dir", str(tmp_path / "sub")],
+    ):
+        code, _ = run(capsys, *argv)
+        assert code == 0
+    assert (tmp_path / "top" / "fingerprints-deg5.json").exists()
+    assert (tmp_path / "sub" / "fingerprints-deg5.json").exists()

@@ -5,6 +5,7 @@ import pytest
 from invgraph.partitions import Partition
 from invgraph.permutations import ClassLabel, GroupKind, Split
 from invgraph.graph_engine import (
+    ClassGraph,
     SpecialDiameter,
     adjacency_diff,
     build_graph,
@@ -221,3 +222,28 @@ def test_oracle_agreement_small(graph):
 def test_oracle_rejects_large_degree():
     with pytest.raises(ValueError):
         oracle_adjacency(8, GroupKind.SYM)
+
+
+def test_set_bit_walks_match_per_bit_reference(graph):
+    for n, group in ((9, GroupKind.ALT), (12, GroupKind.SYM)):
+        g = graph(n, group)
+        count = len(g.vertices)
+
+        def bits(row):
+            return [j for j in range(count) if row >> j & 1]
+
+        assert g.edges() == [
+            (i, j) for i in range(count) for j in bits(g.adjacency[i]) if j > i
+        ]
+        for i in range(count):
+            assert g.neighbours(i) == bits(g.adjacency[i])
+            assert g.degree_of(i) == len(bits(g.adjacency[i]))
+        # toggle the pairs (0, k) for every third k, in both rows
+        rows = list(g.adjacency)
+        for k in range(1, count, 3):
+            rows[0] ^= 1 << k
+            rows[k] ^= 1
+        other = ClassGraph(n, group, g.vertices, tuple(rows))
+        assert adjacency_diff(g, other) == [
+            (g.vertices[0], g.vertices[k]) for k in range(1, count, 3)
+        ]

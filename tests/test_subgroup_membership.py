@@ -12,6 +12,7 @@ from invgraph.partitions import (
     has_distinct_odd_parts,
     is_even_type,
     is_partial_sum,
+    partial_sum_mask,
 )
 from invgraph.permutations import (
     ClassLabel,
@@ -26,6 +27,7 @@ from invgraph.permutations import (
 from invgraph.subgroup_membership import (
     EXACT_DEGREES,
     CatalogAbsent,
+    Sharing,
     _compute_fingerprint,
     degree_fingerprints,
     fingerprint,
@@ -280,6 +282,75 @@ def test_shares_subgroup_input_validation(cache_dir):
     d = ClassLabel(Partition([2, 1, 1]), GroupKind.SYM)
     with pytest.raises(ValueError):
         shares_subgroup(c, d, cache_dir)
+
+
+def _reference_contains(fp, label, mirrored):
+    parts = label.cycle_type.parts
+    if parts not in fp.types_present:
+        return False
+    if label.split is Split.NONE:
+        return True
+    side = label.split
+    if mirrored:
+        side = Split.MINUS if side is Split.PLUS else Split.PLUS
+    return side in fp.incidence(parts)
+
+
+def _reference_shares_subgroup(c1, c2, cache_dir):
+    """The verdict recomputed per pair from the types and fingerprints."""
+    n = c1.degree
+    t1, t2 = c1.cycle_type, c2.cycle_type
+    if c1.group is GroupKind.SYM and is_even_type(t1) and is_even_type(t2):
+        return Sharing("alternating", f"A_{n}")
+    if shares_intransitive(t1, t2):
+        common = partial_sum_mask(t1) & partial_sum_mask(t2) & ((1 << (n // 2 + 1)) - 2)
+        return Sharing("intransitive", f"i={(common & -common).bit_length() - 1}")
+    for m in proper_block_sizes(n):
+        if wreath_member(t1, m) and wreath_member(t2, m):
+            return Sharing("imprimitive", f"m={m}")
+    for fp in degree_fingerprints(n, cache_dir):
+        for mirrored in (False, True) if fp.mirror_differs else (False,):
+            if _reference_contains(fp, c1, mirrored) and _reference_contains(fp, c2, mirrored):
+                return Sharing("primitive", fp.name + ("'" if mirrored else ""))
+    return None
+
+
+def test_shares_subgroup_matches_per_pair_reference(graph, cache_dir):
+    # every unordered pair and the diagonal, at every exact degree; the bulk
+    # build reads the same records, so its edge bits must be the None verdicts
+    for n in sorted(EXACT_DEGREES):
+        for group in (GroupKind.SYM, GroupKind.ALT):
+            g = graph(n, group)
+            vertices = g.vertices
+            for i, a in enumerate(vertices):
+                row = g.adjacency[i]
+                for j in range(i, len(vertices)):
+                    b = vertices[j]
+                    verdict = shares_subgroup(a, b, cache_dir)
+                    assert verdict == _reference_shares_subgroup(a, b, cache_dir), (a, b)
+                    assert (row >> j & 1) == (i != j and verdict is None), (a, b)
+
+
+def test_shares_subgroup_without_catalog(cache_dir):
+    # degree 14 has no catalog: pairs that parity, partial sums and block
+    # sizes decide keep their answers, the rest raise CatalogAbsent
+    def sym(text):
+        return ClassLabel(Partition.from_string(text), GroupKind.SYM)
+
+    assert shares_subgroup(sym("14"), sym("14"), cache_dir) == Sharing("imprimitive", "m=2")
+    assert shares_subgroup(sym("13,1"), sym("12,1,1"), cache_dir) == Sharing(
+        "intransitive", "i=1"
+    )
+    assert shares_subgroup(sym("13,1"), sym("13,1"), cache_dir) == Sharing(
+        "alternating", "A_14"
+    )
+    with pytest.raises(CatalogAbsent):
+        shares_subgroup(sym("14"), sym("13,1"), cache_dir)
+    assert shares_subgroup(sym("14"), sym("14"), cache_dir) == Sharing("imprimitive", "m=2")
+    plus = ClassLabel(Partition.from_string("13,1"), GroupKind.ALT, Split.PLUS)
+    other = ClassLabel(Partition.from_string("12,2"), GroupKind.ALT)
+    with pytest.raises(CatalogAbsent):
+        shares_subgroup(plus, other, cache_dir)
 
 
 def _tamper_order(data):
