@@ -33,7 +33,6 @@ from invgraph.graph_engine import (
 )
 from invgraph.subgroup_membership import (
     primitive_catalog,
-    shares_intransitive,
     shares_subgroup,
     wreath_member,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "partial_sum_set",
     "power_type",
     "primitive_catalog",
-    "shares_intransitive",
     "shares_subgroup",
     "split_label",
     "wreath_member",

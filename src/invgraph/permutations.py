@@ -309,19 +309,17 @@ def class_labels(n: int, group: GroupKind) -> list[ClassLabel]:
     out: list[ClassLabel] = []
     one_n = (1,) * n
     for p in enumerate_partitions(n):
-        if p.parts == one_n:
+        if p.parts == one_n or group is GroupKind.ALT and not is_even_type(p):
             continue
-        if group is GroupKind.SYM:
-            out.append(ClassLabel(p, group))
-        else:
-            if not is_even_type(p):
-                continue
-            if has_distinct_odd_parts(p):
-                out.append(ClassLabel(p, group, Split.PLUS))
-                out.append(ClassLabel(p, group, Split.MINUS))
-            else:
-                out.append(ClassLabel(p, group))
+        out.extend(type_labels(p, group))
     return out
+
+
+def type_labels(p: Partition, group: GroupKind) -> list[ClassLabel]:
+    """The vertices of one cycle type: PLUS then MINUS when its A_n class splits."""
+    if group is GroupKind.ALT and has_distinct_odd_parts(p):
+        return [ClassLabel(p, group, Split.PLUS), ClassLabel(p, group, Split.MINUS)]
+    return [ClassLabel(p, group)]
 
 
 def symmetric_group_generators(n: int) -> list[Permutation]:

@@ -12,13 +12,10 @@ exclusion predicate never asserts membership.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
+
 from invgraph.arith import divisors, is_prime, lcm_of, prime_power
-from invgraph.partitions import (
-    Partition,
-    is_partial_sum,
-    partial_sum_mask,
-    power_type,
-)
+from invgraph.partitions import Partition, is_partial_sum, partial_sum_mask
 
 
 @dataclass(frozen=True)
@@ -55,11 +52,14 @@ def jordan_excludes(t: Partition) -> bool:
 
     Such an element lies in no primitive group other than the alternating and
     symmetric groups, so t is excluded from every nontrivial primitive group.
+    A part l of t becomes gcd(l, k) cycles of length l / gcd(l, k) in t^k, so
+    t^k is one nontrivial cycle exactly when one part l does not divide k and
+    gcd(l, k) == 1; the other n - l points are then fixed.
     """
+    n = t.n
     for k in _power_exponents(t):
-        pt = power_type(t, k)
-        big = [p for p in pt.parts if p > 1]
-        if len(big) == 1 and pt.multiplicity(1) >= 3:
+        moved = [l for l in t.parts if k % l]
+        if len(moved) == 1 and gcd(moved[0], k) == 1 and n - moved[0] >= 3:
             return True
     return False
 

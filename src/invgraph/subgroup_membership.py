@@ -14,9 +14,11 @@ Each cycle type gets one feature record per degree and group kind
 size and two bits per fingerprint.  Two classes share a proper subgroup
 exactly when their records meet.  ``shares_subgroup`` ANDs two records
 family by family and names the lowest common bit; ``graph_engine`` builds
-the whole graph from the same records.  Records are filled on a type's
-first lookup, and fingerprints only once a pair gets past the first three
-families.
+the whole graph from the same records, and ``witness_verifier`` asks
+``shares_subgroup`` about every witness pair at every degree.  Records are
+filled on a type's first lookup, and fingerprints only once a pair gets
+past the first three families, so without a catalog ``CatalogAbsent``
+marks exactly the pairs those families leave open.
 
 The catalog covers degrees 3..13, 17 and 19.  Entries are built
 programmatically (affine, projective, product action, subgroups of the
@@ -71,17 +73,8 @@ class CatalogAbsent(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# intransitive and imprimitive membership
+# imprimitive membership
 # ---------------------------------------------------------------------------
-
-
-def shares_intransitive(t1: Partition, t2: Partition) -> bool:
-    """True when some 1 <= i <= n/2 is a partial sum of both types."""
-    if t1.n != t2.n:
-        raise ValueError(f"degree mismatch: {t1.n} vs {t2.n}")
-    n = t1.n
-    half_mask = (1 << (n // 2 + 1)) - 2  # bits 1..n//2
-    return bool(partial_sum_mask(t1) & partial_sum_mask(t2) & half_mask)
 
 
 @lru_cache(maxsize=None)
@@ -756,6 +749,17 @@ class Sharing:
         return f"{self.family}({self.witness})"
 
 
+@lru_cache(maxsize=None)
+def _intransitive(bit: int) -> Sharing:
+    """The verdict for the common partial sum whose bit is ``bit``."""
+    return Sharing("intransitive", f"i={bit.bit_length() - 1}")
+
+
+@lru_cache(maxsize=None)
+def _imprimitive(m: int) -> Sharing:
+    return Sharing("imprimitive", f"m={m}")
+
+
 class TypeRecord:
     """The features of one cycle type that decide every pair it is in.
 
@@ -783,8 +787,8 @@ class TypeProfile:
     A record is built on the first lookup of its type, and the fingerprints
     are read on the first pair that parity, partial sums and block sizes
     leave open, so degrees without a catalog answer every pair those decide.
-    Verdicts are prebuilt ``Sharing`` objects keyed by the lowest common
-    feature bit.
+    The primitive verdicts are prebuilt ``Sharing`` objects keyed by the
+    lowest common fingerprint bit.
     """
 
     def __init__(self, n: int, sym: bool, cache_dir: str | None):
@@ -795,12 +799,6 @@ class TypeProfile:
         self.block_sizes = proper_block_sizes(n)
         self.records: dict[tuple[int, ...], TypeRecord] = {}
         self.alternating = Sharing("alternating", f"A_{n}")
-        self.intransitive = {
-            1 << i: Sharing("intransitive", f"i={i}") for i in range(1, n // 2 + 1)
-        }
-        self.imprimitive = {
-            1 << k: Sharing("imprimitive", f"m={m}") for k, m in enumerate(self.block_sizes)
-        }
         self.primitive: dict[int, Sharing] | None = None
         self._fingerprints: tuple[Fingerprint, ...] = ()
 
@@ -894,10 +892,10 @@ def shares_subgroup(
         return profile.alternating
     common = r1.sums & r2.sums
     if common:
-        return profile.intransitive[common & -common]
+        return _intransitive(common & -common)
     common = r1.blocks & r2.blocks
     if common:
-        return profile.imprimitive[common & -common]
+        return _imprimitive(profile.block_sizes[(common & -common).bit_length() - 1])
     if r1.plus is None:
         profile.fill_primitive(parts1, r1)
     if r2.plus is None:

@@ -12,6 +12,11 @@ allowance).  Certification has two sides:
   fingerprints decide this outright; elsewhere the classification-rule
   predicates exclude each arithmetically live family, and any family they
   cannot close is recorded in an assumption ledger instead of being claimed.
+
+Both sides ask ``shares_subgroup`` about each pair, so the verifier reads the
+same per-type feature records as the exact graphs.  Without a catalog it
+raises ``CatalogAbsent`` for exactly the pairs that parity, partial sums and
+block sizes leave open; only those go on to the rule predicates.
 """
 
 from __future__ import annotations
@@ -20,22 +25,24 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from invgraph.arith import (
-    is_prime,
-    prime_power,
-    proper_block_sizes,
-    smallest_prime_factor,
+from invgraph.arith import is_prime, prime_power, smallest_prime_factor
+from invgraph.graph_engine import (
+    SpecialDiameter,
+    build_graph,
+    diameter,
+    isolated_vertices,
+    xi_subgraph,
 )
 from invgraph.partitions import (
     Partition,
+    enumerate_partitions,
     enumerate_partitions_with_sums_in,
     even_class_partitions,
-    has_distinct_odd_parts,
     is_even_type,
     is_partial_sum,
     partial_sum_mask,
 )
-from invgraph.permutations import ClassLabel, GroupKind, Split
+from invgraph.permutations import ClassLabel, GroupKind, type_labels
 from invgraph.primitive_rules import (
     FamilyTag,
     jones_families,
@@ -48,7 +55,8 @@ from invgraph.primitive_rules import (
 )
 from invgraph.subgroup_membership import (
     EXACT_DEGREES,
-    shares_intransitive,
+    CatalogAbsent,
+    Sharing,
     shares_subgroup,
     wreath_member,
 )
@@ -562,26 +570,30 @@ def _try_exclude(tag: FamilyTag, w: Partition, n: int) -> bool | None:
     return None
 
 
-def _expand_classes(t: Partition, group: GroupKind) -> list[ClassLabel]:
-    if group is GroupKind.ALT and has_distinct_odd_parts(t):
-        return [ClassLabel(t, group, Split.PLUS), ClassLabel(t, group, Split.MINUS)]
-    return [ClassLabel(t, group)]
-
-
-def _common_wreath(a: Partition, b: Partition, n: int) -> int | None:
-    for m in proper_block_sizes(n):
-        if wreath_member(a, m) and wreath_member(b, m):
-            return m
-    return None
+def _verdicts(
+    w: ClassLabel, t: Partition, cache_dir: str | None
+) -> dict[ClassLabel, Sharing | None] | None:
+    """The verdict of w against each class of type t, or None when only the
+    primitive catalog could decide the pair and the degree has none."""
+    try:
+        return {c: shares_subgroup(w, c, cache_dir) for c in type_labels(t, w.group)}
+    except CatalogAbsent:
+        return None
 
 
 def verify_witness(claim: WitnessClaim, cache_dir: str | None = None) -> WitnessReport:
+    """Certify the claim's non-adjacency and target-adjacency sides.
+
+    Every class whose partial sums avoid the witness's must share a proper
+    subgroup with it, up to the claim's allowed extras; a class that does not
+    is a counterexample.  No target class may share one; a pair that
+    parity, partial sums and block sizes leave open at a degree without a
+    catalog goes to the Jordan and family-rule predicates, and a family they
+    cannot exclude is ledgered.
+    """
     n, w, group = claim.n, claim.witness, claim.group
     assert w.n == n
-    if group is GroupKind.ALT and not is_even_type(w):
-        raise ValueError(f"witness {w} is not a class of the alternating group")
-    exact = n in EXACT_DEGREES
-    w_labels = _expand_classes(w, group)
+    w_labels = type_labels(w, group)  # ValueError for an odd witness in A_n
     assert len(w_labels) == 1, "witness types never split"
     w_label = w_labels[0]
     half_square = Partition([n // 2, n // 2]) if n % 2 == 0 else None
@@ -594,22 +606,14 @@ def verify_witness(claim: WitnessClaim, cache_dir: str | None = None) -> Witness
     counterexamples: list[Partition] = []
     extras: list[Partition] = []
     identity = (1,) * n
-    w_even = is_even_type(w)
     for q in survivors:
         if q == w or q in target_set or q.parts == identity:
             continue
         if group is GroupKind.ALT and not is_even_type(q):
             continue  # not a vertex
-        if group is GroupKind.SYM and w_even and is_even_type(q):
-            continue  # both meet the alternating subgroup
-        if _common_wreath(w, q, n) is not None:
+        verdicts = _verdicts(w_label, q, cache_dir)
+        if verdicts is not None and None not in verdicts.values():
             continue
-        if exact:
-            if all(
-                shares_subgroup(w_label, ql, cache_dir) is not None
-                for ql in _expand_classes(q, group)
-            ):
-                continue
         if claim.allow_even_extras and all(p % 2 == 0 for p in q.parts) and q != half_square:
             extras.append(q)
             continue
@@ -624,21 +628,9 @@ def verify_witness(claim: WitnessClaim, cache_dir: str | None = None) -> Witness
     failures: list[str] = []
     ledger: list[str] = []
     for t in claim.targets:
-        if group is GroupKind.SYM and w_even and is_even_type(t):
-            failures.append(f"{t}: both classes are even")
-            continue
-        if shares_intransitive(w, t):
-            failures.append(f"{t}: common partial sum")
-            continue
-        m = _common_wreath(w, t, n)
-        if m is not None:
-            failures.append(f"{t}: common wreath product with block size {m}")
-            continue
-        if exact:
-            for tl in _expand_classes(t, group):
-                verdict = shares_subgroup(w_label, tl, cache_dir)
-                if verdict is not None:
-                    failures.append(f"{tl}: shared {verdict}")
+        verdicts = _verdicts(w_label, t, cache_dir)
+        if verdicts is not None:
+            failures += [f"{c}: shared {v}" for c, v in verdicts.items() if v is not None]
             continue
         if jordan_excludes(w) or jordan_excludes(t):
             continue
@@ -737,8 +729,6 @@ def verify_lm(n: int, cache_dir: str | None = None) -> tuple[bool, list[Partitio
         predicted.append(Partition([2] * ((n - 1) // 2) + [1]))
     if (n - 1) % 3 == 0:
         predicted.append(Partition([3] * ((n - 1) // 3) + [1]))
-    from invgraph.graph_engine import build_graph, isolated_vertices
-
     graph = build_graph(n, GroupKind.ALT, cache_dir)
     actual = sorted(v.cycle_type for v in isolated_vertices(graph))
     return sorted(predicted) == actual, predicted
@@ -756,8 +746,6 @@ def verify_sper(n: int) -> tuple[bool, tuple[Partition, Partition] | None]:
     The masks are built here rather than through the ``partial_sum_mask``
     cache, which would keep every partition of every n alive.
     """
-    from invgraph.partitions import enumerate_partitions
-
     parts = list(enumerate_partitions(n))
     half_mask = (1 << (n // 2 + 1)) - 2
     first: dict[int, int] = {}
@@ -782,8 +770,6 @@ def verify_sper(n: int) -> tuple[bool, tuple[Partition, Partition] | None]:
 
 def table1(cache_dir: str | None = None) -> list[tuple[int, object, object]]:
     """Reduced-graph diameters for degrees 3..10, both groups."""
-    from invgraph.graph_engine import SpecialDiameter, build_graph, diameter, xi_subgraph
-
     rows = []
     for n in range(3, 11):
         entries = []

@@ -1,7 +1,7 @@
 import pytest
 
-from invgraph.arith import primes
-from invgraph.partitions import Partition
+from invgraph.arith import divisors, lcm_of, primes
+from invgraph.partitions import Partition, enumerate_partitions, power_type
 from invgraph.primitive_rules import (
     affine_excludes,
     jones_families,
@@ -26,6 +26,22 @@ def test_jordan_excludes_examples():
     assert jordan_excludes(Partition([3, 3, 7]))  # degree 13, i=3
     assert not jordan_excludes(Partition([9]))
     assert not jordan_excludes(Partition([2, 2, 2]))
+
+
+def _jordan_reference(t):
+    # builds the cycle type of every power, as jordan_excludes once did
+    for k in divisors(lcm_of(t.parts)):
+        pt = power_type(t, k)
+        big = [p for p in pt.parts if p > 1]
+        if len(big) == 1 and pt.multiplicity(1) >= 3:
+            return True
+    return False
+
+
+def test_jordan_excludes_matches_power_type_reference():
+    for n in range(1, 31):
+        for t in enumerate_partitions(n):
+            assert jordan_excludes(t) == _jordan_reference(t), t
 
 
 def test_jones_families_examples():

@@ -23,6 +23,7 @@ from invgraph.permutations import (
     is_primitive,
     is_transitive,
     split_label,
+    type_labels,
 )
 from invgraph.subgroup_membership import (
     EXACT_DEGREES,
@@ -32,7 +33,6 @@ from invgraph.subgroup_membership import (
     degree_fingerprints,
     fingerprint,
     primitive_catalog,
-    shares_intransitive,
     shares_subgroup,
     wreath_member,
     wreath_member_oracle,
@@ -64,13 +64,19 @@ EXPECTED_CATALOG = {
 }
 
 
-def test_shares_intransitive_examples():
-    n = 12
-    assert shares_intransitive(Partition([11, 1]), Partition([11, 1]))
-    assert not shares_intransitive(Partition([12]), Partition([6, 3, 2, 1]))
-    assert not shares_intransitive(Partition([6, 5, 1]), Partition([9, 3]))
+def test_intransitive_verdict_examples(cache_dir):
+    def family(t1, t2):
+        # two even types are asked in A_n, where parity cannot answer first
+        group = GroupKind.ALT if is_even_type(t1) and is_even_type(t2) else GroupKind.SYM
+        c1, c2 = (type_labels(t, group)[0] for t in (t1, t2))
+        verdict = shares_subgroup(c1, c2, cache_dir)
+        return verdict and verdict.family
+
+    assert family(Partition([11, 1]), Partition([11, 1])) == "intransitive"
+    assert family(Partition([12]), Partition([6, 3, 2, 1])) != "intransitive"
+    assert family(Partition([6, 5, 1]), Partition([9, 3])) != "intransitive"
     with pytest.raises(ValueError):
-        shares_intransitive(Partition([3]), Partition([4]))
+        family(Partition([3]), Partition([4]))
 
 
 def test_wreath_member_examples():
@@ -302,8 +308,8 @@ def _reference_shares_subgroup(c1, c2, cache_dir):
     t1, t2 = c1.cycle_type, c2.cycle_type
     if c1.group is GroupKind.SYM and is_even_type(t1) and is_even_type(t2):
         return Sharing("alternating", f"A_{n}")
-    if shares_intransitive(t1, t2):
-        common = partial_sum_mask(t1) & partial_sum_mask(t2) & ((1 << (n // 2 + 1)) - 2)
+    common = partial_sum_mask(t1) & partial_sum_mask(t2) & ((1 << (n // 2 + 1)) - 2)
+    if common:
         return Sharing("intransitive", f"i={(common & -common).bit_length() - 1}")
     for m in proper_block_sizes(n):
         if wreath_member(t1, m) and wreath_member(t2, m):

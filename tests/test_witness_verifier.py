@@ -1,13 +1,27 @@
 import json
+from dataclasses import fields
 
 import pytest
 
-from invgraph.arith import is_prime
-from invgraph.partitions import Partition, enumerate_partitions, is_even_type, partial_sum_mask
-from invgraph.permutations import GroupKind
+from invgraph.arith import is_prime, proper_block_sizes
+from invgraph.partitions import (
+    Partition,
+    enumerate_partitions,
+    enumerate_partitions_with_sums_in,
+    has_distinct_odd_parts,
+    is_even_type,
+    partial_sum_mask,
+)
+from invgraph.permutations import ClassLabel, GroupKind, Split
 from invgraph.graph_engine import isolated_vertices
+from invgraph.primitive_rules import jordan_excludes
+from invgraph.subgroup_membership import EXACT_DEGREES, shares_subgroup, wreath_member
 from invgraph.witness_verifier import (
     InadmissibleDegree,
+    WitnessClaim,
+    WitnessReport,
+    _families_for_target,
+    _try_exclude,
     build_isolated_family,
     construct_witness,
     isolated_family_size_formula,
@@ -17,6 +31,7 @@ from invgraph.witness_verifier import (
     verify_sper,
     verify_witness,
 )
+from test_acceptance import _witness_cases
 
 
 def test_construct_examples():
@@ -94,6 +109,138 @@ def test_altodd_w_extra_target_at_35(cache_dir):
     # the witness powers down to a short cycle with many fixed points, so
     # even the three-orbit extra target needs no classification assumption
     assert report.fully_certified
+
+
+def _expand_classes(t, group):
+    if group is GroupKind.ALT and has_distinct_odd_parts(t):
+        return [ClassLabel(t, group, Split.PLUS), ClassLabel(t, group, Split.MINUS)]
+    return [ClassLabel(t, group)]
+
+
+def _common_wreath(a, b, n):
+    for m in proper_block_sizes(n):
+        if wreath_member(a, m) and wreath_member(b, m):
+            return m
+    return None
+
+
+def _reference_verify_witness(claim, cache_dir):
+    """The verifier with its own parity, partial-sum and block tests, asking
+    ``shares_subgroup`` only at the cataloged degrees."""
+    n, w, group = claim.n, claim.witness, claim.group
+    exact = n in EXACT_DEGREES
+    w_label = _expand_classes(w, group)[0]
+    half_square = Partition([n // 2, n // 2]) if n % 2 == 0 else None
+    w_mask = partial_sum_mask(w)
+    allowed = {0, n} | {i for i in range(1, n) if not w_mask >> i & 1}
+    counterexamples, extras = [], []
+    w_even = is_even_type(w)
+    for q in enumerate_partitions_with_sums_in(n, allowed):
+        if q == w or q in claim.targets or q.parts == (1,) * n:
+            continue
+        if group is GroupKind.ALT and not is_even_type(q):
+            continue
+        if group is GroupKind.SYM and w_even and is_even_type(q):
+            continue
+        if _common_wreath(w, q, n) is not None:
+            continue
+        if exact and all(
+            shares_subgroup(w_label, ql, cache_dir) is not None
+            for ql in _expand_classes(q, group)
+        ):
+            continue
+        if claim.allow_even_extras and all(p % 2 == 0 for p in q.parts) and q != half_square:
+            extras.append(q)
+            continue
+        counterexamples.append(q)
+    nonadjacency_ok = not counterexamples
+    for must_miss in claim.require_nonadjacent:
+        if must_miss in extras or must_miss in counterexamples:
+            nonadjacency_ok = False
+            counterexamples.append(must_miss)
+    failures, ledger = [], []
+    half_mask = (1 << (n // 2 + 1)) - 2
+    for t in claim.targets:
+        if group is GroupKind.SYM and w_even and is_even_type(t):
+            failures.append(f"{t}: both classes are even")
+            continue
+        if partial_sum_mask(w) & partial_sum_mask(t) & half_mask:
+            failures.append(f"{t}: common partial sum")
+            continue
+        m = _common_wreath(w, t, n)
+        if m is not None:
+            failures.append(f"{t}: common wreath product with block size {m}")
+            continue
+        if exact:
+            for tl in _expand_classes(t, group):
+                verdict = shares_subgroup(w_label, tl, cache_dir)
+                if verdict is not None:
+                    failures.append(f"{tl}: shared {verdict}")
+            continue
+        if jordan_excludes(w) or jordan_excludes(t):
+            continue
+        for tag in _families_for_target(t, n):
+            outcome = _try_exclude(tag, w, n)
+            if outcome is False:
+                failures.append(f"{t}: predicate admits membership for family {tag}")
+            elif outcome is None:
+                ledger.append(f"{t}: family {tag} not excluded by rule predicates")
+    return WitnessReport(
+        claim, nonadjacency_ok, tuple(counterexamples), tuple(extras),
+        not failures, tuple(failures), tuple(ledger),
+    )
+
+
+# witness and target types that share one family, at a cataloged degree and
+# at one without a catalog; (9,3) and (15,7) split in A_n, so both of their
+# classes must be reported
+_SHARED_TARGETS = [
+    (12, GroupKind.SYM, (11, 1), (7, 5), "alternating(A_12)", 1),
+    (12, GroupKind.SYM, (11, 1), (10, 1, 1), "intransitive(i=1)", 1),
+    (12, GroupKind.SYM, (12,), (10, 2), "imprimitive(m=2)", 1),
+    (12, GroupKind.ALT, (4, 4, 3, 1), (9, 3), "intransitive(i=3)", 2),
+    (22, GroupKind.SYM, (21, 1), (13, 9), "alternating(A_22)", 1),
+    (22, GroupKind.SYM, (21, 1), (20, 1, 1), "intransitive(i=1)", 1),
+    (22, GroupKind.SYM, (22,), (20, 2), "imprimitive(m=2)", 1),
+    (22, GroupKind.ALT, (7, 7, 4, 4), (15, 7), "intransitive(i=7)", 2),
+]
+
+
+def _shared_target_claim(n, group, witness, target):
+    return WitnessClaim("synthetic", n, group, Partition(witness), (Partition(target),))
+
+
+@pytest.mark.parametrize(
+    "n, group, witness, target, verdict, classes",
+    _SHARED_TARGETS,
+    ids=[f"{n}{group.value}-{verdict}" for n, group, _, _, verdict, _ in _SHARED_TARGETS],
+)
+def test_shared_target_fails(cache_dir, n, group, witness, target, verdict, classes):
+    report = verify_witness(_shared_target_claim(n, group, witness, target), cache_dir)
+    assert not report.adjacency_ok
+    assert not report.ledger
+    assert len(report.adjacency_failures) == classes
+    for failure in report.adjacency_failures:
+        assert failure.endswith(f": shared {verdict}"), failure
+
+
+def test_odd_witness_in_alternating_group_is_rejected(cache_dir):
+    claim = _shared_target_claim(12, GroupKind.ALT, (12,), (11, 1))
+    with pytest.raises(ValueError):
+        verify_witness(claim, cache_dir)
+
+
+def test_verify_witness_matches_reference(cache_dir):
+    # every report field but the failure wording, on every criterion-9 claim
+    # and on the failing claims above
+    claims = [construct_witness(lemma, n, group) for lemma, n, group in _witness_cases()]
+    claims += [_shared_target_claim(*case[:4]) for case in _SHARED_TARGETS]
+    compared = [f.name for f in fields(WitnessReport) if f.name != "adjacency_failures"]
+    for claim in claims:
+        got = verify_witness(claim, cache_dir)
+        want = _reference_verify_witness(claim, cache_dir)
+        for name in compared:
+            assert getattr(got, name) == getattr(want, name), (claim, name)
 
 
 def test_witness_rows_agree_with_exact_graphs(graph, cache_dir):
