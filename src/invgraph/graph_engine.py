@@ -6,11 +6,12 @@ representatives generates the group however each is conjugated).  Adjacency
 rows are bit masks, so BFS distances and isolated-vertex extraction are a few
 integer operations per vertex.
 
-``build_graph`` reads each class's feature mask from the per-type records
-that also decide ``shares_subgroup``.  For every feature bit it keeps a
-column: the set of vertices having it.  A vertex's non-neighbours are the
-union of its features' columns, so row i is the complement of that union
-and of i itself, O(V * F) integer operations instead of a test per pair.
+``build_graph`` reads each class's feature mask, the one whose lowest bit
+shared with another class's mask is the ``shares_subgroup`` verdict.  For
+every feature bit it keeps a column: the set of vertices having it.  A
+vertex's non-neighbours are the union of its features' columns, so row i is
+the complement of that union and of i itself, O(V * F) integer operations
+instead of a test per pair.
 """
 
 from __future__ import annotations
@@ -45,32 +46,29 @@ class ClassGraph:
     group: GroupKind
     vertices: tuple[ClassLabel, ...]
     adjacency: tuple[int, ...]  # bit mask per vertex, symmetric, empty diagonal
-    mode: str = "exact"
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for i, row in enumerate(self.adjacency):
-            rest = row >> (i + 1) << (i + 1)
-            while rest:
-                low = rest & -rest
-                out.append((i, low.bit_length() - 1))
-                rest ^= low
-        return out
+        return [
+            (i, j)
+            for i, row in enumerate(self.adjacency)
+            for j in _bit_indices(row >> (i + 1) << (i + 1))
+        ]
 
     def degree_of(self, i: int) -> int:
         return self.adjacency[i].bit_count()
 
     def neighbours(self, i: int) -> list[int]:
-        out = []
-        rest = self.adjacency[i]
-        while rest:
-            low = rest & -rest
-            out.append(low.bit_length() - 1)
-            rest ^= low
-        return out
+        return _bit_indices(self.adjacency[i])
 
-    def vertex_index(self, label: ClassLabel) -> int:
-        return self.vertices.index(label)
+
+def _bit_indices(mask: int) -> list[int]:
+    """The indices of the set bits of mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -112,11 +110,8 @@ def xi_subgraph(g: ClassGraph) -> ClassGraph:
     rows = []
     for old in keep:
         row = 0
-        rest = g.adjacency[old]
-        while rest:
-            low = rest & -rest
-            row |= 1 << relabel[low.bit_length() - 1]
-            rest ^= low
+        for j in _bit_indices(g.adjacency[old]):
+            row |= 1 << relabel[j]
         rows.append(row)
     return ClassGraph(g.degree, g.group, tuple(g.vertices[i] for i in keep), tuple(rows))
 
@@ -278,18 +273,15 @@ def oracle_adjacency(n: int, group: GroupKind) -> ClassGraph:
             if adjacent:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-    return ClassGraph(n, group, labels, tuple(rows), mode="oracle")
+    return ClassGraph(n, group, labels, tuple(rows))
 
 
 def adjacency_diff(a: ClassGraph, b: ClassGraph) -> list[tuple[ClassLabel, ClassLabel]]:
     """Vertex pairs on which two graphs over the same vertex list disagree."""
     if a.vertices != b.vertices:
         raise ValueError("vertex lists differ")
-    out = []
-    for i, (row_a, row_b) in enumerate(zip(a.adjacency, b.adjacency)):
-        rest = (row_a ^ row_b) >> (i + 1) << (i + 1)
-        while rest:
-            low = rest & -rest
-            out.append((a.vertices[i], a.vertices[low.bit_length() - 1]))
-            rest ^= low
-    return out
+    return [
+        (a.vertices[i], a.vertices[j])
+        for i, (row_a, row_b) in enumerate(zip(a.adjacency, b.adjacency))
+        for j in _bit_indices((row_a ^ row_b) >> (i + 1) << (i + 1))
+    ]

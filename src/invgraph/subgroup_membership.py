@@ -9,16 +9,16 @@ Four families decide every edge question at the supported degrees:
 * primitive groups, decided against fingerprints (the realized cycle types,
   with per-split-class incidence) of a complete per-degree catalog.
 
-Each cycle type gets one feature record per degree and group kind
+Each class gets one feature mask per degree and group kind
 (``type_profile``): its parity, its partial sums up to n/2, a bit per block
-size and two bits per fingerprint.  Two classes share a proper subgroup
-exactly when their records meet.  ``shares_subgroup`` ANDs two records
-family by family and names the lowest common bit; ``graph_engine`` builds
-the whole graph from the same records, and ``witness_verifier`` asks
-``shares_subgroup`` about every witness pair at every degree.  Records are
-filled on a type's first lookup, and fingerprints only once a pair gets
-past the first three families, so without a catalog ``CatalogAbsent``
-marks exactly the pairs those families leave open.
+size and two bits per fingerprint, laid out in that order.  Two classes
+share a proper subgroup exactly when their masks meet, and the lowest
+common bit is the ``shares_subgroup`` verdict; ``graph_engine`` builds the
+whole graph from the same masks, and ``witness_verifier`` asks
+``shares_subgroup`` about every witness pair at every degree.  The rule bits
+are filled on a type's first lookup, and the fingerprint bits only once a
+pair's rule bits do not meet, so without a catalog ``CatalogAbsent`` marks
+exactly the pairs the first three families leave open.
 
 The catalog covers degrees 3..13, 17 and 19.  Entries are built
 programmatically (affine, projective, product action, subgroups of the
@@ -602,9 +602,11 @@ def _catalog_digest(groups: Sequence[GroupSpec]) -> str:
     return h.hexdigest()
 
 
-def _compute_fingerprint(spec: GroupSpec, cap: int = DEFAULT_CLOSURE_CAP) -> Fingerprint:
+def _compute_fingerprint(spec: GroupSpec) -> Fingerprint:
     elements, _ = closure_images(
-        [g.images for g in spec.generators], spec.degree, cap=max(cap, 2 * spec.expected_order)
+        [g.images for g in spec.generators],
+        spec.degree,
+        cap=max(DEFAULT_CLOSURE_CAP, 2 * spec.expected_order),
     )
     if len(elements) != spec.expected_order:
         raise RuntimeError(
@@ -726,15 +728,8 @@ def degree_fingerprints(n: int, cache_dir: str | None = None) -> tuple[Fingerpri
     return fps
 
 
-def fingerprint(spec: GroupSpec, cache_dir: str | None = None) -> Fingerprint:
-    for fp in degree_fingerprints(spec.degree, cache_dir):
-        if fp.name == spec.name:
-            return fp
-    return _compute_fingerprint(spec)
-
-
 # ---------------------------------------------------------------------------
-# the per-type feature record, the sharing verdict and the graph features
+# the per-class feature mask and the sharing verdict
 # ---------------------------------------------------------------------------
 
 
@@ -749,124 +744,101 @@ class Sharing:
         return f"{self.family}({self.witness})"
 
 
-@lru_cache(maxsize=None)
-def _intransitive(bit: int) -> Sharing:
-    """The verdict for the common partial sum whose bit is ``bit``."""
-    return Sharing("intransitive", f"i={bit.bit_length() - 1}")
-
-
-@lru_cache(maxsize=None)
-def _imprimitive(m: int) -> Sharing:
-    return Sharing("imprimitive", f"m={m}")
-
-
-class TypeRecord:
-    """The features of one cycle type that decide every pair it is in.
-
-    ``even`` is 1 for an even type in an S_n profile and 0 otherwise;
-    ``sums`` holds the partial sums 1..n//2; bit k of ``blocks`` is set when
-    the type lies in the wreath product of the k-th proper block size.  The
-    primitive masks are filled on the first pair that gets that far: bit 2k
-    is fingerprint k and bit 2k+1 its mirror, ``plus`` for the PLUS or
-    unsplit class and ``minus`` for the MINUS class.
-    """
-
-    __slots__ = ("even", "sums", "blocks", "plus", "minus")
-
-    def __init__(self, even: int, sums: int, blocks: int):
-        self.even = even
-        self.sums = sums
-        self.blocks = blocks
-        self.plus: int | None = None
-        self.minus: int | None = None
-
-
 class TypeProfile:
-    """Feature records of the cycle types of one degree and group kind.
+    """Feature masks of the classes of one degree and group kind.
 
-    A record is built on the first lookup of its type, and the fingerprints
-    are read on the first pair that parity, partial sums and block sizes
-    leave open, so degrees without a catalog answer every pair those decide.
-    The primitive verdicts are prebuilt ``Sharing`` objects keyed by the
-    lowest common fingerprint bit.
+    Bit 0 is S_n parity (set for an even type in an S_n profile), bits
+    1..n//2 the partial sums, then one bit per proper block size, then two
+    per fingerprint in catalog order: bit 2k for fingerprint k, bit 2k+1 for
+    its mirror.  Two classes share a proper subgroup exactly when their masks
+    meet, and the lowest common bit names the first witness in check order.
+
+    ``rules[parts]`` holds the parity, partial-sum and block bits of a type,
+    filled on its first lookup.  ``primitive[parts]`` holds the fingerprint
+    bits (PLUS or unsplit class, MINUS class), filled only for pairs the
+    rules leave open, so degrees without a catalog answer every pair the
+    rules decide and raise ``CatalogAbsent`` on the rest.
     """
 
     def __init__(self, n: int, sym: bool, cache_dir: str | None):
         self.n = n
         self.sym = sym
         self.cache_dir = cache_dir
-        self.half_mask = (1 << (n // 2 + 1)) - 2  # bits 1..n//2
         self.block_sizes = proper_block_sizes(n)
-        self.records: dict[tuple[int, ...], TypeRecord] = {}
-        self.alternating = Sharing("alternating", f"A_{n}")
-        self.primitive: dict[int, Sharing] | None = None
-        self._fingerprints: tuple[Fingerprint, ...] = ()
+        self.block_shift = n // 2 + 1
+        self.primitive_shift = self.block_shift + len(self.block_sizes)
+        self.rules: dict[tuple[int, ...], int] = {}
+        self.primitive: dict[tuple[int, ...], tuple[int, int]] = {}
+        self._sharing: dict[int, Sharing] = {}
 
-    def fill(self, parts: tuple[int, ...]) -> TypeRecord:
-        """Build, store and return the record of a type not yet looked up."""
-        if sum(parts) != self.n:
+    def rule_mask(self, parts: tuple[int, ...]) -> int:
+        """The parity, partial-sum and block bits of a type."""
+        mask = self.rules.get(parts)
+        if mask is not None:
+            return mask
+        n = self.n
+        if sum(parts) != n:
             raise ValueError("degree mismatch")
         t = Partition(parts)
-        even = int(self.sym and (self.n - len(parts)) % 2 == 0)
-        blocks = 0
-        for k, m in enumerate(self.block_sizes):
+        mask = partial_sum_mask(t) & ((1 << self.block_shift) - 2)
+        if self.sym and (n - len(parts)) % 2 == 0:
+            mask |= 1
+        for bit, m in enumerate(self.block_sizes, self.block_shift):
             if wreath_member(t, m):
-                blocks |= 1 << k
-        record = TypeRecord(even, partial_sum_mask(t) & self.half_mask, blocks)
-        self.records[parts] = record
-        return record
+                mask |= 1 << bit
+        self.rules[parts] = mask
+        return mask
 
-    def fill_primitive(self, parts: tuple[int, ...], record: TypeRecord) -> None:
-        """Set the primitive masks of a record; CatalogAbsent without a catalog."""
-        if self.primitive is None:
-            self._fingerprints = degree_fingerprints(self.n, self.cache_dir)
-            self.primitive = {}
-            for k, fp in enumerate(self._fingerprints):
-                self.primitive[1 << (2 * k)] = Sharing("primitive", fp.name)
-                self.primitive[1 << (2 * k + 1)] = Sharing("primitive", fp.name + "'")
-        split = not self.sym and has_distinct_odd_parts(Partition(parts))
-        plus = minus = 0
-        for k, fp in enumerate(self._fingerprints):
-            if parts not in fp.types_present:
-                continue
-            if not split:
-                plus |= 3 << (2 * k)
-                continue
-            incidence = fp.incidence(parts)
-            if Split.PLUS in incidence:
-                plus |= 1 << (2 * k)
-                minus |= 1 << (2 * k + 1)
-            if Split.MINUS in incidence:
-                minus |= 1 << (2 * k)
-                plus |= 1 << (2 * k + 1)
-        record.plus = plus
-        record.minus = minus if split else plus
+    def primitive_mask(self, label: ClassLabel) -> int:
+        """The fingerprint bits of a class; CatalogAbsent without a catalog."""
+        parts = label.cycle_type.parts
+        masks = self.primitive.get(parts)
+        if masks is None:
+            split = not self.sym and has_distinct_odd_parts(Partition(parts))
+            plus = minus = 0
+            for k, fp in enumerate(degree_fingerprints(self.n, self.cache_dir)):
+                if parts not in fp.types_present:
+                    continue
+                bit = 1 << (self.primitive_shift + 2 * k)
+                if not split:
+                    plus |= 3 * bit
+                    continue
+                incidence = fp.incidence(parts)
+                if Split.PLUS in incidence:
+                    plus |= bit
+                    minus |= bit << 1
+                if Split.MINUS in incidence:
+                    minus |= bit
+                    plus |= bit << 1
+            masks = self.primitive[parts] = (plus, minus if split else plus)
+        return masks[label.split is Split.MINUS]
 
     def features(self, label: ClassLabel) -> int:
-        """Every feature of a class as one mask, for the column build.
+        """Every feature bit of a class, for the column build."""
+        return self.rule_mask(label.cycle_type.parts) | self.primitive_mask(label)
 
-        Bit 0 is S_n parity, bits 1..n//2 the partial sums, then one bit per
-        block size and two per fingerprint.  Two classes of this profile
-        share a proper subgroup exactly when their masks meet.
-        """
-        parts = label.cycle_type.parts
-        record = self.records.get(parts) or self.fill(parts)
-        if record.plus is None:
-            self.fill_primitive(parts, record)
-        primitive = record.minus if label.split is Split.MINUS else record.plus
-        block_shift = self.n // 2 + 1
-        primitive_shift = block_shift + len(self.block_sizes)
-        return (
-            record.even
-            | record.sums
-            | record.blocks << block_shift
-            | primitive << primitive_shift  # type: ignore[operator]
-        )
+    def sharing(self, bit: int) -> Sharing:
+        """The verdict named by a single feature bit."""
+        verdict = self._sharing.get(bit)
+        if verdict is None:
+            index = bit.bit_length() - 1
+            if index == 0:
+                verdict = Sharing("alternating", f"A_{self.n}")
+            elif index < self.block_shift:
+                verdict = Sharing("intransitive", f"i={index}")
+            elif index < self.primitive_shift:
+                verdict = Sharing("imprimitive", f"m={self.block_sizes[index - self.block_shift]}")
+            else:
+                k, mirror = divmod(index - self.primitive_shift, 2)
+                fp = degree_fingerprints(self.n, self.cache_dir)[k]
+                verdict = Sharing("primitive", fp.name + "'" * mirror)
+            self._sharing[bit] = verdict
+        return verdict
 
 
 @lru_cache(maxsize=None)
 def type_profile(n: int, sym: bool, cache_dir: str | None = None) -> TypeProfile:
-    """The shared feature records of degree n in S_n (sym) or A_n."""
+    """The shared feature masks of degree n in S_n (sym) or A_n."""
     return TypeProfile(n, sym, cache_dir)
 
 
@@ -876,33 +848,25 @@ def shares_subgroup(
     """First witnessing family for the pair, or None (= edge in the graph).
 
     Check order: alternating parity, intransitive partial sums, imprimitive
-    wreath products, primitive fingerprints (each with its mirror).  Each
-    family is one AND of the two classes' feature records, and the witness
-    is the lowest common bit: the smallest partial sum, the smallest block
-    size, the first fingerprint in catalog order before its mirror.
+    wreath products, primitive fingerprints (each with its mirror).  The
+    feature masks are laid out in that order, so the witness is the lowest
+    bit the two classes' masks share: the smallest partial sum, the smallest
+    block size, the first fingerprint in catalog order before its mirror.
     """
     parts1, parts2 = c1.cycle_type.parts, c2.cycle_type.parts
     profile = type_profile(sum(parts1), c1.group is GroupKind.SYM, cache_dir)
-    records = profile.records
-    r1 = records.get(parts1) or profile.fill(parts1)
-    r2 = records.get(parts2) or profile.fill(parts2)  # raises on a degree mismatch
+    rules = profile.rules  # looked up inline: this runs once per pair
+    mask1 = rules.get(parts1)
+    if mask1 is None:
+        mask1 = profile.rule_mask(parts1)
+    mask2 = rules.get(parts2)
+    if mask2 is None:
+        mask2 = profile.rule_mask(parts2)  # raises on a degree mismatch
     if c1.group is not c2.group:
         raise ValueError("group mismatch")
-    if r1.even & r2.even:
-        return profile.alternating
-    common = r1.sums & r2.sums
-    if common:
-        return _intransitive(common & -common)
-    common = r1.blocks & r2.blocks
-    if common:
-        return _imprimitive(profile.block_sizes[(common & -common).bit_length() - 1])
-    if r1.plus is None:
-        profile.fill_primitive(parts1, r1)
-    if r2.plus is None:
-        profile.fill_primitive(parts2, r2)
-    p1 = r1.minus if c1.split is Split.MINUS else r1.plus
-    p2 = r2.minus if c2.split is Split.MINUS else r2.plus
-    common = p1 & p2  # type: ignore[operator]
-    if common:
-        return profile.primitive[common & -common]  # type: ignore[index]
-    return None
+    common = mask1 & mask2
+    if not common:
+        common = profile.primitive_mask(c1) & profile.primitive_mask(c2)
+        if not common:
+            return None
+    return profile.sharing(common & -common)

@@ -14,7 +14,7 @@ allowance).  Certification has two sides:
   cannot close is recorded in an assumption ledger instead of being claimed.
 
 Both sides ask ``shares_subgroup`` about each pair, so the verifier reads the
-same per-type feature records as the exact graphs.  Without a catalog it
+same per-class feature masks as the exact graphs.  Without a catalog it
 raises ``CatalogAbsent`` for exactly the pairs that parity, partial sums and
 block sizes leave open; only those go on to the rule predicates.
 """
@@ -137,13 +137,6 @@ class WitnessReport:
 # ---------------------------------------------------------------------------
 
 
-def _meld_two_ones(parts: list[int]) -> list[int]:
-    parts = sorted(parts, reverse=True)
-    assert parts.count(1) >= 2, "need two fixed points to meld"
-    parts.remove(1)
-    parts.remove(1)
-    return parts + [2]
-
 def _unify(parts: list[int], a: int) -> list[int]:
     parts = sorted(parts, reverse=True)
     assert parts.count(a) >= 2, f"need two {a}-cycles to unify"
@@ -152,21 +145,15 @@ def _unify(parts: list[int], a: int) -> list[int]:
     return parts + [2 * a]
 
 
-def _ensure(parts: Iterable[int], want_even: bool, fix: str) -> Partition:
-    """Apply the documented sign fix when the built element has the wrong sign."""
+def _ensure(parts: Iterable[int], want_even: bool, unify: int | None) -> Partition:
+    """The type of parts, with two ``unify``-cycles joined into one cycle
+    of twice the length when its sign is not the one wanted."""
     parts = list(parts)
     p = Partition(parts)
     if is_even_type(p) != want_even:
-        if fix == "meld-ones":
-            p = Partition(_meld_two_ones(parts))
-        elif fix == "unify-4":
-            p = Partition(_unify(parts, 4))
-        elif fix == "unify-3":
-            p = Partition(_unify(parts, 3))
-        elif fix == "unify-6":
-            p = Partition(_unify(parts, 6))
-        else:
+        if unify is None:
             raise AssertionError(f"unexpected sign for {p} and no fix available")
+        p = Partition(_unify(parts, unify))
     assert is_even_type(p) == want_even, f"sign fix failed for {p}"
     return p
 
@@ -280,7 +267,7 @@ def _construct_p(n: int, group: GroupKind) -> tuple[Partition, list[Partition], 
         r = 4 + m % 4
         k = (m - r) // 4
         assert k >= 3, f"k={k} too small at n={n}"
-        w = _ensure([1, 1, 5, q, r] + [4] * k, want_even=True, fix="unify-4")
+        w = _ensure([1, 1, 5, q, r] + [4] * k, want_even=True, unify=4)
         notes.append(f"q={q}")
     else:
         q = _prime_strictly_between(n, p, 2 * n, p)
@@ -291,9 +278,7 @@ def _construct_p(n: int, group: GroupKind) -> tuple[Partition, list[Partition], 
         r = (p + 1) if rem == 0 else (p + 1 + rem)
         k = (m - r) // (p + 1)
         assert k >= 2, f"k={k} too small at n={n}"
-        w = _ensure(
-            [1] * (p - 1) + [p + 1] * k + [p + 2, q, r], want_even=True, fix="meld-ones"
-        )
+        w = _ensure([1] * (p - 1) + [p + 1] * k + [p + 2, q, r], want_even=True, unify=1)
         notes.append(f"q={q}")
     return w, [Partition([n - p, p])], notes
 
@@ -321,7 +306,7 @@ def _construct_sim(n: int) -> tuple[Partition, list[Partition], list[str]]:
         r = 4 + m % 4
         k = (m - r) // 4
         assert k >= 3
-        w = _ensure([1, 1, 5, q, r] + [4] * k, want_even=False, fix="unify-4")
+        w = _ensure([1, 1, 5, q, r] + [4] * k, want_even=False, unify=4)
         notes.append(f"q={q}")
     else:
         if n < 26:
@@ -330,7 +315,7 @@ def _construct_sim(n: int) -> tuple[Partition, list[Partition], list[str]]:
         r = 4 + m % 4
         k = (m - r) // 4
         assert k >= 3
-        w = _ensure([1, 1, 5, r] + [4] * k, want_even=False, fix="unify-4")
+        w = _ensure([1, 1, 5, r] + [4] * k, want_even=False, unify=4)
     assert not is_even_type(w)
     return w, [Partition([n - 3, 3])], notes
 
@@ -349,9 +334,9 @@ def _construct_jd(n: int) -> tuple[Partition, list[Partition], list[str]]:
     if j == 2 and d == 5:
         w = Partition([1, 3, 4, 4, 4, 4])  # the 8-cycle variant is odd at n=20
     elif j == 2:
-        w = _ensure(parts, want_even=True, fix="unify-4" if d >= 7 else "none")
+        w = _ensure(parts, want_even=True, unify=4 if d >= 7 else None)
     else:
-        w = _ensure(parts, want_even=True, fix="meld-ones")
+        w = _ensure(parts, want_even=True, unify=1)
     return w, [Partition([n - half_small, half_small])], [f"j={j}", f"d={d}"]
 
 
@@ -394,7 +379,7 @@ def _construct_p2(n: int) -> tuple[Partition, list[Partition], list[str]]:
             + [h - 34]
         )
         target = Partition([n - 34, 34])
-        w = _ensure(parts, want_even=True, fix="meld-ones")
+        w = _ensure(parts, want_even=True, unify=1)
     assert is_even_type(w)
     return w, [target], [f"m={m}"]
 
@@ -437,7 +422,7 @@ def _construct_altodd_z(n: int) -> tuple[Partition, list[Partition], list[str]]:
                   [3] + _fill(b - 3, 3, (3, 4, 5)), [5] + _fill(b - 5, 3, (3, 4, 5))]
         blocks += [_fill(b, 3, (3, 4, 5)) for _ in range(p - 4)]
     parts = [x for blk in blocks for x in blk]
-    z = _ensure(parts, want_even=True, fix="unify-3")
+    z = _ensure(parts, want_even=True, unify=3)
     return z, [Partition([n - 2, 1, 1])], notes
 
 
@@ -468,7 +453,7 @@ def _construct_altodd_w(n: int) -> tuple[Partition, list[Partition], list[str]]:
         )
         for _ in range(p - 5):
             parts += _fill(b, 5, (5, 6, 7, 8, 9))
-    w = _ensure(parts, want_even=True, fix="unify-6")
+    w = _ensure(parts, want_even=True, unify=6)
     return w, targets, notes
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -15,7 +16,7 @@ from invgraph.graph_engine import (
     oracle_adjacency,
     xi_subgraph,
 )
-from invgraph.subgroup_membership import CatalogAbsent
+from invgraph.subgroup_membership import EXACT_DEGREES, CatalogAbsent, shares_subgroup
 
 
 def test_smallest_graphs(graph):
@@ -247,3 +248,23 @@ def test_set_bit_walks_match_per_bit_reference(graph):
         assert adjacency_diff(g, other) == [
             (g.vertices[0], g.vertices[k]) for k in range(1, count, 3)
         ]
+
+
+def test_verdict_and_export_digests_are_pinned(graph, cache_dir):
+    # every per-pair verdict (ordered pairs, diagonal included) and every
+    # exact JSON export, SYM then ALT at each degree in increasing order
+    verdicts = hashlib.sha256()
+    exports = hashlib.sha256()
+    for n in sorted(EXACT_DEGREES):
+        for group in (GroupKind.SYM, GroupKind.ALT):
+            g = graph(n, group)
+            for a in g.vertices:
+                for b in g.vertices:
+                    verdicts.update(repr(shares_subgroup(a, b, cache_dir)).encode())
+            exports.update(export(g, "json").encode())
+    assert verdicts.hexdigest() == (
+        "c381215b2743fb5f76647bb5a89b11f47ab615d116387b32dfc4c56efa54806b"
+    )
+    assert exports.hexdigest() == (
+        "358e71178207f74978c6c798a3777dd60d12669b1166371922e4797c81a35dbd"
+    )

@@ -19,6 +19,7 @@ from invgraph.permutations import (
     GroupKind,
     Permutation,
     Split,
+    class_labels,
     closure_images,
     is_primitive,
     is_transitive,
@@ -31,7 +32,6 @@ from invgraph.subgroup_membership import (
     Sharing,
     _compute_fingerprint,
     degree_fingerprints,
-    fingerprint,
     primitive_catalog,
     shares_subgroup,
     wreath_member,
@@ -158,6 +158,7 @@ def test_fingerprint_split_symmetry_for_groups_with_odd_elements(cache_dir):
     # a subgroup normalized by an odd permutation meets both split classes of
     # any type it contains; containing an odd element is the easy certificate
     for n in sorted(EXACT_DEGREES):
+        fingerprints = {fp.name: fp for fp in degree_fingerprints(n, cache_dir)}
         for spec in primitive_catalog(n).groups:
             elements, _ = closure_images([g.images for g in spec.generators], n)
             has_odd = any(
@@ -166,8 +167,7 @@ def test_fingerprint_split_symmetry_for_groups_with_odd_elements(cache_dir):
             )
             if not has_odd:
                 continue
-            fp = fingerprint(spec, cache_dir)
-            for _, inc in fp.split_incidence:
+            for _, inc in fingerprints[spec.name].split_incidence:
                 assert inc in (frozenset(), {Split.PLUS, Split.MINUS}), spec.name
 
 
@@ -357,6 +357,25 @@ def test_shares_subgroup_without_catalog(cache_dir):
     other = ClassLabel(Partition.from_string("12,2"), GroupKind.ALT)
     with pytest.raises(CatalogAbsent):
         shares_subgroup(plus, other, cache_dir)
+
+
+@pytest.mark.parametrize("n", [14, 15, 16, 18])
+def test_rule_verdicts_without_catalog_match_reference(n, cache_dir):
+    # every unordered pair and the diagonal: the feature masks give the
+    # reference verdict wherever the rules decide, and both raise
+    # CatalogAbsent on the pairs the rules leave open
+    def verdict(check, a, b):
+        try:
+            return check(a, b, cache_dir)
+        except CatalogAbsent:
+            return CatalogAbsent
+
+    for group in (GroupKind.SYM, GroupKind.ALT):
+        labels = class_labels(n, group)
+        for i, a in enumerate(labels):
+            for b in labels[i:]:
+                expected = verdict(_reference_shares_subgroup, a, b)
+                assert verdict(shares_subgroup, a, b) == expected, (a, b)
 
 
 def _tamper_order(data):
