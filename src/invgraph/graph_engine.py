@@ -30,7 +30,12 @@ from invgraph.permutations import (
     split_label,
     symmetric_group_elements,
 )
-from invgraph.subgroup_membership import CatalogAbsent, primitive_catalog, type_profile
+from invgraph.subgroup_membership import (
+    EXACT_DEGREES,
+    CatalogAbsent,
+    primitive_catalog,
+    type_profile,
+)
 
 EXPORT_SCHEMA = 1
 
@@ -75,7 +80,8 @@ def _bit_indices(mask: int) -> list[int]:
 def build_graph(n: int, group: GroupKind, cache_dir: str | None = None) -> ClassGraph:
     """The exact class graph at degree n (requires a complete catalog)."""
     if not primitive_catalog(n).complete:
-        raise CatalogAbsent(f"exact mode supports degrees 3..13, 17, 19; not {n}")
+        supported = ", ".join(map(str, sorted(EXACT_DEGREES)))
+        raise CatalogAbsent(f"exact mode supports degrees {supported}; not {n}")
     labels = tuple(class_labels(n, group))
     profile = type_profile(n, group is GroupKind.SYM, cache_dir)
     features = [profile.features(lbl) for lbl in labels]

@@ -6,7 +6,10 @@ Permutations act on {0..n-1}; composition is function composition, so
 256-byte translate table ``g + bytes(range(degree, 256))``, so one
 breadth-first step is the single C call ``p.translate(table)``, which is the
 left product ``g * p``.  That keeps closure cheap for groups up to about a
-million elements.
+million elements.  Conjugation is two such calls: with ``inv_g`` the table of
+``g^-1``, ``g.translate(x.translate(inv_g) + tail)`` is ``g^-1 * x * g``
+(translating ``g`` by a table of ``x`` composes ``x * g``), which is how
+``class_representatives`` walks the conjugacy classes of a closure.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from invgraph.partitions import Partition, has_distinct_odd_parts, is_even_type
 
@@ -213,6 +216,38 @@ def closure_images(
                         return seen, True
                     raise ClosureCapExceeded(len(seen), cap)
     return seen, False
+
+
+def class_representatives(
+    elements: set[bytes], generators: Iterable[Sequence[int]], degree: int
+) -> Iterator[bytes]:
+    """One element per conjugacy class of the group ``elements`` spans.
+
+    ``elements`` must be the full closure of ``generators``; it is consumed
+    in place (empty once the iterator is exhausted), so the group is never
+    held twice.  Each class is walked by conjugating with the generators
+    only, which reaches the whole class in a finite group.
+    """
+    tail = bytes(range(degree, 256))
+    conjugators = []
+    for g in map(bytes, generators):
+        inverse = bytearray(degree)
+        for point, image in enumerate(g):
+            inverse[image] = point
+        conjugators.append((g.translate, bytes(inverse) + tail))
+    pop, remove = elements.pop, elements.remove
+    while elements:
+        rep = pop()
+        yield rep
+        stack = [rep]
+        push = stack.append
+        while stack:
+            x = stack.pop()
+            for g_translate, inverse_table in conjugators:
+                y = g_translate(x.translate(inverse_table) + tail)  # g^-1 * x * g
+                if y in elements:
+                    remove(y)
+                    push(y)
 
 
 def closure(

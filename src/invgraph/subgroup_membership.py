@@ -9,6 +9,11 @@ Four families decide every edge question at the supported degrees:
 * primitive groups, decided against fingerprints (the realized cycle types,
   with per-split-class incidence) of a complete per-degree catalog.
 
+A fingerprint is computed per conjugacy class of the group, not per element:
+``class_representatives`` walks each class of the closure once, and one
+representative gives the class's cycle type and split label.  When the group
+has an odd element, every split type it meets is met in both A_n classes.
+
 Each class gets one feature mask per degree and group kind
 (``type_profile``): its parity, its partial sums up to n/2, a bit per block
 size and two bits per fingerprint, laid out in that order.  Two classes
@@ -20,7 +25,7 @@ are filled on a type's first lookup, and the fingerprint bits only once a
 pair's rule bits do not meet, so without a catalog ``CatalogAbsent`` marks
 exactly the pairs the first three families leave open.
 
-The catalog covers degrees 3..13, 17 and 19.  Entries are built
+The catalog covers the degrees in ``EXACT_DEGREES``.  Entries are built
 programmatically (affine, projective, product action, subgroups of the
 one-dimensional affine group at prime degree) except for the Mathieu groups
 and two derived groups, whose verified generators ship in a data file.
@@ -49,6 +54,7 @@ from invgraph.permutations import (
     GroupKind,
     Permutation,
     Split,
+    class_representatives,
     closure_images,
     cycle_type_of_images,
     parse_cycles,
@@ -163,9 +169,11 @@ def wreath_product_generators(m: int, k: int) -> list[Permutation]:
 
 @lru_cache(maxsize=None)
 def _wreath_type_set(n: int, m: int) -> frozenset[tuple[int, ...]]:
-    gens = wreath_product_generators(m, n // m)
-    elements, _ = closure_images([g.images for g in gens], n, cap=_WREATH_ORACLE_CAP)
-    return frozenset(cycle_type_of_images(e) for e in elements)
+    images = [g.images for g in wreath_product_generators(m, n // m)]
+    elements, _ = closure_images(images, n, cap=_WREATH_ORACLE_CAP)
+    return frozenset(
+        cycle_type_of_images(rep) for rep in class_representatives(elements, images, n)
+    )
 
 
 def wreath_member_oracle(t: Partition, m: int) -> bool:
@@ -522,7 +530,7 @@ def _catalog_degree_12() -> list[GroupSpec]:
 def primitive_catalog(n: int) -> CatalogResult:
     """All primitive groups of degree n other than A_n and S_n.
 
-    Complete for n in 3..13 and n in {17, 19}; empty-with-Absent otherwise.
+    Complete for n in ``EXACT_DEGREES``; empty and marked incomplete otherwise.
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -603,8 +611,9 @@ def _catalog_digest(groups: Sequence[GroupSpec]) -> str:
 
 
 def _compute_fingerprint(spec: GroupSpec) -> Fingerprint:
+    gens = [g.images for g in spec.generators]
     elements, _ = closure_images(
-        [g.images for g in spec.generators],
+        gens,
         spec.degree,
         cap=max(DEFAULT_CLOSURE_CAP, 2 * spec.expected_order),
     )
@@ -612,24 +621,26 @@ def _compute_fingerprint(spec: GroupSpec) -> Fingerprint:
         raise RuntimeError(
             f"{spec.name}: closure order {len(elements)} != expected {spec.expected_order}"
         )
-    # cycle type -> does its class split in A_n (nontrivial, distinct odd parts)
-    splits: dict[tuple[int, ...], bool] = {}
+    # Cycle type and split label are class invariants, so one element per
+    # class decides both.  An odd element of the group swaps the two A_n
+    # classes of a split type, so then every split type present meets both.
+    odd = any(not g.is_even for g in spec.generators)
+    types: set[tuple[int, ...]] = set()
     incidence: dict[tuple[int, ...], set[Split]] = {}
     identity = (1,) * spec.degree
-    for images in elements:
-        t = cycle_type_of_images(images)
-        split = splits.get(t)
-        if split is None:
-            split = splits[t] = t != identity and has_distinct_odd_parts(Partition(t))
-        if split:
-            inc = incidence.setdefault(t, set())
-            if len(inc) < 2:
-                inc.add(split_label(Permutation(images)))
+    for rep in class_representatives(elements, gens, spec.degree):
+        t = cycle_type_of_images(rep)
+        types.add(t)
+        if t != identity and has_distinct_odd_parts(Partition(t)):
+            if odd:
+                incidence[t] = {Split.PLUS, Split.MINUS}
+            else:
+                incidence.setdefault(t, set()).add(split_label(Permutation(rep)))
     return Fingerprint(
         degree=spec.degree,
         name=spec.name,
         order=spec.expected_order,
-        types_present=frozenset(splits),
+        types_present=frozenset(types),
         split_incidence=tuple(
             sorted((k, frozenset(v)) for k, v in incidence.items())
         ),

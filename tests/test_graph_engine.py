@@ -104,8 +104,11 @@ def ClassGraph_single():
 
 
 def test_build_rejects_uncataloged_degrees(cache_dir):
-    with pytest.raises(CatalogAbsent):
+    with pytest.raises(CatalogAbsent) as info:
         build_graph(14, GroupKind.SYM, cache_dir)
+    # the message names every supported degree
+    listed = str(info.value).split("degrees ", 1)[1].split(";", 1)[0]
+    assert [int(d) for d in listed.split(", ")] == sorted(EXACT_DEGREES)
 
 
 def test_diameter_invariant_under_vertex_reordering(graph):

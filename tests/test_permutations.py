@@ -14,6 +14,7 @@ from invgraph.permutations import (
     Split,
     canonical_of_type,
     class_labels,
+    class_representatives,
     closure,
     closure_images,
     conjugator,
@@ -25,6 +26,7 @@ from invgraph.permutations import (
     symmetric_group_elements,
     symmetric_group_generators,
 )
+from invgraph.subgroup_membership import primitive_catalog
 
 
 def random_perm(rng, n):
@@ -95,6 +97,36 @@ def test_closure_images_matches_reference_on_symmetric_groups(reference_closure)
         assert not truncated
         assert elements == reference_closure(gens, n)
         assert len(elements) == math.factorial(n)
+
+
+def _catalog_generators(n, name):
+    (spec,) = [g for g in primitive_catalog(n).groups if g.name == name]
+    return spec.generators
+
+
+# published numbers of conjugacy classes
+CLASS_COUNTS = [
+    ("S5", lambda: symmetric_group_generators(5), 5, 7),
+    ("A5", lambda: [parse_cycles("(1,2,3)", 5), parse_cycles("(1,2,3,4,5)", 5)], 5, 5),
+    ("PSL(3,2)", lambda: _catalog_generators(7, "PSL(3,2)"), 7, 6),
+    ("PGL(2,7)", lambda: _catalog_generators(8, "PGL(2,7)"), 8, 9),
+    ("AGL(3,2)", lambda: _catalog_generators(8, "AGL(3,2)"), 8, 11),
+    ("M11", lambda: _catalog_generators(11, "M11"), 11, 10),
+    ("M12", lambda: _catalog_generators(12, "M12"), 12, 15),
+    ("PSL(3,3)", lambda: _catalog_generators(13, "PSL(3,3)"), 13, 12),
+    ("PSL(2,16)", lambda: _catalog_generators(17, "PSL(2,16)"), 17, 17),
+]
+
+
+@pytest.mark.parametrize(
+    "name,generators,degree,classes", CLASS_COUNTS, ids=[c[0] for c in CLASS_COUNTS]
+)
+def test_class_representatives_match_published_class_counts(name, generators, degree, classes):
+    gens = [g.images for g in generators()]
+    elements, _ = closure_images(gens, degree)
+    reps = list(class_representatives(elements, gens, degree))
+    assert len(reps) == classes
+    assert elements == set()
 
 
 def test_closure_images_stop_above(reference_closure):

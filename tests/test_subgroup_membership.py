@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import importlib.util
 import json
 import math
@@ -229,6 +231,29 @@ def test_compute_fingerprint_matches_per_element_reference(reference_closure):
         expected = _reference_fingerprint(spec, elements)
         got = (fp.degree, fp.name, fp.order, fp.types_present, fp.split_incidence)
         assert got == expected, spec.name
+
+
+def test_compute_fingerprint_rejects_wrong_closure_order():
+    (spec,) = [g for g in primitive_catalog(7).groups if g.name == "PSL(3,2)"]
+    with pytest.raises(RuntimeError, match="closure order 168 != expected 167"):
+        _compute_fingerprint(dataclasses.replace(spec, expected_order=167))
+
+
+def test_fingerprint_cache_bytes_are_pinned(tmp_path):
+    # sha256 of every fingerprints-deg{n}.json written into an empty cache,
+    # concatenated in degree order (degrees 3 and 4 have no catalog groups,
+    # so no file); computed with the per-element fingerprint
+    where = str(tmp_path / "cache")
+    for n in sorted(EXACT_DEGREES):
+        degree_fingerprints(n, where)
+    digest = hashlib.sha256()
+    for n in sorted(EXACT_DEGREES):
+        path = tmp_path / "cache" / f"fingerprints-deg{n}.json"
+        if path.exists():
+            digest.update(path.read_bytes())
+    assert digest.hexdigest() == (
+        "19a86dbc4a6e25643de4572c3f9506af66c2f2b2033051e3bbdb501a211e24a9"
+    )
 
 
 def test_fingerprint_cache_roundtrip(tmp_path):
