@@ -70,8 +70,8 @@ def cmd_graph(args) -> int:
 
 def cmd_xi(args) -> int:
     g = xi_subgraph(build_graph(args.n, _group(args.group), _cache_dir(args)))
-    d = diameter(g)
     if args.format == "text":
+        d = diameter(g)
         tag = "S" if args.group == "sym" else "A"
         shown = "null graph" if d is SpecialDiameter.EMPTY else d
         _emit(

@@ -152,7 +152,12 @@ def wreath_member(t: Partition, m: int) -> bool:
 
 
 def wreath_product_generators(m: int, k: int) -> list[Permutation]:
-    """Generators of S_m wr S_k in its imprimitive action on m*k points."""
+    """Distinct generators of S_m wr S_k in its imprimitive action on m*k points.
+
+    A repeated generator costs the closure and the class walk one translate
+    per element: for m = 2 the m-cycle is the transposition, and for k = 2
+    the block rotation is the block swap.
+    """
     n = m * k
     gens = []
     if m >= 2:
@@ -164,7 +169,7 @@ def wreath_product_generators(m: int, k: int) -> list[Permutation]:
         for x in range(m):
             swap[x], swap[x + m] = x + m, x
         gens.append(Permutation(swap))
-    return gens
+    return list(dict.fromkeys(gens))
 
 
 @lru_cache(maxsize=None)

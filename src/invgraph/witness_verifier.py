@@ -17,6 +17,9 @@ Both sides ask ``shares_subgroup`` about each pair, so the verifier reads the
 same per-class feature masks as the exact graphs.  Without a catalog it
 raises ``CatalogAbsent`` for exactly the pairs that parity, partial sums and
 block sizes leave open; only those go on to the rule predicates.
+
+An isolated vertex is a witness with no targets, so ``verify_witness`` also
+certifies the structured family of isolated vertices (``In_family``).
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from invgraph.partitions import (
     enumerate_partitions_with_sums_in,
     even_class_partitions,
     is_even_type,
-    is_partial_sum,
     partial_sum_mask,
 )
 from invgraph.permutations import ClassLabel, GroupKind, type_labels
@@ -58,21 +60,6 @@ from invgraph.subgroup_membership import (
     CatalogAbsent,
     Sharing,
     shares_subgroup,
-    wreath_member,
-)
-
-LEMMA_IDS = (
-    "lm",
-    "enne_odd",
-    "enne_even",
-    "mun",
-    "p",
-    "sim",
-    "jd",
-    "p2",
-    "altodd_z",
-    "altodd_w",
-    "In_family",
 )
 
 
@@ -87,7 +74,6 @@ class WitnessClaim:
     group: GroupKind
     witness: Partition
     targets: tuple[Partition, ...]
-    exclusivity: bool = True
     allow_even_extras: bool = False
     require_nonadjacent: tuple[Partition, ...] = ()
     notes: tuple[str, ...] = ()
@@ -137,6 +123,10 @@ class WitnessReport:
 # ---------------------------------------------------------------------------
 
 
+# a construction's witness, its targets and its notes
+_Built = tuple[Partition, list[Partition], list[str]]
+
+
 def _unify(parts: list[int], a: int) -> list[int]:
     parts = sorted(parts, reverse=True)
     assert parts.count(a) >= 2, f"need two {a}-cycles to unify"
@@ -158,7 +148,7 @@ def _ensure(parts: Iterable[int], want_even: bool, unify: int | None) -> Partiti
     return p
 
 
-def _construct_enne_odd(n: int) -> tuple[Partition, list[Partition], list[str]]:
+def _construct_enne_odd(n: int, group: GroupKind) -> _Built:
     if n % 2 == 0 or n < 11:
         raise InadmissibleDegree("needs odd n >= 11")
     a = Partition([(n + 1) // 2] + [1] * ((n - 1) // 2))
@@ -168,7 +158,7 @@ def _construct_enne_odd(n: int) -> tuple[Partition, list[Partition], list[str]]:
     return z, [Partition([n])], []
 
 
-def _construct_enne_even(n: int, group: GroupKind) -> tuple[Partition, list[Partition], list[str]]:
+def _construct_enne_even(n: int, group: GroupKind) -> _Built:
     if n % 2 or n < 12 or n == 18:
         raise InadmissibleDegree("needs even n >= 12, n != 18")
     half = n // 2
@@ -188,12 +178,10 @@ def _construct_enne_even(n: int, group: GroupKind) -> tuple[Partition, list[Part
     return z, [target], notes
 
 
-def _construct_mun(n: int, group: GroupKind) -> tuple[Partition, list[Partition], list[str]]:
+def _construct_mun(n: int, group: GroupKind) -> _Built:
     if n < 11:
         raise InadmissibleDegree("needs n >= 11")
     if n % 2 == 1:
-        if group is not GroupKind.SYM:
-            raise InadmissibleDegree("odd degrees are covered in the symmetric graph only")
         if n % 4 == 3:
             w = Partition([3] + [2] * ((n - 3) // 2))
         else:
@@ -211,14 +199,32 @@ def _construct_mun(n: int, group: GroupKind) -> tuple[Partition, list[Partition]
     return w, [Partition([n - 1, 1])], []
 
 
-def _prime_strictly_between(num1: int, den1: int, num2: int, den2: int) -> int | None:
-    """Smallest prime q with num1/den1 < q < num2/den2."""
-    lo = num1 // den1 + 1
-    hi = (num2 - 1) // den2
-    for q in range(lo, hi + 1):
-        if q * den1 > num1 and q * den2 < num2 and is_prime(q):
+def _prime_between(n: int, den1: int, den2: int) -> int:
+    """Smallest prime q with n/den1 < q < 2n/den2."""
+    for q in range(n // den1 + 1, (2 * n - 1) // den2 + 1):
+        if q * den1 > n and q * den2 < 2 * n and is_prime(q):
             return q
-    return None
+    raise InadmissibleDegree(f"no prime strictly inside (n/{den1}, 2n/{den2}) at n={n}")
+
+
+def _fives_and_fours(n: int, want_even: bool, with_q: bool) -> tuple[Partition, list[str]]:
+    """The witness 1,1,5,(q),r,4^k of degree n.
+
+    q is the smallest prime in (n/3, 2n/5), when asked for; r in 4..7 and
+    at least three 4-cycles fill the rest, two of them joined into an
+    8-cycle when the sign is not the one wanted.
+    """
+    head = [1, 1, 5]
+    notes = []
+    if with_q:
+        q = _prime_between(n, 3, 5)
+        head.append(q)
+        notes.append(f"q={q}")
+    m = n - sum(head)
+    r = 4 + m % 4
+    k = (m - r) // 4
+    assert k >= 3, f"k={k} too small at n={n}"
+    return _ensure(head + [r] + [4] * k, want_even, unify=4), notes
 
 
 _P_SPORADIC = {
@@ -240,16 +246,12 @@ _P_SPORADIC = {
 }
 
 
-def _construct_p(n: int, group: GroupKind) -> tuple[Partition, list[Partition], list[str]]:
+def _construct_p(n: int, group: GroupKind) -> _Built:
     if n % 2 == 1:
-        if group is not GroupKind.SYM:
-            raise InadmissibleDegree("odd degrees are covered in the symmetric graph only")
         if n < 21 or is_prime(n):
             raise InadmissibleDegree("needs odd nonprime n >= 21")
         base = n
     else:
-        if group is not GroupKind.ALT:
-            raise InadmissibleDegree("even degrees are covered in the alternating graph only")
         d = n // 2
         if d < 25 or d % 2 == 0 or is_prime(d):
             raise InadmissibleDegree("needs n = 2d with d >= 25 odd nonprime")
@@ -260,19 +262,10 @@ def _construct_p(n: int, group: GroupKind) -> tuple[Partition, list[Partition], 
         w = Partition(_P_SPORADIC[n])
         notes.append("sporadic construction")
     elif p == 3:
-        q = _prime_strictly_between(n, 3, 2 * n, 5)
-        if q is None:
-            raise InadmissibleDegree(f"no prime strictly inside (n/3, 2n/5) at n={n}")
-        m = n - q - 7
-        r = 4 + m % 4
-        k = (m - r) // 4
-        assert k >= 3, f"k={k} too small at n={n}"
-        w = _ensure([1, 1, 5, q, r] + [4] * k, want_even=True, unify=4)
-        notes.append(f"q={q}")
+        w, q_notes = _fives_and_fours(n, want_even=True, with_q=True)
+        notes += q_notes
     else:
-        q = _prime_strictly_between(n, p, 2 * n, p)
-        if q is None:
-            raise InadmissibleDegree(f"no prime strictly inside (n/p, 2n/p) at n={n}")
+        q = _prime_between(n, p, p)
         m = n - q - 2 * p - 1
         rem = m % (p + 1)
         r = (p + 1) if rem == 0 else (p + 1 + rem)
@@ -291,36 +284,22 @@ _SIM_SPORADIC = {
 }
 
 
-def _construct_sim(n: int) -> tuple[Partition, list[Partition], list[str]]:
+def _construct_sim(n: int, group: GroupKind) -> _Built:
     if n % 2 or n < 16 or (is_prime(n - 1) and n != 18):
         raise InadmissibleDegree("needs even n >= 16 with n-1 composite (n=18 allowed)")
-    notes = []
     if n in _SIM_SPORADIC:
-        w = Partition(_SIM_SPORADIC[n])
-        notes.append("sporadic construction")
+        w, notes = Partition(_SIM_SPORADIC[n]), ["sporadic construction"]
     elif n % 3 == 0:
-        q = _prime_strictly_between(n, 3, 2 * n, 5)
-        if q is None:
-            raise InadmissibleDegree(f"no prime strictly inside (n/3, 2n/5) at n={n}")
-        m = n - q - 7
-        r = 4 + m % 4
-        k = (m - r) // 4
-        assert k >= 3
-        w = _ensure([1, 1, 5, q, r] + [4] * k, want_even=False, unify=4)
-        notes.append(f"q={q}")
+        w, notes = _fives_and_fours(n, want_even=False, with_q=True)
+    elif n < 26:
+        raise InadmissibleDegree("general construction needs n >= 26")
     else:
-        if n < 26:
-            raise InadmissibleDegree("general construction needs n >= 26")
-        m = n - 7
-        r = 4 + m % 4
-        k = (m - r) // 4
-        assert k >= 3
-        w = _ensure([1, 1, 5, r] + [4] * k, want_even=False, unify=4)
+        w, notes = _fives_and_fours(n, want_even=False, with_q=False)
     assert not is_even_type(w)
     return w, [Partition([n - 3, 3])], notes
 
 
-def _construct_jd(n: int) -> tuple[Partition, list[Partition], list[str]]:
+def _construct_jd(n: int, group: GroupKind) -> _Built:
     j = 0
     d = n
     while d % 2 == 0:
@@ -340,7 +319,7 @@ def _construct_jd(n: int) -> tuple[Partition, list[Partition], list[str]]:
     return w, [Partition([n - half_small, half_small])], [f"j={j}", f"d={d}"]
 
 
-def _construct_p2(n: int) -> tuple[Partition, list[Partition], list[str]]:
+def _construct_p2(n: int, group: GroupKind) -> _Built:
     pp = prime_power(n)
     if pp is None or pp[0] != 2:
         raise InadmissibleDegree("needs n = 2^m")
@@ -404,7 +383,7 @@ _ALTODD_W_SPORADIC = {
 }
 
 
-def _construct_altodd_z(n: int) -> tuple[Partition, list[Partition], list[str]]:
+def _construct_altodd_z(n: int, group: GroupKind) -> _Built:
     if n % 2 == 0 or n < 33 or is_prime(n):
         raise InadmissibleDegree("needs odd nonprime n >= 33")
     p = smallest_prime_factor(n)
@@ -426,7 +405,7 @@ def _construct_altodd_z(n: int) -> tuple[Partition, list[Partition], list[str]]:
     return z, [Partition([n - 2, 1, 1])], notes
 
 
-def _construct_altodd_w(n: int) -> tuple[Partition, list[Partition], list[str]]:
+def _construct_altodd_w(n: int, group: GroupKind) -> _Built:
     if n % 2 == 0 or n < 35 or is_prime(n):
         raise InadmissibleDegree("needs odd nonprime n >= 35")
     p = smallest_prime_factor(n)
@@ -457,56 +436,45 @@ def _construct_altodd_w(n: int) -> tuple[Partition, list[Partition], list[str]]:
     return w, targets, notes
 
 
+_SYM, _ALT, _BOTH = (GroupKind.SYM,), (GroupKind.ALT,), (GroupKind.SYM, GroupKind.ALT)
+
+# lemma id -> (construction, groups it lives in at odd n, at even n); the
+# first group listed is the default
+_LEMMAS = {
+    "enne_odd": (_construct_enne_odd, _SYM, _SYM),
+    "enne_even": (_construct_enne_even, _BOTH, _BOTH),
+    "mun": (_construct_mun, _SYM, _BOTH),
+    "p": (_construct_p, _SYM, _ALT),
+    "sim": (_construct_sim, _SYM, _SYM),
+    "jd": (_construct_jd, _ALT, _ALT),
+    "p2": (_construct_p2, _ALT, _ALT),
+    "altodd_z": (_construct_altodd_z, _ALT, _ALT),
+    "altodd_w": (_construct_altodd_w, _ALT, _ALT),
+}
+
+# ``lm`` is an exact whole-degree check (``verify_lm``), not a witness
+LEMMA_IDS = ("lm", *_LEMMAS)
+
+
 def construct_witness(lemma_id: str, n: int, group: GroupKind | None = None) -> WitnessClaim:
     """Build the witness claim for one construction id at one degree."""
-    if lemma_id == "enne_odd":
-        group = group or GroupKind.SYM
-        if group is not GroupKind.SYM:
-            raise InadmissibleDegree("enne_odd lives in the symmetric graph")
-        w, targets, notes = _construct_enne_odd(n)
-    elif lemma_id == "enne_even":
-        group = group or GroupKind.SYM
-        w, targets, notes = _construct_enne_even(n, group)
-    elif lemma_id == "mun":
-        group = group or GroupKind.SYM
-        w, targets, notes = _construct_mun(n, group)
-    elif lemma_id == "p":
-        group = group or (GroupKind.SYM if n % 2 else GroupKind.ALT)
-        w, targets, notes = _construct_p(n, group)
-    elif lemma_id == "sim":
-        group = group or GroupKind.SYM
-        if group is not GroupKind.SYM:
-            raise InadmissibleDegree("sim lives in the symmetric graph")
-        w, targets, notes = _construct_sim(n)
-    elif lemma_id == "jd":
-        group = group or GroupKind.ALT
-        if group is not GroupKind.ALT:
-            raise InadmissibleDegree("jd lives in the alternating graph")
-        w, targets, notes = _construct_jd(n)
-        return WitnessClaim(
-            lemma_id, n, group, w, tuple(targets),
-            exclusivity=False, allow_even_extras=True,
-            require_nonadjacent=(Partition([n // 2, n // 2]),),
-            notes=tuple(notes),
-        )
-    elif lemma_id == "p2":
-        group = group or GroupKind.ALT
-        if group is not GroupKind.ALT:
-            raise InadmissibleDegree("p2 lives in the alternating graph")
-        w, targets, notes = _construct_p2(n)
-    elif lemma_id == "altodd_z":
-        group = group or GroupKind.ALT
-        if group is not GroupKind.ALT:
-            raise InadmissibleDegree("altodd lives in the alternating graph")
-        w, targets, notes = _construct_altodd_z(n)
-    elif lemma_id == "altodd_w":
-        group = group or GroupKind.ALT
-        if group is not GroupKind.ALT:
-            raise InadmissibleDegree("altodd lives in the alternating graph")
-        w, targets, notes = _construct_altodd_w(n)
-    else:
+    if lemma_id not in _LEMMAS:
         raise ValueError(f"unknown or special lemma id {lemma_id!r}; see LEMMA_IDS")
-    return WitnessClaim(lemma_id, n, group, w, tuple(targets), notes=tuple(notes))
+    construct, odd_groups, even_groups = _LEMMAS[lemma_id]
+    groups = odd_groups if n % 2 else even_groups
+    group = group or groups[0]
+    if group not in groups:
+        parity = "odd" if n % 2 else "even"
+        raise InadmissibleDegree(
+            f"{lemma_id} at {parity} n lives in the {groups[0].value} graph only"
+        )
+    w, targets, notes = construct(n, group)
+    special = {}
+    if lemma_id == "jd":
+        # the half-square class must stay a non-neighbour; other all-even
+        # classes may be extra neighbours
+        special = dict(allow_even_extras=True, require_nonadjacent=(Partition([n // 2, n // 2]),))
+    return WitnessClaim(lemma_id, n, group, w, tuple(targets), notes=tuple(notes), **special)
 
 
 # ---------------------------------------------------------------------------
@@ -644,59 +612,45 @@ def verify_witness(claim: WitnessClaim, cache_dir: str | None = None) -> Witness
 # ---------------------------------------------------------------------------
 
 
-def build_isolated_family(n: int, group: GroupKind) -> list[Partition]:
-    """The structured family of isolated vertices whose size grows with n."""
+def _isolated_shape(n: int, group: GroupKind) -> tuple[int, int]:
+    """The fixed points and the moved degree m of the isolated family at n."""
     if n < 6:
         raise InadmissibleDegree("needs n >= 6")
     if n % 2 == 0:
-        ones, m = n // 2, n // 2
-    elif group is GroupKind.SYM:
-        ones, m = (n - 1) // 2, (n + 1) // 2
-    else:
-        if is_prime(n):
-            raise InadmissibleDegree("odd degrees require a nontrivial divisor")
-        p = smallest_prime_factor(n)
-        ones, m = n * (p - 1) // p, n // p
+        return n // 2, n // 2
+    if group is GroupKind.SYM:
+        return (n - 1) // 2, (n + 1) // 2
+    if is_prime(n):
+        raise InadmissibleDegree("odd degrees require a nontrivial divisor")
+    m = n // smallest_prime_factor(n)
+    return n - m, m
+
+
+def build_isolated_family(n: int, group: GroupKind) -> list[Partition]:
+    """The structured family of isolated vertices whose size grows with n:
+    each even class of degree m, completed by fixed points."""
+    ones, m = _isolated_shape(n, group)
     members = [Partition(list(z.parts) + [1] * ones) for z in even_class_partitions(m)]
-    for member in members:
-        if group is GroupKind.ALT:
-            assert is_even_type(member)
+    if group is GroupKind.ALT:
+        assert all(is_even_type(p) for p in members)
     return members
 
 
 def isolated_family_size_formula(n: int, group: GroupKind) -> int:
-    if n % 2 == 0:
-        m = n // 2
-    elif group is GroupKind.SYM:
-        m = (n + 1) // 2
-    else:
-        m = n // smallest_prime_factor(n)
-    return len(even_class_partitions(m))
+    return len(even_class_partitions(_isolated_shape(n, group)[1]))
 
 
 def verify_isolated_family(n: int, group: GroupKind) -> bool:
-    """Certify every family member is isolated, by the sharing arguments."""
-    members = build_isolated_family(n, group)
-    assert len(members) == isolated_family_size_formula(n, group)
-    full_cycle = Partition([n])
-    for w in members:
-        limit = n // 2 if n % 2 == 0 else (n - 1) // 2
-        if not all(is_partial_sum(w, i) for i in range(1, limit + 1)):
-            return False
-        # the full-cycle class(es): parity, block system, or both
-        if n % 2 == 0:
-            if group is GroupKind.SYM:
-                if not (wreath_member(w, n // 2) and wreath_member(full_cycle, n // 2)):
-                    return False
-            # in the alternating graph the full cycle is odd, hence absent
-        elif group is GroupKind.SYM:
-            if not (is_even_type(w) and is_even_type(full_cycle)):
-                return False
-        else:
-            m = n // smallest_prime_factor(n)
-            if not (wreath_member(w, m) and wreath_member(full_cycle, m)):
-                return False
-    return True
+    """Certify every family member isolated, as a witness with no targets.
+
+    A member has every partial sum 1..n-1, so the n-cycle class(es) are the
+    only candidate neighbours.  Parity or a block system decides each of
+    them, so no catalog is read at any degree.
+    """
+    return all(
+        verify_witness(WitnessClaim("In_family", n, group, w, ())).fully_certified
+        for w in build_isolated_family(n, group)
+    )
 
 
 def verify_lm(n: int, cache_dir: str | None = None) -> tuple[bool, list[Partition]]:

@@ -2,6 +2,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+from invgraph import cli, graph_engine
 from invgraph.cli import main
 
 
@@ -23,6 +24,23 @@ def test_table1_csv(capsys, cache_dir):
 def test_xi_reports_diameter(capsys, cache_dir):
     code, out = run(capsys, "xi", "--n", "12", "--group", "sym", "--cache-dir", cache_dir)
     assert code == 0 and "diameter 5" in out
+
+
+def test_xi_json_computes_the_diameter_once(capsys, monkeypatch, cache_dir):
+    calls = []
+
+    def counted(original):
+        def wrapper(g):
+            calls.append(g.degree)
+            return original(g)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "diameter", counted(cli.diameter))
+    monkeypatch.setattr(graph_engine, "diameter", counted(graph_engine.diameter))
+    code, out = run(capsys, "xi", "--n", "8", "--format", "json", "--cache-dir", cache_dir)
+    assert code == 0 and json.loads(out)["xi_diameter"] == 6
+    assert calls == [8]
 
 
 def test_graph_json(capsys, cache_dir):

@@ -38,6 +38,7 @@ from invgraph.subgroup_membership import (
     shares_subgroup,
     wreath_member,
     wreath_member_oracle,
+    wreath_product_generators,
 )
 
 EXPECTED_CATALOG = {
@@ -97,6 +98,15 @@ def test_wreath_member_two_part_rule():
             for i in range(1, n // 2 + 1):
                 expected = i % m == 0 or i % (n // m) == 0
                 assert wreath_member(Partition([n - i, i]), m) == expected, (n, m, i)
+
+
+def test_wreath_product_generators_are_distinct():
+    # for m = 2 the m-cycle is the transposition; for k = 2 the block
+    # rotation is the block swap
+    for m in range(1, 13):
+        for k in range(1, 12 // m + 1):
+            gens = wreath_product_generators(m, k)
+            assert len(set(gens)) == len(gens), (m, k)
 
 
 def test_wreath_oracle_small_degrees():

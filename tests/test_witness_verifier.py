@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import fields
 
@@ -15,8 +16,14 @@ from invgraph.partitions import (
 from invgraph.permutations import ClassLabel, GroupKind, Split
 from invgraph.graph_engine import isolated_vertices
 from invgraph.primitive_rules import jordan_excludes
-from invgraph.subgroup_membership import EXACT_DEGREES, shares_subgroup, wreath_member
+from invgraph.subgroup_membership import (
+    EXACT_DEGREES,
+    TypeProfile,
+    shares_subgroup,
+    wreath_member,
+)
 from invgraph.witness_verifier import (
+    LEMMA_IDS,
     InadmissibleDegree,
     WitnessClaim,
     WitnessReport,
@@ -74,6 +81,41 @@ def test_construct_rejects_inadmissible():
         construct_witness("altodd_w", 33)
     with pytest.raises(InadmissibleDegree):
         construct_witness("jd", 10)
+
+
+def test_construct_rejects_groups_a_lemma_does_not_live_in():
+    for lemma, n, group in [
+        ("enne_odd", 13, GroupKind.ALT), ("mun", 13, GroupKind.ALT),
+        ("p", 25, GroupKind.ALT), ("p", 50, GroupKind.SYM), ("sim", 16, GroupKind.ALT),
+        ("jd", 12, GroupKind.SYM), ("p2", 64, GroupKind.SYM),
+        ("altodd_z", 33, GroupKind.SYM), ("altodd_w", 35, GroupKind.SYM),
+    ]:
+        with pytest.raises(InadmissibleDegree):
+            construct_witness(lemma, n, group)
+
+
+def test_every_lemma_id_builds_a_claim():
+    # lm is the exact whole-degree check, not a construction
+    for lemma in LEMMA_IDS:
+        if lemma == "lm":
+            continue
+        built = []
+        for n in range(11, 131):
+            try:
+                built.append(construct_witness(lemma, n))
+            except InadmissibleDegree:
+                pass
+        assert built, lemma
+
+
+def test_witness_json_is_pinned(cache_dir):
+    # sha256 of the concatenated criterion-9 reports, computed before the
+    # witness shapes were shared between constructions
+    digest = hashlib.sha256()
+    for lemma, n, group in _witness_cases():
+        report = verify_witness(construct_witness(lemma, n, group), cache_dir)
+        digest.update(report.to_json().encode())
+    assert digest.hexdigest() == "77f97c744ee354025354f1610556232860e453a7cb50b652ff3289ab00f0f02b"
 
 
 def test_prime_interval_for_general_constructions():
@@ -332,6 +374,41 @@ def test_isolated_family_counts_and_membership(graph):
             assert verify_isolated_family(n, group)
             iso = {v.cycle_type for v in isolated_vertices(graph(n, group))}
             assert set(members) <= iso, (n, group)
+
+
+def test_witness_with_no_targets_is_isolated_in_exact_graphs(graph, cache_dir):
+    # an unsplit vertex certifies as a witness with no targets exactly when
+    # its row in the exact graph is empty
+    checked = 0
+    for n in sorted(EXACT_DEGREES):
+        if n < 5:
+            continue
+        for group in (GroupKind.SYM, GroupKind.ALT):
+            g = graph(n, group)
+            for label, row in zip(g.vertices, g.adjacency):
+                if label.split is not Split.NONE:
+                    continue
+                claim = WitnessClaim("isolated", n, group, label.cycle_type, ())
+                assert verify_witness(claim, cache_dir).nonadjacency_ok == (row == 0), label
+                checked += 1
+    assert checked == 1686
+
+
+def test_isolated_family_certified_without_catalog(monkeypatch):
+    def no_catalog(self, label):
+        raise AssertionError(f"catalog read for {label}")
+
+    monkeypatch.setattr(TypeProfile, "primitive_mask", no_catalog)
+    cases = 0
+    for n in range(6, 41):
+        for group in (GroupKind.SYM, GroupKind.ALT):
+            if n % 2 and group is GroupKind.ALT and is_prime(n):
+                with pytest.raises(InadmissibleDegree):
+                    build_isolated_family(n, group)
+                continue
+            assert verify_isolated_family(n, group), (n, group)
+            cases += 1
+    assert cases == 61
 
 
 def test_isolated_family_examples():
