@@ -1,19 +1,26 @@
-"""Concrete permutations, group closure, and class labeling.
+"""Concrete permutations, stabilizer chains, class walks and class labeling.
 
 Permutations act on {0..n-1}; composition is function composition, so
-``(p * q)(x) == p(q(x))``.  Closure works internally on ``bytes`` images
-(degree <= 255 everywhere in this package).  Each generator g becomes a
-256-byte translate table ``g + bytes(range(degree, 256))``, so one
-breadth-first step is the single C call ``p.translate(table)``, which is the
-left product ``g * p``.  That keeps closure cheap for groups up to about a
-million elements.  Conjugation is two such calls: with ``inv_g`` the table of
-``g^-1``, ``g.translate(x.translate(inv_g) + tail)`` is ``g^-1 * x * g``
-(translating ``g`` by a table of ``x`` composes ``x * g``), which is how
-``class_representatives`` walks the conjugacy classes of a closure.
+``(p * q)(x) == p(q(x))``.  Group algorithms work internally on ``bytes``
+images (degree <= 255 everywhere in this package).  Each permutation g
+becomes a 256-byte translate table ``g + bytes(range(degree, 256))``, so one
+product is the single C call ``p.translate(table)``, which is the left
+product ``g * p``, and ``bytes.maketrans(g, identity)`` is the table of
+``g^-1``.  Conjugation is two such calls: ``g.translate(x.translate(inv_g) +
+tail)`` is ``g^-1 * x * g`` (translating ``g`` by a table of ``x`` composes
+``x * g``).
+
+``stabilizer_chain`` gives a group's order by Schreier-Sims without listing
+its elements, and ``class_representatives`` walks the group's products of
+transversal elements, conjugating each new one around its class with the
+generators, until the classes cover that order.  ``closure_images`` lists
+every element breadth-first; the brute-force edge oracle and ``closure``
+use it.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -218,36 +225,160 @@ def closure_images(
     return seen, False
 
 
-def class_representatives(
-    elements: set[bytes], generators: Iterable[Sequence[int]], degree: int
-) -> Iterator[bytes]:
-    """One element per conjugacy class of the group ``elements`` spans.
+def stabilizer_chain(
+    generators: Iterable[Sequence[int]], degree: int
+) -> list[dict[int, bytes]]:
+    """A base and strong generating set, by deterministic Schreier-Sims.
 
-    ``elements`` must be the full closure of ``generators``; it is consumed
-    in place (empty once the iterator is exhausted), so the group is never
-    held twice.  Each class is walked by conjugating with the generators
-    only, which reaches the whole class in a finite group.
+    Returns one transversal per base point b: a dict from each point y of
+    b's orbit under the stabilizer of the earlier base points to an element
+    u of that stabilizer with ``u[b] == y``.  Every element of the group is
+    exactly one product ``u_0 * u_1 * ... * u_k-1`` with ``u_i`` from the
+    i-th transversal, so the group order is ``chain_order(chain)``.  The
+    identity group has the empty chain.
+
+    This is Holt's SCHREIERSIMS (Handbook of Computational Group Theory,
+    4.4.2): every Schreier generator of a level is sifted through the deeper
+    levels, and a nontrivial residue becomes a strong generator (and a new
+    base point when it fixes every base point).  With the tables of the
+    module docstring, ``q.translate(p + tail)`` is ``p * q`` and
+    ``bytes.maketrans(u, identity)`` is the table of ``u^-1``.
     """
+    identity = bytes(range(degree))
     tail = bytes(range(degree, 256))
-    conjugators = []
-    for g in map(bytes, generators):
-        inverse = bytearray(degree)
-        for point, image in enumerate(g):
-            inverse[image] = point
-        conjugators.append((g.translate, bytes(inverse) + tail))
-    pop, remove = elements.pop, elements.remove
-    while elements:
-        rep = pop()
+    gens = list(dict.fromkeys(map(bytes, generators)))
+    if any(len(g) != degree for g in gens):
+        raise ValueError("generator degree mismatch")
+    gens = [g for g in gens if g != identity]
+    base: list[int] = []
+    level_tables: list[list[bytes]] = []  # strong generators as translate tables
+    transversals: list[dict[int, bytes]] = []
+
+    def add_base_point(g: bytes) -> None:
+        base.append(next(x for x in range(degree) if g[x] != x))
+        level_tables.append([])
+        transversals.append({})
+
+    def grow_orbit(i: int) -> None:
+        b = base[i]
+        transversal = {b: identity}
+        reps = [identity]
+        for u in reps:  # breadth-first; reps grows while it is walked
+            for table in level_tables[i]:
+                v = u.translate(table)  # s * u
+                if v[b] not in transversal:
+                    transversal[v[b]] = v
+                    reps.append(v)
+        transversals[i] = transversal
+
+    def sift(g: bytes, start: int) -> tuple[bytes, int]:
+        for i in range(start, len(base)):
+            u = transversals[i].get(g[base[i]])
+            if u is None:
+                return g, i
+            g = g.translate(bytes.maketrans(u, identity))  # u^-1 * g
+        return g, len(base)
+
+    def schreier_residue(i: int) -> tuple[bytes, int] | None:
+        """The first Schreier generator of level i that does not sift."""
+        b, transversal = base[i], transversals[i]
+        for u in transversal.values():
+            for table in level_tables[i]:
+                su = u.translate(table)  # s * u
+                h, j = sift(su.translate(bytes.maketrans(transversal[su[b]], identity)), i + 1)
+                if j < len(base) or h != identity:
+                    return h, j
+        return None
+
+    for g in gens:
+        if all(g[b] == b for b in base):
+            add_base_point(g)
+    for i in range(len(base)):
+        level_tables[i] = [g + tail for g in gens if all(g[b] == b for b in base[:i])]
+        grow_orbit(i)
+
+    # the levels after i are complete; a residue fixes the base points before
+    # level j, so it joins the strong generators of levels i+1..j
+    i = len(base) - 1
+    while i >= 0:
+        found = schreier_residue(i)
+        if found is None:
+            i -= 1
+            continue
+        residue, j = found
+        if j == len(base):
+            add_base_point(residue)
+        for level in range(i + 1, j + 1):
+            level_tables[level].append(residue + tail)
+            grow_orbit(level)
+        i = j
+    return transversals
+
+
+def chain_order(chain: Sequence[dict[int, bytes]]) -> int:
+    """The order of the group a ``stabilizer_chain`` describes."""
+    return math.prod(len(transversal) for transversal in chain)
+
+
+def _chain_elements(chain: Sequence[dict[int, bytes]], degree: int) -> Iterator[bytes]:
+    """Every product ``u_0 * ... * u_k-1`` of a chain, depth-first.
+
+    ``x.translate(u + tail)`` is ``u * x``, so a prefix is built from the
+    last level outward and the first level is the innermost loop: one
+    ``translate`` per element.
+    """
+    identity = bytes(range(degree))
+    tail = bytes(range(degree, 256))
+    levels = [[u + tail for u in transversal.values()] for transversal in reversed(chain)]
+    *outer, inner = levels or [[identity + tail]]
+    prefixes = [(0, identity)]
+    while prefixes:
+        depth, x = prefixes.pop()
+        if depth < len(outer):
+            prefixes.extend((depth + 1, x.translate(table)) for table in outer[depth])
+        else:
+            yield from map(x.translate, inner)
+
+
+def class_representatives(
+    chain: Sequence[dict[int, bytes]], generators: Iterable[Sequence[int]], degree: int
+) -> Iterator[bytes]:
+    """One element per conjugacy class of the group ``generators`` span.
+
+    ``chain`` is the group's ``stabilizer_chain``.  Each of its products
+    not yet covered is yielded and its class walked by conjugating with the
+    generators, which reaches the whole class in a finite group.  Every
+    walked element is a product of generators and the classes are disjoint,
+    so once the covered elements number the group order every class has
+    been yielded and the walk stops.  Raises RuntimeError when the classes
+    pass the chain order or the products run out short of it.  A chain that
+    misses elements can still stop the walk early, so callers check the
+    chain order against an independently known order first.
+    """
+    order = chain_order(chain)
+    identity = bytes(range(degree))
+    tail = bytes(range(degree, 256))
+    conjugators = [(g.translate, bytes.maketrans(g, identity)) for g in map(bytes, generators)]
+    covered: set[bytes] = set()
+    add = covered.add
+    for rep in _chain_elements(chain, degree):
+        if rep in covered:
+            continue
         yield rep
+        add(rep)
         stack = [rep]
         push = stack.append
         while stack:
             x = stack.pop()
             for g_translate, inverse_table in conjugators:
                 y = g_translate(x.translate(inverse_table) + tail)  # g^-1 * x * g
-                if y in elements:
-                    remove(y)
+                if y not in covered:
+                    add(y)
                     push(y)
+        if len(covered) >= order:
+            break
+    if len(covered) != order:
+        raise RuntimeError(f"class walk covered {len(covered)} elements, chain order {order}")
 
 
 def closure(

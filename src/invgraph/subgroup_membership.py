@@ -9,10 +9,12 @@ Four families decide every edge question at the supported degrees:
 * primitive groups, decided against fingerprints (the realized cycle types,
   with per-split-class incidence) of a complete per-degree catalog.
 
-A fingerprint is computed per conjugacy class of the group, not per element:
-``class_representatives`` walks each class of the closure once, and one
-representative gives the class's cycle type and split label.  When the group
-has an odd element, every split type it meets is met in both A_n classes.
+A fingerprint is computed per conjugacy class of the group, not per element,
+and without listing the group first: ``stabilizer_chain`` gives the order,
+checked against the catalog's, and ``class_representatives`` walks classes
+until their sizes add up to it.  One representative gives a class's cycle
+type and split label.  When the group has an odd element, every split type
+it meets is met in both A_n classes.
 
 Each class gets one feature mask per degree and group kind
 (``type_profile``): its parity, its partial sums up to n/2, a bit per block
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -49,16 +52,17 @@ from invgraph.arith import divisors, primitive_root, proper_block_sizes
 from invgraph.finite_fields import field
 from invgraph.partitions import Partition, has_distinct_odd_parts, partial_sum_mask
 from invgraph.permutations import (
-    DEFAULT_CLOSURE_CAP,
     ClassLabel,
+    ClosureCapExceeded,
     GroupKind,
     Permutation,
     Split,
+    chain_order,
     class_representatives,
-    closure_images,
     cycle_type_of_images,
     parse_cycles,
     split_label,
+    stabilizer_chain,
 )
 
 EXACT_DEGREES = frozenset(range(3, 14)) | {17, 19}
@@ -154,9 +158,9 @@ def wreath_member(t: Partition, m: int) -> bool:
 def wreath_product_generators(m: int, k: int) -> list[Permutation]:
     """Distinct generators of S_m wr S_k in its imprimitive action on m*k points.
 
-    A repeated generator costs the closure and the class walk one translate
-    per element: for m = 2 the m-cycle is the transposition, and for k = 2
-    the block rotation is the block swap.
+    A repeated generator costs the class walk two translates per element:
+    for m = 2 the m-cycle is the transposition, and for k = 2 the block
+    rotation is the block swap.
     """
     n = m * k
     gens = []
@@ -174,10 +178,15 @@ def wreath_product_generators(m: int, k: int) -> list[Permutation]:
 
 @lru_cache(maxsize=None)
 def _wreath_type_set(n: int, m: int) -> frozenset[tuple[int, ...]]:
-    images = [g.images for g in wreath_product_generators(m, n // m)]
-    elements, _ = closure_images(images, n, cap=_WREATH_ORACLE_CAP)
+    k = n // m
+    images = [g.images for g in wreath_product_generators(m, k)]
+    chain = stabilizer_chain(images, n)
+    order = chain_order(chain)
+    assert order == math.factorial(m) ** k * math.factorial(k), (n, m, order)
+    if order > _WREATH_ORACLE_CAP:
+        raise ClosureCapExceeded(order, _WREATH_ORACLE_CAP)
     return frozenset(
-        cycle_type_of_images(rep) for rep in class_representatives(elements, images, n)
+        cycle_type_of_images(rep) for rep in class_representatives(chain, images, n)
     )
 
 
@@ -446,8 +455,6 @@ def _product_action_spec(r: int) -> GroupSpec:
         ({0: 1, 1: 0}.get(i, i)) * r + j for i in range(r) for j in range(r)
     )
     transpose = Permutation(j * r + i for i in range(r) for j in range(r))
-    import math
-
     return GroupSpec(
         f"S{r}wrS2(product)",
         n,
@@ -617,14 +624,11 @@ def _catalog_digest(groups: Sequence[GroupSpec]) -> str:
 
 def _compute_fingerprint(spec: GroupSpec) -> Fingerprint:
     gens = [g.images for g in spec.generators]
-    elements, _ = closure_images(
-        gens,
-        spec.degree,
-        cap=max(DEFAULT_CLOSURE_CAP, 2 * spec.expected_order),
-    )
-    if len(elements) != spec.expected_order:
+    chain = stabilizer_chain(gens, spec.degree)
+    order = chain_order(chain)
+    if order != spec.expected_order:
         raise RuntimeError(
-            f"{spec.name}: closure order {len(elements)} != expected {spec.expected_order}"
+            f"{spec.name}: closure order {order} != expected {spec.expected_order}"
         )
     # Cycle type and split label are class invariants, so one element per
     # class decides both.  An odd element of the group swaps the two A_n
@@ -633,7 +637,7 @@ def _compute_fingerprint(spec: GroupSpec) -> Fingerprint:
     types: set[tuple[int, ...]] = set()
     incidence: dict[tuple[int, ...], set[Split]] = {}
     identity = (1,) * spec.degree
-    for rep in class_representatives(elements, gens, spec.degree):
+    for rep in class_representatives(chain, gens, spec.degree):
         t = cycle_type_of_images(rep)
         types.add(t)
         if t != identity and has_distinct_odd_parts(Partition(t)):

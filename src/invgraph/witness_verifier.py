@@ -636,10 +636,6 @@ def build_isolated_family(n: int, group: GroupKind) -> list[Partition]:
     return members
 
 
-def isolated_family_size_formula(n: int, group: GroupKind) -> int:
-    return len(even_class_partitions(_isolated_shape(n, group)[1]))
-
-
 def verify_isolated_family(n: int, group: GroupKind) -> bool:
     """Certify every family member isolated, as a witness with no targets.
 

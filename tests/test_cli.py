@@ -2,7 +2,7 @@ import importlib.util
 import json
 from pathlib import Path
 
-from invgraph import cli, graph_engine
+from invgraph import cli, graph_engine, subgroup_membership
 from invgraph.cli import main
 
 
@@ -142,3 +142,13 @@ def test_cache_dir_before_the_subcommand(tmp_path, capsys):
         assert code == 0
     assert (tmp_path / "top" / "fingerprints-deg5.json").exists()
     assert (tmp_path / "sub" / "fingerprints-deg5.json").exists()
+
+
+def test_oracle_wreath_past_the_cap_is_a_usage_error(capsys, monkeypatch):
+    # with a cap of 100 the first block size at n = 8 (order 384) is refused
+    monkeypatch.setattr(subgroup_membership, "_WREATH_ORACLE_CAP", 100)
+    subgroup_membership._wreath_type_set.cache_clear()
+    code = main(["oracle-wreath", "--n", "8"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: closure exceeded cap 100 (at 384 elements)\n"

@@ -13,6 +13,7 @@ from invgraph.permutations import (
     Permutation,
     Split,
     canonical_of_type,
+    chain_order,
     class_labels,
     class_representatives,
     closure,
@@ -23,6 +24,7 @@ from invgraph.permutations import (
     is_transitive,
     parse_cycles,
     split_label,
+    stabilizer_chain,
     symmetric_group_elements,
     symmetric_group_generators,
 )
@@ -123,10 +125,50 @@ CLASS_COUNTS = [
 )
 def test_class_representatives_match_published_class_counts(name, generators, degree, classes):
     gens = [g.images for g in generators()]
-    elements, _ = closure_images(gens, degree)
-    reps = list(class_representatives(elements, gens, degree))
+    reps = list(class_representatives(stabilizer_chain(gens, degree), gens, degree))
     assert len(reps) == classes
-    assert elements == set()
+
+
+@pytest.mark.parametrize("name", ["PSL(3,2)", "PGL(2,7)", "AGL(3,2)", "M11"])
+def test_class_walk_rejects_a_chain_of_the_wrong_order(name):
+    # one transversal point too few or too many; the walk must raise rather
+    # than stop with some classes missing
+    (_, generators, degree, _) = [c for c in CLASS_COUNTS if c[0] == name][0]
+    gens = [g.images for g in generators()]
+    chain = stabilizer_chain(gens, degree)
+    broken = []
+    for level, transversal in enumerate(chain):
+        for point in list(transversal)[1:]:
+            fewer = [dict(t) for t in chain]
+            del fewer[level][point]
+            broken.append(fewer)
+        more = [dict(t) for t in chain]
+        more[level][degree] = bytes(range(degree))
+        broken.append(more)
+    for wrong in broken:
+        with pytest.raises(RuntimeError, match="class walk covered"):
+            list(class_representatives(wrong, gens, degree))
+
+
+def _alternating_group_generators(n):
+    return [Permutation.from_cycles(n, [(0, 1, i)]) for i in range(2, n)]
+
+
+def test_stabilizer_chain_orders_of_symmetric_and_alternating_groups():
+    for n in range(1, 9):
+        sym = [g.images for g in symmetric_group_generators(n)]
+        assert chain_order(stabilizer_chain(sym, n)) == math.factorial(n), n
+        if n >= 3:
+            alt = [g.images for g in _alternating_group_generators(n)]
+            assert chain_order(stabilizer_chain(alt, n)) == math.factorial(n) // 2, n
+
+
+def test_stabilizer_chain_of_the_identity():
+    for n in (1, 4, 9):
+        identity = tuple(range(n))
+        assert stabilizer_chain([identity], n) == []
+        assert chain_order([]) == 1
+        assert list(class_representatives([], [identity], n)) == [bytes(identity)]
 
 
 def test_closure_images_stop_above(reference_closure):

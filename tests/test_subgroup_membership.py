@@ -21,11 +21,14 @@ from invgraph.permutations import (
     GroupKind,
     Permutation,
     Split,
+    ClosureCapExceeded,
+    chain_order,
     class_labels,
     closure_images,
     is_primitive,
     is_transitive,
     split_label,
+    stabilizer_chain,
     type_labels,
 )
 from invgraph.subgroup_membership import (
@@ -241,6 +244,38 @@ def test_compute_fingerprint_matches_per_element_reference(reference_closure):
         expected = _reference_fingerprint(spec, elements)
         got = (fp.degree, fp.name, fp.order, fp.types_present, fp.split_incidence)
         assert got == expected, spec.name
+
+
+def test_stabilizer_chain_matches_reference_closure_on_catalog(reference_closure):
+    # each transversal maps its base point to every orbit point with an
+    # element of the group that fixes the earlier base points
+    for spec in _all_catalog_groups():
+        gens = [g.images for g in spec.generators]
+        elements = reference_closure(gens, spec.degree)
+        chain = stabilizer_chain(gens, spec.degree)
+        assert chain_order(chain) == len(elements), spec.name
+        fixed = []
+        for transversal in chain:
+            (base,) = [y for y, u in transversal.items() if u == bytes(range(spec.degree))]
+            for y, u in transversal.items():
+                assert u[base] == y and u in elements, spec.name
+                assert all(u[b] == b for b in fixed), spec.name
+            fixed.append(base)
+
+
+def test_stabilizer_chain_orders_of_wreath_products():
+    for m in range(1, 13):
+        for k in range(1, 12 // m + 1):
+            gens = [g.images for g in wreath_product_generators(m, k)]
+            order = chain_order(stabilizer_chain(gens, m * k))
+            assert order == math.factorial(m) ** k * math.factorial(k), (m, k)
+
+
+def test_wreath_oracle_refuses_a_group_above_the_cap_before_enumerating():
+    # S_7 wr S_2 has 50,803,200 elements; the chain order alone rules it out
+    with pytest.raises(ClosureCapExceeded) as info:
+        wreath_member_oracle(Partition([7, 7]), 7)
+    assert info.value.partial_count == math.factorial(7) ** 2 * 2
 
 
 def test_compute_fingerprint_rejects_wrong_closure_order():

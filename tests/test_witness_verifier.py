@@ -31,7 +31,6 @@ from invgraph.witness_verifier import (
     _try_exclude,
     build_isolated_family,
     construct_witness,
-    isolated_family_size_formula,
     table1,
     verify_isolated_family,
     verify_lm,
@@ -364,13 +363,39 @@ def test_sper_verified_18_to_36():
         assert verify_sper(n) == (True, None), n
 
 
+def _even_class_count(m: int) -> int:
+    # the even classes of S_m, identity excluded, number (p(m) + d(m)) / 2 - 1:
+    # p(m) counts partitions and d(m) partitions into distinct odd parts, the
+    # difference between even and odd classes; both from coefficient
+    # recurrences of their generating functions
+    p = [1] + [0] * m
+    d = [1] + [0] * m
+    for part in range(1, m + 1):
+        for j in range(part, m + 1):
+            p[j] += p[j - part]
+        if part % 2:
+            for j in range(m, part - 1, -1):
+                d[j] += d[j - part]
+    return (p[m] + d[m]) // 2 - 1
+
+
+def _moved_degree(n: int, group: GroupKind) -> int:
+    # the family lives on n/2 points at even n, (n+1)/2 in S_n at odd n,
+    # and n/p in A_n at odd n with p the smallest prime factor of n
+    if n % 2 == 0:
+        return n // 2
+    if group is GroupKind.SYM:
+        return (n + 1) // 2
+    return n // min(p for p in range(3, n + 1) if n % p == 0)
+
+
 def test_isolated_family_counts_and_membership(graph):
     for n in range(6, 14):
         for group in (GroupKind.SYM, GroupKind.ALT):
             if n % 2 and group is GroupKind.ALT and is_prime(n):
                 continue
             members = build_isolated_family(n, group)
-            assert len(members) == isolated_family_size_formula(n, group)
+            assert len(members) == _even_class_count(_moved_degree(n, group)), (n, group)
             assert verify_isolated_family(n, group)
             iso = {v.cycle_type for v in isolated_vertices(graph(n, group))}
             assert set(members) <= iso, (n, group)
@@ -407,6 +432,8 @@ def test_isolated_family_certified_without_catalog(monkeypatch):
                     build_isolated_family(n, group)
                 continue
             assert verify_isolated_family(n, group), (n, group)
+            family = build_isolated_family(n, group)
+            assert len(family) == _even_class_count(_moved_degree(n, group)), (n, group)
             cases += 1
     assert cases == 61
 
@@ -414,7 +441,7 @@ def test_isolated_family_certified_without_catalog(monkeypatch):
 def test_isolated_family_examples():
     twelve = build_isolated_family(12, GroupKind.SYM)
     assert all(p.multiplicity(1) >= 6 for p in twelve)
-    assert len(twelve) == isolated_family_size_formula(12, GroupKind.SYM)
+    assert len(twelve) == _even_class_count(6) == 5
     nine = build_isolated_family(9, GroupKind.ALT)
     assert nine == [Partition([3] + [1] * 6)]
     thirteen = build_isolated_family(13, GroupKind.SYM)
