@@ -18,7 +18,6 @@ from invgraph.permutations import (
     Permutation,
     Split,
     class_labels,
-    closure,
     conjugator,
     split_label,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "Split",
     "build_graph",
     "class_labels",
-    "closure",
     "conjugator",
     "diameter",
     "export",

@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--group", choices=("sym", "alt"), default=None)
 
-    p = add("oracle-edges", cmd_oracle_edges, help="diff exact edges against brute force (n <= 7)")
+    p = add("oracle-edges", cmd_oracle_edges, help="diff exact edges against brute force (n <= 9)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--group", choices=("sym", "alt"), default="sym")
 

@@ -16,19 +16,23 @@ instead of a test per pair.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import factorial
 
+from invgraph.partitions import Partition, has_distinct_odd_parts
 from invgraph.permutations import (
     ClassLabel,
     GroupKind,
+    Permutation,
+    chain_order,
     class_labels,
-    closure_images,
+    cycle_type_of_images,
     split_label,
-    symmetric_group_elements,
+    stabilizer_chain,
 )
 from invgraph.subgroup_membership import (
     EXACT_DEGREES,
@@ -197,48 +201,49 @@ def export(g: ClassGraph, fmt: str) -> str:
 
 def _class_elements(n: int, group: GroupKind) -> dict[tuple, list[bytes]]:
     """Elements of every vertex class, keyed by (parts, split value)."""
+    alt = group is GroupKind.ALT
+    splits: dict[tuple[int, ...], bool] = {}
     out: dict[tuple, list[bytes]] = {}
-    for perm in symmetric_group_elements(n):
-        t = perm.cycle_type()
-        if t.parts == (1,) * n:
-            continue
-        if group is GroupKind.ALT:
-            if not perm.is_even:
+    for images in itertools.permutations(range(n)):
+        parts = cycle_type_of_images(images)
+        if len(parts) == n:
+            continue  # the identity
+        split = ""
+        if alt:
+            if (n - len(parts)) % 2:
                 continue
-            key = (t.parts, split_label(perm).value)
-        else:
-            key = (t.parts, "")
-        out.setdefault(key, []).append(bytes(perm.images))
+            if parts not in splits:
+                splits[parts] = has_distinct_odd_parts(Partition(parts))
+            if splits[parts]:
+                split = split_label(Permutation(images)).value
+        out.setdefault((parts, split), []).append(bytes(images))
     return out
 
 
+def _generates(x: bytes, y: bytes, n: int, order: int) -> bool:
+    """Whether <x, y> has the given order, read from its stabilizer chain."""
+    return chain_order(stabilizer_chain([x, y], n)) == order
+
+
 def oracle_adjacency(n: int, group: GroupKind) -> ClassGraph:
-    """Adjacency by explicit generation checks; feasible for n <= 7.
+    """Adjacency by explicit generation checks; feasible for n <= 9.
 
     Classes c1, c2 are joined iff for a fixed representative x of c1 every
     member y of c2 satisfies <x, y> = G.  Members are walked up to
-    conjugation by the centralizer of x, and each closure stops as soon as
-    it grows past half the group order.
+    conjugation by the centralizer of x, and each pair is decided by
+    ``_generates``: the order of the stabilizer chain of <x, y> against the
+    order of G.  No subgroup catalog or rule is consulted.
     """
-    if n > 7:
-        raise ValueError("the explicit oracle is limited to n <= 7")
+    if n > 9:
+        raise ValueError("the explicit oracle is limited to n <= 9")
     labels = tuple(class_labels(n, group))
     classes = _class_elements(n, group)
     group_order = factorial(n) // (1 if group is GroupKind.SYM else 2)
-    half = group_order // 2
-    all_elements = [
-        bytes(p.images)
-        for p in symmetric_group_elements(n)
-        if group is GroupKind.SYM or p.is_even
-    ]
     # p.translate(q + tail) is the product q * p; maketrans(p, identity)
     # maps p[i] to i, so its first n bytes are p's inverse
     tail = bytes(range(n, 256))
     identity = bytes(range(n))
-
-    def generates(x: bytes, y: bytes) -> bool:
-        elements, truncated = closure_images([x, y], n, stop_above=half)
-        return truncated or len(elements) == group_order
+    all_elements = [identity, *itertools.chain.from_iterable(classes.values())]
 
     centralizers: dict[bytes, list[tuple[bytes, bytes]]] = {}
 
@@ -273,7 +278,7 @@ def oracle_adjacency(n: int, group: GroupKind) -> ClassGraph:
                 y_table = y + tail
                 for g, g_inverse in cent:
                     seen.add(g.translate(y_table).translate(g_inverse))
-                if not generates(x, y):
+                if not _generates(x, y, n, group_order):
                     adjacent = False
                     break
             if adjacent:

@@ -14,8 +14,9 @@ tail)`` is ``g^-1 * x * g`` (translating ``g`` by a table of ``x`` composes
 its elements, and ``class_representatives`` walks the group's products of
 transversal elements, conjugating each new one around its class with the
 generators, until the classes cover that order.  ``closure_images`` lists
-every element breadth-first; the brute-force edge oracle and ``closure``
-use it.
+every element breadth-first.  No module of the package calls it: it is the
+reference enumeration for the tests and for
+``scripts/find_curated_generators.py``.
 """
 
 from __future__ import annotations
@@ -381,18 +382,6 @@ def class_representatives(
         raise RuntimeError(f"class walk covered {len(covered)} elements, chain order {order}")
 
 
-def closure(
-    generators: Iterable[Permutation], cap: int = DEFAULT_CLOSURE_CAP
-) -> frozenset[Permutation]:
-    """The full element set generated by ``generators``."""
-    gens = list(generators)
-    if not gens:
-        raise ValueError("need at least one generator")
-    degree = gens[0].degree
-    elements, _ = closure_images([g.images for g in gens], degree, cap=cap)
-    return frozenset(Permutation(e) for e in elements)
-
-
 def conjugator(x: Permutation, y: Permutation) -> Permutation | None:
     """Some s with s^-1 * x * s == y, or None when the cycle types differ."""
     if x.degree != y.degree:
@@ -495,12 +484,6 @@ def symmetric_group_generators(n: int) -> list[Permutation]:
         Permutation.from_cycles(n, [(0, 1)]),
         Permutation.from_cycles(n, [tuple(range(n))]),
     ]
-
-
-def symmetric_group_elements(n: int) -> list[Permutation]:
-    import itertools
-
-    return [Permutation(p) for p in itertools.permutations(range(n))]
 
 
 def is_transitive(generators: Sequence[Permutation], n: int) -> bool:

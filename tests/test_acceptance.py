@@ -105,7 +105,7 @@ def test_criterion_06_degree_19_isolated_set(graph):
 def test_criterion_07_edge_oracle(graph):
     start = time.time()
     total_diffs = 0
-    for n in (5, 6, 7):
+    for n in (5, 6, 7, 8):
         for group in (GroupKind.SYM, GroupKind.ALT):
             diffs = adjacency_diff(graph(n, group), oracle_adjacency(n, group))
             total_diffs += len(diffs)

@@ -98,7 +98,7 @@ def test_usage_errors(capsys, cache_dir):
     assert run(capsys, "graph")[0] == 2  # missing --n
     assert run(capsys, "graph", "--n", "14", "--cache-dir", cache_dir)[0] == 2
     assert run(capsys, "witness", "--lemma", "p", "--n", "23", "--cache-dir", cache_dir)[0] == 2
-    assert run(capsys, "oracle-edges", "--n", "9", "--cache-dir", cache_dir)[0] == 2
+    assert run(capsys, "oracle-edges", "--n", "10", "--cache-dir", cache_dir)[0] == 2
 
 
 def test_byte_identical_reruns(capsys, cache_dir):

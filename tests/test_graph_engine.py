@@ -3,8 +3,9 @@ import json
 
 import pytest
 
+from invgraph import graph_engine
 from invgraph.partitions import Partition
-from invgraph.permutations import ClassLabel, GroupKind, Split
+from invgraph.permutations import ClassLabel, GroupKind, Split, closure_images
 from invgraph.graph_engine import (
     ClassGraph,
     SpecialDiameter,
@@ -225,7 +226,28 @@ def test_oracle_agreement_small(graph):
 
 def test_oracle_rejects_large_degree():
     with pytest.raises(ValueError):
-        oracle_adjacency(8, GroupKind.SYM)
+        oracle_adjacency(10, GroupKind.SYM)
+
+
+def test_oracle_generation_test_matches_closure(monkeypatch):
+    """Every pair the oracle decides by its chain gets the closure's answer."""
+    chain_generates = graph_engine._generates
+    pairs = []
+
+    def recording(x, y, n, order):
+        pairs.append((x, y, n, order))
+        return chain_generates(x, y, n, order)
+
+    monkeypatch.setattr(graph_engine, "_generates", recording)
+    for n in (5, 6):
+        for group in (GroupKind.SYM, GroupKind.ALT):
+            oracle_adjacency(n, group)
+    answers = []
+    for x, y, n, order in pairs:
+        elements, truncated = closure_images([x, y], n, stop_above=order // 2)
+        answers.append(truncated or len(elements) == order)
+        assert chain_generates(x, y, n, order) == answers[-1], (x, y, n)
+    assert set(answers) == {True, False}
 
 
 def test_set_bit_walks_match_per_bit_reference(graph):
