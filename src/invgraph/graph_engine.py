@@ -23,16 +23,18 @@ from enum import Enum
 from functools import lru_cache
 from math import factorial
 
-from invgraph.partitions import Partition, has_distinct_odd_parts
 from invgraph.permutations import (
     ClassLabel,
     GroupKind,
     Permutation,
+    Split,
+    alternating_group_generators,
+    canonical_of_type,
     chain_order,
     class_labels,
-    cycle_type_of_images,
-    split_label,
+    conjugacy_class,
     stabilizer_chain,
+    symmetric_group_generators,
 )
 from invgraph.subgroup_membership import (
     EXACT_DEGREES,
@@ -200,39 +202,49 @@ def export(g: ClassGraph, fmt: str) -> str:
 
 
 def _class_elements(n: int, group: GroupKind) -> dict[tuple, list[bytes]]:
-    """Elements of every vertex class, keyed by (parts, split value)."""
-    alt = group is GroupKind.ALT
-    splits: dict[tuple[int, ...], bool] = {}
+    """Elements of every vertex class, keyed by (parts, split value).
+
+    Each class starts from ``canonical_of_type``, which is PLUS by the
+    definition in ``split_label``; a MINUS class starts from its conjugate
+    by the odd transposition (0 1).  ``conjugacy_class`` then walks the
+    class by conjugating with the group's generators, and lists its members
+    in walk order with the start first.
+    """
+    if group is GroupKind.SYM:
+        generators = [g.images for g in symmetric_group_generators(n)]
+    else:
+        generators = [g.images for g in alternating_group_generators(n)]
+    transposition = Permutation.from_cycles(n, [(0, 1)])
     out: dict[tuple, list[bytes]] = {}
-    for images in itertools.permutations(range(n)):
-        parts = cycle_type_of_images(images)
-        if len(parts) == n:
-            continue  # the identity
-        split = ""
-        if alt:
-            if (n - len(parts)) % 2:
-                continue
-            if parts not in splits:
-                splits[parts] = has_distinct_odd_parts(Partition(parts))
-            if splits[parts]:
-                split = split_label(Permutation(images)).value
-        out.setdefault((parts, split), []).append(bytes(images))
+    for label in class_labels(n, group):
+        start = canonical_of_type(label.cycle_type)
+        if label.split is Split.MINUS:
+            start = start.conjugate_by(transposition)
+        members = conjugacy_class(bytes(start.images), generators, n)
+        out[(label.cycle_type.parts, label.split.value)] = members
     return out
 
 
 def _generates(x: bytes, y: bytes, n: int, order: int) -> bool:
-    """Whether <x, y> has the given order, read from its stabilizer chain."""
-    return chain_order(stabilizer_chain([x, y], n)) == order
+    """Whether <x, y> is all of G, given x and y in G and ``order == |G|``.
+
+    The chain of <x, y> stops as soon as its order reaches ``|G|``, which it
+    can only do when <x, y> = G.
+    """
+    return chain_order(stabilizer_chain([x, y], n, order=order)) == order
 
 
 def oracle_adjacency(n: int, group: GroupKind) -> ClassGraph:
     """Adjacency by explicit generation checks; feasible for n <= 9.
 
     Classes c1, c2 are joined iff for a fixed representative x of c1 every
-    member y of c2 satisfies <x, y> = G.  Members are walked up to
-    conjugation by the centralizer of x, and each pair is decided by
-    ``_generates``: the order of the stabilizer chain of <x, y> against the
-    order of G.  No subgroup catalog or rule is consulted.
+    member y of c2 satisfies <x, y> = G.  ``_class_elements`` lists every
+    class by conjugation from its canonical representative (for a MINUS
+    class, that representative conjugated by (0 1)), and x is the first
+    member of the larger class.  Members y are walked up to conjugation by
+    the centralizer of x, and each pair is decided by ``_generates``: a
+    stabilizer chain of <x, y> that stops once its order reaches the order
+    of G.  No subgroup catalog or rule is consulted.
     """
     if n > 9:
         raise ValueError("the explicit oracle is limited to n <= 9")
@@ -244,6 +256,7 @@ def oracle_adjacency(n: int, group: GroupKind) -> ClassGraph:
     tail = bytes(range(n, 256))
     identity = bytes(range(n))
     all_elements = [identity, *itertools.chain.from_iterable(classes.values())]
+    assert len(all_elements) == group_order, (n, group)  # class sizes sum to |G| - 1
 
     centralizers: dict[bytes, list[tuple[bytes, bytes]]] = {}
 

@@ -11,11 +11,15 @@ tail)`` is ``g^-1 * x * g`` (translating ``g`` by a table of ``x`` composes
 ``x * g``).
 
 ``stabilizer_chain`` gives a group's order by Schreier-Sims without listing
-its elements, and ``class_representatives`` walks the group's products of
-transversal elements, conjugating each new one around its class with the
-generators, until the classes cover that order.  ``closure_images`` lists
-every element breadth-first.  No module of the package calls it: it is the
-reference enumeration for the tests and for
+its elements.  Given the order of a group known to contain the generated
+one, it stops as soon as its order reaches that bound, which decides
+generation.  ``conjugacy_class`` walks one class by conjugating with the
+generators, and ``class_representatives`` walks the class of each new
+product of transversal elements until the classes cover the chain order.
+``symmetric_group_generators`` and ``alternating_group_generators`` are the
+generating sets the edge oracle walks its classes with.  ``closure_images``
+lists every element breadth-first.  No module of the package calls it: it
+is the reference enumeration for the tests and for
 ``scripts/find_curated_generators.py``.
 """
 
@@ -227,7 +231,7 @@ def closure_images(
 
 
 def stabilizer_chain(
-    generators: Iterable[Sequence[int]], degree: int
+    generators: Iterable[Sequence[int]], degree: int, *, order: int | None = None
 ) -> list[dict[int, bytes]]:
     """A base and strong generating set, by deterministic Schreier-Sims.
 
@@ -244,6 +248,19 @@ def stabilizer_chain(
     base point when it fixes every base point).  With the tables of the
     module docstring, ``q.translate(p + tail)`` is ``p * q`` and
     ``bytes.maketrans(u, identity)`` is the table of ``u^-1``.
+
+    ``order``, when given, is the order of a group known to contain the
+    generated group H, and the chain is returned as soon as its order
+    reaches it (Handbook, 4.4-4.5).  Each level's orbit is an orbit of a
+    subgroup of the true stabilizer of the earlier base points in H, so
+    before the chain is complete its order is a lower bound on ``|H|``.
+    Reaching ``order >= |H|`` forces every orbit to be full and the last
+    stabilizer trivial, so the early chain is complete and equal to the
+    full one in order.  A chain that stops short of ``order`` has run to
+    completion and gives ``|H|`` exactly.  Callers that check generators
+    by comparing the chain order with an expected order (fingerprints,
+    wreath products) pass no ``order``: an early stop would only show
+    ``|H| >= order`` and hide generators that span too large a group.
     """
     identity = bytes(range(degree))
     tail = bytes(range(degree, 256))
@@ -297,6 +314,8 @@ def stabilizer_chain(
     for i in range(len(base)):
         level_tables[i] = [g + tail for g in gens if all(g[b] == b for b in base[:i])]
         grow_orbit(i)
+    if order is not None and chain_order(transversals) >= order:
+        return transversals
 
     # the levels after i are complete; a residue fixes the base points before
     # level j, so it joins the strong generators of levels i+1..j
@@ -312,6 +331,8 @@ def stabilizer_chain(
         for level in range(i + 1, j + 1):
             level_tables[level].append(residue + tail)
             grow_orbit(level)
+        if order is not None and chain_order(transversals) >= order:
+            return transversals
         i = j
     return transversals
 
@@ -341,14 +362,34 @@ def _chain_elements(chain: Sequence[dict[int, bytes]], degree: int) -> Iterator[
             yield from map(x.translate, inner)
 
 
+def conjugacy_class(x: bytes, generators: Iterable[Sequence[int]], degree: int) -> list[bytes]:
+    """The class of x in the group the generators span, x first, in walk order.
+
+    Each member is conjugated by every generator until nothing new appears,
+    which reaches the whole class in a finite group.
+    """
+    identity = bytes(range(degree))
+    tail = bytes(range(degree, 256))
+    conjugators = [(g.translate, bytes.maketrans(g, identity)) for g in map(bytes, generators)]
+    members = [x]
+    seen = {x}
+    add, push = seen.add, members.append
+    for member in members:  # breadth-first; members grows while it is walked
+        for g_translate, inverse_table in conjugators:
+            y = g_translate(member.translate(inverse_table) + tail)  # g^-1 * member * g
+            if y not in seen:
+                add(y)
+                push(y)
+    return members
+
+
 def class_representatives(
     chain: Sequence[dict[int, bytes]], generators: Iterable[Sequence[int]], degree: int
 ) -> Iterator[bytes]:
     """One element per conjugacy class of the group ``generators`` span.
 
     ``chain`` is the group's ``stabilizer_chain``.  Each of its products
-    not yet covered is yielded and its class walked by conjugating with the
-    generators, which reaches the whole class in a finite group.  Every
+    not yet covered is yielded and its ``conjugacy_class`` covered.  Every
     walked element is a product of generators and the classes are disjoint,
     so once the covered elements number the group order every class has
     been yielded and the walk stops.  Raises RuntimeError when the classes
@@ -357,25 +398,13 @@ def class_representatives(
     chain order against an independently known order first.
     """
     order = chain_order(chain)
-    identity = bytes(range(degree))
-    tail = bytes(range(degree, 256))
-    conjugators = [(g.translate, bytes.maketrans(g, identity)) for g in map(bytes, generators)]
+    gens = [bytes(g) for g in generators]
     covered: set[bytes] = set()
-    add = covered.add
     for rep in _chain_elements(chain, degree):
         if rep in covered:
             continue
         yield rep
-        add(rep)
-        stack = [rep]
-        push = stack.append
-        while stack:
-            x = stack.pop()
-            for g_translate, inverse_table in conjugators:
-                y = g_translate(x.translate(inverse_table) + tail)  # g^-1 * x * g
-                if y not in covered:
-                    add(y)
-                    push(y)
+        covered.update(conjugacy_class(rep, gens, degree))
         if len(covered) >= order:
             break
     if len(covered) != order:
@@ -478,12 +507,18 @@ def type_labels(p: Partition, group: GroupKind) -> list[ClassLabel]:
 
 
 def symmetric_group_generators(n: int) -> list[Permutation]:
+    """The transposition (0 1) and the n-cycle (0 1 ... n-1)."""
     if n < 2:
         return [Permutation.identity(n)]
     return [
         Permutation.from_cycles(n, [(0, 1)]),
         Permutation.from_cycles(n, [tuple(range(n))]),
     ]
+
+
+def alternating_group_generators(n: int) -> list[Permutation]:
+    """The 3-cycles (0 1 k) for k = 2..n-1, which generate A_n for n >= 3."""
+    return [Permutation.from_cycles(n, [(0, 1, k)]) for k in range(2, n)]
 
 
 def is_transitive(generators: Sequence[Permutation], n: int) -> bool:

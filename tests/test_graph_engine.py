@@ -1,11 +1,21 @@
 import hashlib
+import itertools
 import json
+from math import factorial
 
 import pytest
 
 from invgraph import graph_engine
-from invgraph.partitions import Partition
-from invgraph.permutations import ClassLabel, GroupKind, Split, closure_images
+from invgraph.partitions import Partition, has_distinct_odd_parts
+from invgraph.permutations import (
+    ClassLabel,
+    GroupKind,
+    Permutation,
+    Split,
+    closure_images,
+    cycle_type_of_images,
+    split_label,
+)
 from invgraph.graph_engine import (
     ClassGraph,
     SpecialDiameter,
@@ -222,6 +232,40 @@ def test_oracle_agreement_small(graph):
         exact = graph(n, group)
         oracle = oracle_adjacency(n, group)
         assert adjacency_diff(exact, oracle) == []
+
+
+def _reference_class_elements(n, group):
+    """Every element of the group, sorted into classes by scanning all n!."""
+    alt = group is GroupKind.ALT
+    splits = {}
+    out = {}
+    for images in itertools.permutations(range(n)):
+        parts = cycle_type_of_images(images)
+        if len(parts) == n:
+            continue  # the identity
+        split = ""
+        if alt:
+            if (n - len(parts)) % 2:
+                continue
+            if parts not in splits:
+                splits[parts] = has_distinct_odd_parts(Partition(parts))
+            if splits[parts]:
+                split = split_label(Permutation(images)).value
+        out.setdefault((parts, split), []).append(bytes(images))
+    return out
+
+
+def test_class_elements_match_the_full_scan():
+    for n in range(3, 9):
+        for group in (GroupKind.SYM, GroupKind.ALT):
+            walked = graph_engine._class_elements(n, group)
+            scanned = _reference_class_elements(n, group)
+            assert walked.keys() == scanned.keys(), (n, group)
+            for key, members in walked.items():
+                assert len(members) == len(set(members)), (n, group, key)
+                assert set(members) == set(scanned[key]), (n, group, key)
+            order = factorial(n) // (1 if group is GroupKind.SYM else 2)
+            assert sum(map(len, walked.values())) == order - 1, (n, group)
 
 
 def test_oracle_rejects_large_degree():

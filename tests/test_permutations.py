@@ -12,6 +12,7 @@ from invgraph.permutations import (
     GroupKind,
     Permutation,
     Split,
+    alternating_group_generators,
     canonical_of_type,
     chain_order,
     class_labels,
@@ -26,7 +27,7 @@ from invgraph.permutations import (
     stabilizer_chain,
     symmetric_group_generators,
 )
-from invgraph.subgroup_membership import primitive_catalog
+from invgraph.subgroup_membership import EXACT_DEGREES, primitive_catalog
 
 
 def random_perm(rng, n):
@@ -149,17 +150,36 @@ def test_class_walk_rejects_a_chain_of_the_wrong_order(name):
             list(class_representatives(wrong, gens, degree))
 
 
-def _alternating_group_generators(n):
-    return [Permutation.from_cycles(n, [(0, 1, i)]) for i in range(2, n)]
-
-
 def test_stabilizer_chain_orders_of_symmetric_and_alternating_groups():
     for n in range(1, 9):
         sym = [g.images for g in symmetric_group_generators(n)]
         assert chain_order(stabilizer_chain(sym, n)) == math.factorial(n), n
         if n >= 3:
-            alt = [g.images for g in _alternating_group_generators(n)]
+            alt = [g.images for g in alternating_group_generators(n)]
             assert chain_order(stabilizer_chain(alt, n)) == math.factorial(n) // 2, n
+
+
+def _groups_with_known_orders():
+    for n in sorted(EXACT_DEGREES):
+        for spec in primitive_catalog(n).groups:
+            yield spec.name, [g.images for g in spec.generators], n, spec.expected_order
+    for n in range(3, 9):
+        yield f"S{n}", [g.images for g in symmetric_group_generators(n)], n, math.factorial(n)
+        alt = [g.images for g in alternating_group_generators(n)]
+        yield f"A{n}", alt, n, math.factorial(n) // 2
+
+
+def test_stabilizer_chain_stopped_at_the_known_order_is_complete():
+    # the class walk raises when a chain under-reports, so equal class
+    # counts show that the early chain lists every element
+    for name, gens, n, order in _groups_with_known_orders():
+        full = stabilizer_chain(gens, n)
+        early = stabilizer_chain(gens, n, order=order)
+        assert chain_order(full) == order, name
+        assert chain_order(early) == chain_order(full), name
+        assert len(list(class_representatives(early, gens, n))) == len(
+            list(class_representatives(full, gens, n))
+        ), name
 
 
 def test_stabilizer_chain_of_the_identity():
