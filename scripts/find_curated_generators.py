@@ -4,8 +4,10 @@
 The two Mathieu stanzas use classical generating sets; this script verifies
 them by closure and then searches inside them for the two derived entries:
 the degree-12 transitive copy of M11 (inside M12) and the degree-11 copy of
-PSL(2,11) (inside M11).  Output is in the data-file stanza format, so a fresh
-run can be pasted over src/invgraph/data/curated_groups.txt.
+PSL(2,11) (inside M11).  The search keeps a candidate pair when the order
+of its stabilizer chain equals the target order and the pair is transitive.
+Output is in the data-file stanza format, so a fresh run can be pasted over
+src/invgraph/data/curated_groups.txt.
 
 Both searches are seeded and deterministic.
 """
@@ -16,11 +18,13 @@ import time
 
 from invgraph.permutations import (
     Permutation,
+    chain_order,
     closure_images,
     cycle_type_of_images,
     format_cycles,
     is_transitive,
     parse_cycles,
+    stabilizer_chain,
 )
 
 M11_GENS = ["(1,2,3,4,5,6,7,8,9,10,11)", "(3,7,11,8)(4,10,5,6)"]
@@ -29,8 +33,7 @@ M12_GENS = M11_GENS + ["(1,12)(2,11)(3,6)(4,8)(5,9)(7,10)"]
 
 def closure_of(texts, degree):
     gens = [parse_cycles(t, degree) for t in texts]
-    elements, _ = closure_images([g.images for g in gens], degree)
-    return gens, elements
+    return gens, closure_images([g.images for g in gens], degree)
 
 
 def search_subgroup(elements, degree, target_order, x_type, seed):
@@ -40,8 +43,7 @@ def search_subgroup(elements, degree, target_order, x_type, seed):
     x = next(e for e in pool if cycle_type_of_images(e) == x_type)
     while True:
         y = pool[rng.randrange(len(pool))]
-        els, truncated = closure_images([x, y], degree, stop_above=target_order)
-        if truncated or len(els) != target_order:
+        if chain_order(stabilizer_chain([x, y], degree)) != target_order:
             continue
         gens = [Permutation(x), Permutation(y)]
         if is_transitive(gens, degree):

@@ -11,7 +11,7 @@ vertices used to force diameter lower bounds at degrees beyond exact
 computation.
 """
 
-from invgraph.partitions import Partition, Parity, parity, partial_sum_set, power_type
+from invgraph.partitions import Partition, power_type
 from invgraph.permutations import (
     ClassLabel,
     GroupKind,
@@ -40,7 +40,6 @@ __all__ = [
     "ClassGraph",
     "ClassLabel",
     "GroupKind",
-    "Parity",
     "Partition",
     "Permutation",
     "SpecialDiameter",
@@ -51,8 +50,6 @@ __all__ = [
     "diameter",
     "export",
     "isolated_vertices",
-    "parity",
-    "partial_sum_set",
     "power_type",
     "primitive_catalog",
     "shares_subgroup",

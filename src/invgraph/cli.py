@@ -63,8 +63,7 @@ def _cache_dir(args) -> str:
 
 def cmd_graph(args) -> int:
     g = build_graph(args.n, _group(args.group), _cache_dir(args))
-    fmt = args.format if args.format != "text" else "json"
-    _emit(export(g, fmt), args.out)
+    _emit(export(g, args.format), args.out)
     return 0
 
 
@@ -206,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("graph", cmd_graph, help="build and export the class graph")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--group", choices=("sym", "alt"), default="sym")
-    p.add_argument("--format", choices=("dot", "json", "csv", "text"), default="json")
+    p.add_argument("--format", choices=("dot", "json", "csv"), default="json")
 
     p = add("xi", cmd_xi, help="export the reduced graph with its diameter")
     p.add_argument("--n", type=int, required=True)

@@ -16,7 +16,6 @@ instead of a test per pair.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -64,12 +63,6 @@ class ClassGraph:
             for i, row in enumerate(self.adjacency)
             for j in _bit_indices(row >> (i + 1) << (i + 1))
         ]
-
-    def degree_of(self, i: int) -> int:
-        return self.adjacency[i].bit_count()
-
-    def neighbours(self, i: int) -> list[int]:
-        return _bit_indices(self.adjacency[i])
 
 
 def _bit_indices(mask: int) -> list[int]:
@@ -234,6 +227,25 @@ def _generates(x: bytes, y: bytes, n: int, order: int) -> bool:
     return chain_order(stabilizer_chain([x, y], n, order=order)) == order
 
 
+def _centralizer_generators(x: bytes) -> list[bytes]:
+    """Generators of the centralizer of x in S_n.
+
+    It is the product of the wreath products ``C_k wr S_m``, one per cycle
+    length k of x with m cycles of that length (Holt, Eick & O'Brien,
+    Handbook of Computational Group Theory, 2005): each nontrivial cycle,
+    and the involution swapping two consecutive k-cycles point by point.
+    """
+    n = len(x)
+    cycles = sorted(Permutation(x).cycles(include_fixed=True), key=len)
+    gens = [Permutation.from_cycles(n, [c]) for c in cycles if len(c) > 1]
+    gens += [
+        Permutation.from_cycles(n, list(zip(c, d)))
+        for c, d in zip(cycles, cycles[1:])
+        if len(c) == len(d)
+    ]
+    return [bytes(g.images) for g in gens]
+
+
 def oracle_adjacency(n: int, group: GroupKind) -> ClassGraph:
     """Adjacency by explicit generation checks; feasible for n <= 9.
 
@@ -241,36 +253,22 @@ def oracle_adjacency(n: int, group: GroupKind) -> ClassGraph:
     member y of c2 satisfies <x, y> = G.  ``_class_elements`` lists every
     class by conjugation from its canonical representative (for a MINUS
     class, that representative conjugated by (0 1)), and x is the first
-    member of the larger class.  Members y are walked up to conjugation by
-    the centralizer of x, and each pair is decided by ``_generates``: a
+    member of the larger class.  Each pair is decided by ``_generates``: a
     stabilizer chain of <x, y> that stops once its order reaches the order
     of G.  No subgroup catalog or rule is consulted.
+
+    Members y are walked up to conjugation by ``C_{S_n}(x)``.  For g in it,
+    ``<x, g^-1 y g> = g^-1 <x, y> g``, and G is normal in S_n, so the pair
+    generates G exactly when its conjugate does; hence ``C_{S_n}(x)``, which
+    contains ``C_{A_n}(x)``, serves for A_n too.  An orbit member outside
+    the class being walked is never visited, so marking it seen is harmless.
     """
     if n > 9:
         raise ValueError("the explicit oracle is limited to n <= 9")
     labels = tuple(class_labels(n, group))
     classes = _class_elements(n, group)
     group_order = factorial(n) // (1 if group is GroupKind.SYM else 2)
-    # p.translate(q + tail) is the product q * p; maketrans(p, identity)
-    # maps p[i] to i, so its first n bytes are p's inverse
-    tail = bytes(range(n, 256))
-    identity = bytes(range(n))
-    all_elements = [identity, *itertools.chain.from_iterable(classes.values())]
-    assert len(all_elements) == group_order, (n, group)  # class sizes sum to |G| - 1
-
-    centralizers: dict[bytes, list[tuple[bytes, bytes]]] = {}
-
-    def centralizer(x: bytes) -> list[tuple[bytes, bytes]]:
-        """(g, table of g^-1) for every g commuting with x."""
-        if x not in centralizers:
-            x_table = x + tail
-            centralizers[x] = [
-                (g, bytes.maketrans(g, identity))
-                for g in all_elements
-                if x.translate(g + tail) == g.translate(x_table)
-            ]
-        return centralizers[x]
-
+    assert 1 + sum(len(c) for c in classes.values()) == group_order, (n, group)
     count = len(labels)
     rows = [0] * count
     keys = [(lbl.cycle_type.parts, lbl.split.value) for lbl in labels]
@@ -282,15 +280,13 @@ def oracle_adjacency(n: int, group: GroupKind) -> ClassGraph:
             else:
                 fixed_class, moving_class = cj, ci
             x = fixed_class[0]
-            cent = centralizer(x)
+            centralizer = _centralizer_generators(x)
             seen: set[bytes] = set()
             adjacent = True
             for y in moving_class:
                 if y in seen:
                     continue
-                y_table = y + tail
-                for g, g_inverse in cent:
-                    seen.add(g.translate(y_table).translate(g_inverse))
+                seen.update(conjugacy_class(y, centralizer, n))
                 if not _generates(x, y, n, group_order):
                     adjacent = False
                     break

@@ -9,15 +9,9 @@ sums to i.  Python integers serve as the fixed-width bit arrays.
 
 from __future__ import annotations
 
-from enum import Enum
 from functools import lru_cache
 from math import gcd
 from typing import Iterable, Iterator
-
-
-class Parity(Enum):
-    EVEN = "even"
-    ODD = "odd"
 
 
 class Partition:
@@ -64,11 +58,6 @@ class Partition:
 
     def __str__(self) -> str:
         return ",".join(str(p) for p in self.parts)
-
-    @classmethod
-    def from_string(cls, text: str) -> "Partition":
-        """Parse the serialized form, comma-separated decreasing parts."""
-        return cls(int(tok) for tok in text.split(","))
 
 
 def _desc_parts(remaining: int, max_part: int) -> Iterator[tuple[int, ...]]:
@@ -129,21 +118,12 @@ def partial_sum_mask(p: Partition) -> int:
     return mask
 
 
-def partial_sum_set(p: Partition) -> frozenset[int]:
-    mask = partial_sum_mask(p)
-    return frozenset(i for i in range(p.n + 1) if mask >> i & 1)
-
-
 def is_partial_sum(p: Partition, i: int) -> bool:
     return bool(partial_sum_mask(p) >> i & 1)
 
 
-def parity(p: Partition) -> Parity:
-    """Sign of a permutation with this cycle type."""
-    return Parity.EVEN if (p.n - len(p)) % 2 == 0 else Parity.ODD
-
-
 def is_even_type(p: Partition) -> bool:
+    """Whether a permutation with this cycle type is even."""
     return (p.n - len(p)) % 2 == 0
 
 
@@ -161,35 +141,6 @@ def power_type(p: Partition, k: int) -> Partition:
         g = gcd(part, k)
         out.extend([part // g] * g)
     return Partition(out)
-
-
-class PartExtensionError(ValueError):
-    """The part-extension hypotheses fail."""
-
-
-def extend_with_part(p: Partition, T: int, S: Iterable[int]) -> Partition:
-    """Append one part of length T, preserving density of small partial sums.
-
-    Requires that every i in 1..floor(N/2) outside S is already a partial sum
-    of p, and that T <= N - 2*max(S) - 2 (N+T even) or N - 2*max(S) - 1
-    (N+T odd), with max(S) = -1 for empty S.  Under those hypotheses every
-    i in 1..floor((N+T)/2) outside S is a partial sum of the result.
-    """
-    N = p.n
-    s_set = frozenset(S)
-    if any(i < 1 or i > N // 2 for i in s_set):
-        raise PartExtensionError(f"S must lie in 1..{N // 2}, got {sorted(s_set)}")
-    if T < 1:
-        raise PartExtensionError("need T >= 1")
-    mask = partial_sum_mask(p)
-    missing = [i for i in range(1, N // 2 + 1) if i not in s_set and not mask >> i & 1]
-    if missing:
-        raise PartExtensionError(f"partial sums {missing} required below {N // 2} are absent")
-    max_s = max(s_set, default=-1)
-    bound = N - 2 * max_s - (2 if (N + T) % 2 == 0 else 1)
-    if T > bound:
-        raise PartExtensionError(f"T={T} exceeds the admissible bound {bound}")
-    return Partition(p.parts + (T,))
 
 
 def enumerate_partitions_with_sums_in(n: int, allowed: Iterable[int]) -> list[Partition]:

@@ -18,8 +18,9 @@ generators, and ``class_representatives`` walks the class of each new
 product of transversal elements until the classes cover the chain order.
 ``symmetric_group_generators`` and ``alternating_group_generators`` are the
 generating sets the edge oracle walks its classes with.  ``closure_images``
-lists every element breadth-first.  No module of the package calls it: it
-is the reference enumeration for the tests and for
+returns the set of every element, found breadth-first; its one option is a
+cap on that set's size.  No module of the package calls it: it is the
+reference enumeration for the tests and for
 ``scripts/find_curated_generators.py``.
 """
 
@@ -118,16 +119,8 @@ class Permutation:
     def is_even(self) -> bool:
         return (len(self.images) - len(self.cycles(include_fixed=True))) % 2 == 0
 
-    def order(self) -> int:
-        from invgraph.arith import lcm_of
-
-        return lcm_of(len(c) for c in self.cycles(include_fixed=True))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
-
-    def __lt__(self, other: "Permutation") -> bool:
-        return self.images < other.images
 
     def __hash__(self) -> int:
         return hash(self.images)
@@ -191,27 +184,19 @@ class ClosureCapExceeded(RuntimeError):
 
 
 def closure_images(
-    generators: Iterable[Sequence[int]],
-    degree: int,
-    cap: int = DEFAULT_CLOSURE_CAP,
-    stop_above: int | None = None,
-) -> tuple[set[bytes], bool]:
-    """Breadth-first closure on raw images.
+    generators: Iterable[Sequence[int]], degree: int, cap: int = DEFAULT_CLOSURE_CAP
+) -> set[bytes]:
+    """Every element of the group the generators span, breadth-first on raw images.
 
-    Returns (elements, truncated).  Each step multiplies a reached element p
-    by a generator g on the left, ``p.translate(table_g)`` == ``g * p``;
-    the full closure is the same set either way.  With ``stop_above`` set,
-    stops as soon as the element count exceeds it and reports
-    truncated=True; then only the flag and the count being above the limit
-    are meaningful, not which elements were reached.  Otherwise the full
-    closure is returned, raising ClosureCapExceeded past ``cap``.
+    Each step multiplies a reached element p by a generator g on the left,
+    ``p.translate(table_g)`` == ``g * p``; the full closure is the same set
+    either way.  Raises ClosureCapExceeded once the count passes ``cap``.
     """
     gens = [bytes(g) for g in generators]
     if any(len(g) != degree for g in gens):
         raise ValueError("generator degree mismatch")
     tail = bytes(range(degree, 256))
     tables = [g + tail for g in gens]
-    limit = cap if stop_above is None else min(cap, stop_above)
     identity = bytes(range(degree))
     seen: set[bytes] = {identity}
     queue: deque[bytes] = deque([identity])
@@ -223,11 +208,9 @@ def closure_images(
             if q not in seen:
                 add(q)
                 push(q)
-                if len(seen) > limit:
-                    if stop_above is not None and len(seen) > stop_above:
-                        return seen, True
+                if len(seen) > cap:
                     raise ClosureCapExceeded(len(seen), cap)
-    return seen, False
+    return seen
 
 
 def stabilizer_chain(

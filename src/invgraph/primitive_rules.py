@@ -12,7 +12,7 @@ exclusion predicate never asserts membership.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, isqrt
 
 from invgraph.arith import divisors, is_prime, lcm_of, prime_power
 from invgraph.partitions import Partition, is_partial_sum, partial_sum_mask
@@ -24,9 +24,6 @@ class FamilyTag:
 
     case_id: str
     parameters: tuple[tuple[str, int], ...] = field(default_factory=tuple)
-
-    def param(self, key: str) -> int:
-        return dict(self.parameters)[key]
 
     def __str__(self) -> str:
         inner = ",".join(f"{k}={v}" for k, v in self.parameters)
@@ -134,8 +131,6 @@ def mueller_families(n: int, k: int) -> list[FamilyTag]:
     if r is not None and r > 1:
         if k % r == 0:
             a = k // r
-            from math import gcd
-
             if a >= 1 and gcd(r, a) == 1:
                 tags.append(_tag("M-2a", r=r, a=a))
         if is_prime(r - 1) and r - 1 >= 5 and k == r:
@@ -164,8 +159,6 @@ def mueller_families(n: int, k: int) -> list[FamilyTag]:
 
 
 def _exact_sqrt(n: int) -> int | None:
-    from math import isqrt
-
     r = isqrt(n)
     return r if r * r == n else None
 

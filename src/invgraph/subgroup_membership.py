@@ -233,10 +233,6 @@ class Fingerprint:
                 return inc
         return frozenset()
 
-    @property
-    def mirror_differs(self) -> bool:
-        return any(len(inc) == 1 for _, inc in self.split_incidence)
-
 
 @dataclass(frozen=True)
 class CatalogResult:

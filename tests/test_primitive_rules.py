@@ -48,7 +48,7 @@ def test_jones_families_examples():
     assert "J-1c" in case_ids(jones_families(11, 0))
     assert jones_families(7, 2) == []
     tags10 = jones_families(10, 2)
-    assert case_ids(tags10) == {"J-3"} and tags10[0].param("q") == 9
+    assert case_ids(tags10) == {"J-3"} and tags10[0].parameters == (("q", 9),)
     assert case_ids(jones_families(7, 0)) == {"J-1a", "J-1b"}
     assert jones_families(9, 3) == []
     with pytest.raises(ValueError):
@@ -102,7 +102,7 @@ def test_product_action_exclusion_against_enumeration(cache_dir):
     from invgraph.permutations import closure_images, cycle_type_of_images
 
     spec = _product_action_spec(4)
-    elements, _ = closure_images([g.images for g in spec.generators], 16)
+    elements = closure_images([g.images for g in spec.generators], 16)
     assert len(elements) == 1152  # S4 x S4 x C2
     realized = {cycle_type_of_images(e) for e in elements}
     from invgraph.partitions import enumerate_partitions
@@ -192,7 +192,7 @@ def test_odd_cycle_count_parity_in_semilinear_group(cache_dir):
     from invgraph.subgroup_membership import primitive_catalog
 
     spec = next(g for g in primitive_catalog(10).groups if g.name == "PGammaL(2,9)")
-    elements, _ = closure_images([g.images for g in spec.generators], 10)
+    elements = closure_images([g.images for g in spec.generators], 10)
     assert len(elements) == 1440
     from invgraph.permutations import cycle_type_of_images
 
