@@ -35,12 +35,7 @@ from invgraph.permutations import (
     stabilizer_chain,
     symmetric_group_generators,
 )
-from invgraph.subgroup_membership import (
-    EXACT_DEGREES,
-    CatalogAbsent,
-    primitive_catalog,
-    type_profile,
-)
+from invgraph.subgroup_membership import primitive_catalog, type_profile
 
 EXPORT_SCHEMA = 1
 
@@ -77,10 +72,8 @@ def _bit_indices(mask: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def build_graph(n: int, group: GroupKind, cache_dir: str | None = None) -> ClassGraph:
-    """The exact class graph at degree n (requires a complete catalog)."""
-    if not primitive_catalog(n).complete:
-        supported = ", ".join(map(str, sorted(EXACT_DEGREES)))
-        raise CatalogAbsent(f"exact mode supports degrees {supported}; not {n}")
+    """The exact class graph at degree n; ``CatalogAbsent`` off the catalog."""
+    primitive_catalog(n)  # raises before the classes of a large n are listed
     labels = tuple(class_labels(n, group))
     profile = type_profile(n, group is GroupKind.SYM, cache_dir)
     features = [profile.features(lbl) for lbl in labels]

@@ -27,10 +27,14 @@ are filled on a type's first lookup, and the fingerprint bits only once a
 pair's rule bits do not meet, so without a catalog ``CatalogAbsent`` marks
 exactly the pairs the first three families leave open.
 
-The catalog covers the degrees in ``EXACT_DEGREES``.  Entries are built
-programmatically (affine, projective, product action, subgroups of the
-one-dimensional affine group at prime degree) except for the Mathieu groups
-and two derived groups, whose verified generators ship in a data file.
+The exact degrees, ``EXACT_DEGREES``, are the keys of the one table
+``_CATALOG``, whose row for a degree returns its groups in catalog order;
+adding a degree takes one row and, in the tests, its published count of
+primitive groups.  ``primitive_catalog`` raises ``CatalogAbsent`` at every
+other degree.  Entries are built programmatically (affine, projective,
+product action, subgroups of the one-dimensional affine group at prime
+degree) except for the Mathieu groups and two derived groups, whose verified
+generators ship in a data file.
 Conjugating a subgroup by an odd permutation mirrors its split-class
 incidence, so each fingerprint has a mirror bit beside its own; that covers
 every S_n-conjugate of every cataloged group.
@@ -39,14 +43,15 @@ every S_n-conjugate of every cataloged group.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from invgraph.arith import divisors, primitive_root, proper_block_sizes
 from invgraph.finite_fields import field
@@ -65,7 +70,6 @@ from invgraph.permutations import (
     stabilizer_chain,
 )
 
-EXACT_DEGREES = frozenset(range(3, 14)) | {17, 19}
 CATALOG_VERSION = 3
 _WREATH_ORACLE_CAP = 1_200_000
 
@@ -179,15 +183,12 @@ def wreath_product_generators(m: int, k: int) -> list[Permutation]:
 @lru_cache(maxsize=None)
 def _wreath_type_set(n: int, m: int) -> frozenset[tuple[int, ...]]:
     k = n // m
-    images = [g.images for g in wreath_product_generators(m, k)]
-    chain = stabilizer_chain(images, n)
-    order = chain_order(chain)
-    assert order == math.factorial(m) ** k * math.factorial(k), (n, m, order)
+    order = math.factorial(m) ** k * math.factorial(k)
     if order > _WREATH_ORACLE_CAP:
         raise ClosureCapExceeded(order, _WREATH_ORACLE_CAP)
-    return frozenset(
-        cycle_type_of_images(rep) for rep in class_representatives(chain, images, n)
-    )
+    generators = tuple(wreath_product_generators(m, k))
+    spec = GroupSpec(f"S{m}wrS{k}", n, Family.OTHER, generators, order)
+    return _compute_fingerprint(spec).types_present
 
 
 def wreath_member_oracle(t: Partition, m: int) -> bool:
@@ -205,7 +206,7 @@ def wreath_member_oracle(t: Partition, m: int) -> bool:
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """A primitive group given by generators, with its expected order."""
+    """A permutation group given by generators, with its expected order."""
 
     name: str
     degree: int
@@ -237,19 +238,6 @@ class Fingerprint:
 @dataclass(frozen=True)
 class CatalogResult:
     groups: tuple[GroupSpec, ...]
-    complete: bool
-
-
-def _affine_line_maps(p: int, r: int):
-    """(translation x+1, multiplication by a primitive element, frobenius)."""
-    gf = field(p, r)
-    q = gf.q
-    mu = gf.primitive_element()
-    translate = Permutation(gf.add(x, 1) for x in range(q))
-    multiply = Permutation(gf.mul(mu, x) for x in range(q))
-    frob = Permutation(gf.frobenius(x) for x in range(q))
-    mul_by = lambda a: Permutation(gf.mul(a, x) for x in range(q))
-    return gf, translate, multiply, frob, mul_by
 
 
 def _prime_chain(p: int) -> list[GroupSpec]:
@@ -275,16 +263,9 @@ def _prime_chain(p: int) -> list[GroupSpec]:
     return specs
 
 
-def _vector_points(p: int, m: int) -> list[tuple[int, ...]]:
-    points = [()]
-    for _ in range(m):
-        points = [pt + (c,) for pt in points for c in range(p)]
-    return points
-
-
 def _affine_matrix_group(name: str, p: int, m: int, matrices, order: int) -> GroupSpec:
     """Affine group E(p^m) : <matrices> acting on the vectors of F_p^m."""
-    points = _vector_points(p, m)
+    points = list(itertools.product(range(p), repeat=m))
     index = {pt: i for i, pt in enumerate(points)}
     perms = []
     for mat in matrices:
@@ -319,15 +300,11 @@ def _gl_generator_matrices(m: int, p: int):
     return mats
 
 
-def _sl2_generator_matrices(p: int):
-    return [((1, 1), (0, 1)), ((0, 1), (p - 1, 0))]
-
-
 def _projective_space_group(name: str, p: int, d: int, order: int) -> GroupSpec:
     """PSL(d,p) (p prime, gcd(d,p-1)=1 cases used here) on projective points."""
     points = []
     index = {}
-    for vec in _vector_points(p, d):
+    for vec in itertools.product(range(p), repeat=d):
         if all(c == 0 for c in vec):
             continue
         lead = next(c for c in vec if c)
@@ -348,18 +325,16 @@ def _projective_space_group(name: str, p: int, d: int, order: int) -> GroupSpec:
     return GroupSpec(name, len(points), Family.PROJECTIVE, tuple(perms), order)
 
 
-class _ProjectiveLine:
-    """Maps of the projective line over GF(q); point q encodes infinity."""
+def _projective_line_specs(p: int, r: int) -> list[GroupSpec]:
+    """The groups from PSL(2,q) to PGammaL(2,q) on the q+1 points of the
+    projective line over GF(q), in catalog order; point q is infinity."""
+    gf = field(p, r)
+    q = gf.q
+    n = q + 1
+    mu = gf.primitive_element()
 
-    def __init__(self, p: int, r: int):
-        self.gf = field(p, r)
-        self.q = self.gf.q
-
-    def mobius(self, a: int, b: int, c: int, d: int) -> Permutation:
-        gf, q = self.gf, self.q
-        det = gf.sub(gf.mul(a, d), gf.mul(b, c))
-        if det == 0:
-            raise ValueError("singular map")
+    def mobius(a: int, b: int, c: int, d: int) -> Permutation:
+        """x -> (ax + b) / (cx + d)."""
         imgs = []
         for x in range(q):
             den = gf.add(gf.mul(c, x), d)
@@ -368,59 +343,32 @@ class _ProjectiveLine:
         imgs.append(q if c == 0 else gf.mul(a, gf.inv(c)))  # image of infinity
         return Permutation(imgs)
 
-    def frobenius(self, steps: int = 1) -> Permutation:
-        gf, q = self.gf, self.q
+    def frobenius(steps: int = 1) -> Permutation:
         return Permutation([gf.frobenius(x, steps) for x in range(q)] + [q])
 
+    def spec(name: str, gens: tuple[Permutation, ...], order: int) -> GroupSpec:
+        return GroupSpec(name, n, Family.PROJECTIVE, gens, order)
 
-def _projective_line_specs(p: int, r: int) -> dict[str, GroupSpec]:
-    """The groups between PSL(2,q) and the full semilinear group on q+1 points."""
-    line = _ProjectiveLine(p, r)
-    gf, q = line.gf, line.q
-    n = q + 1
-    mu = gf.primitive_element()
-    translate = line.mobius(1, 1, 0, 1)
-    invert_neg = line.mobius(0, gf.neg(1), 1, 0)
-    invert = line.mobius(0, 1, 1, 0)
-    psl_order = q * (q * q - 1) // (2 if p > 2 else 1)
+    translate = mobius(1, 1, 0, 1)
+    scale = mobius(mu, 0, 0, 1)
+    pgl_gens = (translate, scale, mobius(0, 1, 1, 0))
+    order = q * (q * q - 1)
     if p == 2:
-        psl_gens = (translate, line.mobius(mu, 0, 0, 1), invert)
+        specs = [spec(f"PSL(2,{q})", pgl_gens, order)]
+        psl_gens = pgl_gens
     else:
-        psl_gens = (translate, line.mobius(gf.mul(mu, mu), 0, 0, 1), invert_neg)
-    specs = {
-        f"PSL(2,{q})": GroupSpec(
-            f"PSL(2,{q})", n, Family.PROJECTIVE, psl_gens, psl_order
-        )
-    }
-    if p > 2:
-        pgl_gens = (translate, line.mobius(mu, 0, 0, 1), invert)
-        specs[f"PGL(2,{q})"] = GroupSpec(
-            f"PGL(2,{q})", n, Family.PROJECTIVE, pgl_gens, q * (q * q - 1)
-        )
+        psl_gens = (translate, mobius(gf.mul(mu, mu), 0, 0, 1), mobius(0, gf.neg(1), 1, 0))
+        specs = [
+            spec(f"PSL(2,{q})", psl_gens, order // 2),
+            spec(f"PGL(2,{q})", pgl_gens, order),
+        ]
+    if q == 9:
+        specs.append(spec("PSigmaL(2,9)", psl_gens + (frobenius(),), 720))
+        specs.append(spec("M10", psl_gens + (frobenius() * scale,), 720))
+    if q == 16:
+        specs.append(spec("PSigmaL(2,16)", psl_gens + (frobenius(2),), 8160))
     if r > 1:
-        specs[f"PGammaL(2,{q})"] = GroupSpec(
-            f"PGammaL(2,{q})",
-            n,
-            Family.PROJECTIVE,
-            (specs.get(f"PGL(2,{q})", specs[f"PSL(2,{q})"]).generators + (line.frobenius(),)),
-            q * (q * q - 1) * r,
-        )
-        if (p, r) == (3, 2):
-            specs["PSigmaL(2,9)"] = GroupSpec(
-                "PSigmaL(2,9)", n, Family.PROJECTIVE, psl_gens + (line.frobenius(),), 720
-            )
-            twisted = line.frobenius() * line.mobius(mu, 0, 0, 1)
-            specs["M10"] = GroupSpec(
-                "M10", n, Family.PROJECTIVE, psl_gens + (twisted,), 720
-            )
-        if (p, r) == (2, 4):
-            specs["PSigmaL(2,16)"] = GroupSpec(
-                "PSigmaL(2,16)",
-                n,
-                Family.PROJECTIVE,
-                psl_gens + (line.frobenius(2),),
-                8160,
-            )
+        specs.append(spec(f"PGammaL(2,{q})", pgl_gens + (frobenius(),), order * r))
     return specs
 
 
@@ -460,21 +408,29 @@ def _product_action_spec(r: int) -> GroupSpec:
     )
 
 
-def _gamma_line_subgroup(name: str, p: int, r: int, which: str, order: int) -> GroupSpec:
-    """Affine-semilinear subgroups of degree p^r containing all translations."""
-    gf, translate, multiply, frob, mul_by = _affine_line_maps(p, r)
+def _affine_line_specs(p: int, r: int) -> list[GroupSpec]:
+    """The groups of maps x -> a x^s + b of GF(q) that the catalog lists at
+    degree q = p^r, in catalog order: AGL(1,q), with E9:C4 and E9:Q8 at
+    q = 9, and AGammaL(1,q) when r > 1."""
+    gf = field(p, r)
+    q = gf.q
     mu = gf.primitive_element()
-    picks = {
-        "AGL": (translate, multiply),
-        "AGammaL": (translate, multiply, frob),
-        "quarter": (translate, mul_by(gf.mul(mu, mu))),
-        "quaternion": (
-            translate,
-            mul_by(gf.mul(mu, mu)),
-            Permutation(gf.frobenius(gf.mul(mu, x)) for x in range(gf.q)),
-        ),
-    }
-    return GroupSpec(name, p**r, Family.AFFINE, picks[which], order)
+
+    def spec(name: str, gens: tuple[Permutation, ...], order: int) -> GroupSpec:
+        return GroupSpec(name, q, Family.AFFINE, gens, order)
+
+    translate = Permutation(gf.add(x, 1) for x in range(q))
+    multiply = Permutation(gf.mul(mu, x) for x in range(q))
+    specs = [spec(f"AGL(1,{q})", (translate, multiply), q * (q - 1))]
+    if q == 9:
+        square = Permutation(gf.mul(gf.mul(mu, mu), x) for x in range(q))
+        twisted = Permutation(gf.frobenius(gf.mul(mu, x)) for x in range(q))
+        specs.insert(0, spec("E9:C4", (translate, square), 36))
+        specs.append(spec("E9:Q8", (translate, square, twisted), 72))
+    if r > 1:
+        frobenius = Permutation(gf.frobenius(x) for x in range(q))
+        specs.append(spec(f"AGammaL(1,{q})", (translate, multiply, frobenius), q * (q - 1) * r))
+    return specs
 
 
 _CURATED_FILE = Path(__file__).parent / "data" / "curated_groups.txt"
@@ -518,83 +474,54 @@ def _curated_specs() -> dict[str, GroupSpec]:
     return specs
 
 
-def _catalog_degree_11() -> list[GroupSpec]:
-    curated = _curated_specs()
-    return _prime_chain(11) + [curated["PSL(2,11)@11"], curated["M11"]]
-
-
-def _catalog_degree_12() -> list[GroupSpec]:
-    curated = _curated_specs()
-    line = _projective_line_specs(11, 1)
-    out = []
-    for spec in (line["PSL(2,11)"], line["PGL(2,11)"]):
-        out.append(
-            GroupSpec(spec.name + "@12", 12, spec.family, spec.generators, spec.expected_order)
-        )
-    return out + [curated["M11@12"], curated["M12"]]
+# Each exact degree maps to its primitive groups other than A_n and S_n, in
+# catalog order (the order of the fingerprint bits and of the cache files).
+# A row is a callable, so nothing is built until a degree is asked for.  A new
+# row needs its published count in the tests' PRIMITIVE_GROUP_COUNTS.
+_CATALOG: dict[int, Callable[[], list[GroupSpec]]] = {
+    3: lambda: [],
+    4: lambda: [],
+    5: lambda: _prime_chain(5),
+    6: lambda: _projective_line_specs(5, 1),
+    7: lambda: _prime_chain(7) + [_projective_space_group("PSL(3,2)", 2, 3, 168)],
+    8: lambda: (
+        _affine_line_specs(2, 3)
+        + _projective_line_specs(7, 1)
+        + [_affine_matrix_group("AGL(3,2)", 2, 3, _gl_generator_matrices(3, 2), 1344)]
+    ),
+    9: lambda: (
+        _affine_line_specs(3, 2)
+        + [
+            _product_action_spec(3),  # same group as E9:D8
+            _affine_matrix_group("ASL(2,3)", 3, 2, [((1, 1), (0, 1)), ((0, 1), (2, 0))], 216),
+            _affine_matrix_group("AGL(2,3)", 3, 2, _gl_generator_matrices(2, 3), 432),
+        ]
+        + _projective_line_specs(2, 3)
+    ),
+    10: lambda: _two_sets_specs() + _projective_line_specs(3, 2),
+    11: lambda: _prime_chain(11) + [_curated_specs()["PSL(2,11)@11"], _curated_specs()["M11"]],
+    12: lambda: (
+        [replace(s, name=s.name + "@12") for s in _projective_line_specs(11, 1)]
+        + [_curated_specs()["M11@12"], _curated_specs()["M12"]]
+    ),
+    13: lambda: _prime_chain(13) + [_projective_space_group("PSL(3,3)", 3, 3, 5616)],
+    17: lambda: _prime_chain(17) + _projective_line_specs(2, 4),
+    19: lambda: _prime_chain(19),
+}
+EXACT_DEGREES = frozenset(_CATALOG)
 
 
 @lru_cache(maxsize=None)
 def primitive_catalog(n: int) -> CatalogResult:
-    """All primitive groups of degree n other than A_n and S_n.
+    """All primitive groups of degree n other than A_n and S_n, in catalog order.
 
-    Complete for n in ``EXACT_DEGREES``; empty and marked incomplete otherwise.
+    Raises ``CatalogAbsent`` at a degree without a row in ``_CATALOG``.
     """
-    if n < 3:
-        raise ValueError("need n >= 3")
-    if n not in EXACT_DEGREES:
-        return CatalogResult((), False)
-    groups: list[GroupSpec] = []
-    if n in (5, 7, 11, 13, 17, 19):
-        if n == 11:
-            groups += _catalog_degree_11()
-        else:
-            groups += _prime_chain(n)
-    if n == 6:
-        line = _projective_line_specs(5, 1)
-        groups += [line["PSL(2,5)"], line["PGL(2,5)"]]
-    if n == 7:
-        groups.append(_projective_space_group("PSL(3,2)", 2, 3, 168))
-    if n == 8:
-        groups.append(_gamma_line_subgroup("AGL(1,8)", 2, 3, "AGL", 56))
-        groups.append(_gamma_line_subgroup("AGammaL(1,8)", 2, 3, "AGammaL", 168))
-        line = _projective_line_specs(7, 1)
-        groups += [line["PSL(2,7)"], line["PGL(2,7)"]]
-        groups.append(
-            _affine_matrix_group("AGL(3,2)", 2, 3, _gl_generator_matrices(3, 2), 1344)
-        )
-    if n == 9:
-        groups.append(_gamma_line_subgroup("E9:C4", 3, 2, "quarter", 36))
-        groups.append(_gamma_line_subgroup("AGL(1,9)", 3, 2, "AGL", 72))
-        groups.append(_gamma_line_subgroup("E9:Q8", 3, 2, "quaternion", 72))
-        groups.append(_gamma_line_subgroup("AGammaL(1,9)", 3, 2, "AGammaL", 144))
-        groups.append(_product_action_spec(3))  # same group as E9:D8
-        groups.append(
-            _affine_matrix_group("ASL(2,3)", 3, 2, _sl2_generator_matrices(3), 216)
-        )
-        groups.append(
-            _affine_matrix_group("AGL(2,3)", 3, 2, _gl_generator_matrices(2, 3), 432)
-        )
-        line = _projective_line_specs(2, 3)
-        groups += [line["PSL(2,8)"], line["PGammaL(2,8)"]]
-    if n == 10:
-        groups += _two_sets_specs()
-        line = _projective_line_specs(3, 2)
-        groups += [
-            line["PSL(2,9)"],
-            line["PGL(2,9)"],
-            line["PSigmaL(2,9)"],
-            line["M10"],
-            line["PGammaL(2,9)"],
-        ]
-    if n == 12:
-        groups += _catalog_degree_12()
-    if n == 13:
-        groups.append(_projective_space_group("PSL(3,3)", 3, 3, 5616))
-    if n == 17:
-        line = _projective_line_specs(2, 4)
-        groups += [line["PSL(2,16)"], line["PSigmaL(2,16)"], line["PGammaL(2,16)"]]
-    return CatalogResult(tuple(groups), True)
+    row = _CATALOG.get(n)
+    if row is None:
+        supported = ", ".join(map(str, sorted(EXACT_DEGREES)))
+        raise CatalogAbsent(f"exact mode supports degrees {supported}; not {n}")
+    return CatalogResult(tuple(row()))
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +551,7 @@ def _compute_fingerprint(spec: GroupSpec) -> Fingerprint:
     order = chain_order(chain)
     if order != spec.expected_order:
         raise RuntimeError(
-            f"{spec.name}: closure order {order} != expected {spec.expected_order}"
+            f"{spec.name}: chain order {order} != expected {spec.expected_order}"
         )
     # Cycle type and split label are class invariants, so one element per
     # class decides both.  An odd element of the group swaps the two A_n
@@ -716,8 +643,6 @@ def degree_fingerprints(n: int, cache_dir: str | None = None) -> tuple[Fingerpri
     replaced atomically (temporary file in the same directory, then rename).
     """
     catalog = primitive_catalog(n)
-    if not catalog.complete:
-        raise CatalogAbsent(f"no complete primitive catalog at degree {n}")
     if not catalog.groups:
         return ()
     digest = _catalog_digest(catalog.groups)

@@ -96,7 +96,12 @@ def test_catalog_listing(capsys, cache_dir):
 
 def test_usage_errors(capsys, cache_dir):
     assert run(capsys, "graph")[0] == 2  # missing --n
-    assert run(capsys, "graph", "--n", "14", "--cache-dir", cache_dir)[0] == 2
+    # off the catalog both commands reach main's CatalogAbsent handler
+    supported = ", ".join(map(str, sorted(subgroup_membership.EXACT_DEGREES)))
+    for command in ("graph", "catalog"):
+        assert main([command, "--n", "14", "--cache-dir", cache_dir]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: exact mode supports degrees {supported}; not 14\n"
     assert run(capsys, "witness", "--lemma", "p", "--n", "23", "--cache-dir", cache_dir)[0] == 2
     assert run(capsys, "oracle-edges", "--n", "10", "--cache-dir", cache_dir)[0] == 2
 

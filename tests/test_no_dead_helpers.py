@@ -1,5 +1,6 @@
 """Every function and class the package defines is used by the package,
-its scripts or the benchmark, apart from a few kept as test references."""
+its scripts or the benchmark, apart from a few kept as test references, and
+every name a package module imports is used by that module."""
 
 import ast
 import re
@@ -62,3 +63,28 @@ def test_every_definition_has_a_caller():
                     unused[node.name] = path.name
     assert {k: v for k, v in unused.items() if k not in TEST_REFERENCES} == {}
     assert unused.keys() == TEST_REFERENCES.keys(), "a test reference gained a caller"
+
+
+def _imported_names(tree):
+    """The names the module's import statements bind."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def test_every_import_is_used():
+    # the imports of __init__.py are re-exports
+    unused = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path == PACKAGE / "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names = sorted(set(_imported_names(tree)) - loaded)
+        if names:
+            unused[path.name] = names
+    assert unused == {}

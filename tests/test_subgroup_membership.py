@@ -136,13 +136,26 @@ def test_half_sum_against_even_partitions():
 def test_catalog_inventory():
     for n, names in EXPECTED_CATALOG.items():
         catalog = primitive_catalog(n)
-        assert catalog.complete
         assert [g.name for g in catalog.groups] == names
 
 
+# primitive groups of each degree, A_n and S_n included (OEIS A000019;
+# Dixon & Mortimer, Permutation Groups, Appendix B)
+PRIMITIVE_GROUP_COUNTS = {
+    3: 2, 4: 2, 5: 5, 6: 4, 7: 7, 8: 7, 9: 11, 10: 9, 11: 8, 12: 6, 13: 9, 17: 10, 19: 8,
+}
+
+
+def test_catalog_counts_match_the_published_counts():
+    assert EXACT_DEGREES <= PRIMITIVE_GROUP_COUNTS.keys()
+    for n in sorted(EXACT_DEGREES):
+        assert len(primitive_catalog(n).groups) + 2 == PRIMITIVE_GROUP_COUNTS[n], n
+
+
 def test_catalog_absent_outside_supported_degrees():
-    assert not primitive_catalog(14).complete
-    assert not primitive_catalog(20).complete
+    for n in (14, 20):
+        with pytest.raises(CatalogAbsent):
+            primitive_catalog(n)
     with pytest.raises(CatalogAbsent):
         degree_fingerprints(14)
 
@@ -271,15 +284,15 @@ def test_stabilizer_chain_orders_of_wreath_products():
 
 
 def test_wreath_oracle_refuses_a_group_above_the_cap_before_enumerating():
-    # S_7 wr S_2 has 50,803,200 elements; the chain order alone rules it out
+    # S_7 wr S_2 has 50,803,200 elements; the closed-form order rules it out
     with pytest.raises(ClosureCapExceeded) as info:
         wreath_member_oracle(Partition([7, 7]), 7)
     assert info.value.partial_count == math.factorial(7) ** 2 * 2
 
 
-def test_compute_fingerprint_rejects_wrong_closure_order():
+def test_compute_fingerprint_rejects_wrong_chain_order():
     (spec,) = [g for g in primitive_catalog(7).groups if g.name == "PSL(3,2)"]
-    with pytest.raises(RuntimeError, match="closure order 168 != expected 167"):
+    with pytest.raises(RuntimeError, match="chain order 168 != expected 167"):
         _compute_fingerprint(dataclasses.replace(spec, expected_order=167))
 
 
