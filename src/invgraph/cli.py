@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from invgraph.arith import proper_block_sizes
 from invgraph.partitions import enumerate_partitions
@@ -234,10 +235,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process, built at the first ``main`` call.
+
+    ``parse_args`` starts every call from a fresh namespace, so no argument
+    carries over from one call to the next.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
@@ -445,6 +445,9 @@ class ClassLabel:
     cycle_type: Partition
     group: GroupKind
     split: Split = Split.NONE
+    # (rule mask, rule names), set by subgroup_membership.shares_subgroup at
+    # the label's first verdict; not part of the label's value
+    _rules: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t = self.cycle_type

@@ -25,7 +25,11 @@ whole graph from the same masks, and ``witness_verifier`` asks
 ``shares_subgroup`` about every witness pair at every degree.  The rule bits
 are filled on a type's first lookup, and the fingerprint bits only once a
 pair's rule bits do not meet, so without a catalog ``CatalogAbsent`` marks
-exactly the pairs the first three families leave open.
+exactly the pairs the first three families leave open.  The rule bits
+depend on the class alone, so each ``ClassLabel`` keeps its rule mask, with
+its degree's table naming the rule bits, from its first verdict; a pair the
+rules decide is one AND and one lookup, and only the rule-open pairs read
+the profile, whose fingerprint bits depend on the cache directory.
 
 The exact degrees, ``EXACT_DEGREES``, are the keys of the one table
 ``_CATALOG``, whose row for a degree returns its groups in catalog order;
@@ -685,6 +689,36 @@ class Sharing:
         return f"{self.family}({self.witness})"
 
 
+class _RuleSharing(dict):
+    """The verdict named by each parity, partial-sum and block bit of a degree.
+
+    Filled on first lookup; the names depend on the degree alone, so every
+    class label of the degree holds this one table.
+    """
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+        self.block_sizes = proper_block_sizes(n)
+        self.block_shift = n // 2 + 1
+
+    def __missing__(self, bit: int) -> Sharing:
+        index = bit.bit_length() - 1
+        if index == 0:
+            verdict = Sharing("alternating", f"A_{self.n}")
+        elif index < self.block_shift:
+            verdict = Sharing("intransitive", f"i={index}")
+        else:
+            verdict = Sharing("imprimitive", f"m={self.block_sizes[index - self.block_shift]}")
+        self[bit] = verdict
+        return verdict
+
+
+@lru_cache(maxsize=None)
+def _rule_sharing(n: int) -> _RuleSharing:
+    return _RuleSharing(n)
+
+
 class TypeProfile:
     """Feature masks of the classes of one degree and group kind.
 
@@ -695,21 +729,26 @@ class TypeProfile:
     meet, and the lowest common bit names the first witness in check order.
 
     ``rules[parts]`` holds the parity, partial-sum and block bits of a type,
-    filled on its first lookup.  ``primitive[parts]`` holds the fingerprint
-    bits (PLUS or unsplit class, MINUS class), filled only for pairs the
-    rules leave open, so degrees without a catalog answer every pair the
-    rules decide and raise ``CatalogAbsent`` on the rest.
+    filled on its first lookup; they depend on the degree and group kind
+    alone, and ``shares_subgroup`` keeps each class's copy on its label.
+    ``primitive[parts]`` holds the fingerprint bits (PLUS or unsplit class,
+    MINUS class) read from this profile's cache directory, filled only for
+    pairs the rules leave open, so degrees without a catalog answer every
+    pair the rules decide and raise ``CatalogAbsent`` on the rest.  The first
+    such raise is remembered in ``absent``, and later ones repeat its message
+    without asking the catalog again.
     """
 
     def __init__(self, n: int, sym: bool, cache_dir: str | None):
         self.n = n
         self.sym = sym
         self.cache_dir = cache_dir
-        self.block_sizes = proper_block_sizes(n)
-        self.block_shift = n // 2 + 1
+        self.names = names = _rule_sharing(n)  # the one layout of the rule bits
+        self.block_sizes, self.block_shift = names.block_sizes, names.block_shift
         self.primitive_shift = self.block_shift + len(self.block_sizes)
         self.rules: dict[tuple[int, ...], int] = {}
         self.primitive: dict[tuple[int, ...], tuple[int, int]] = {}
+        self.absent: str | None = None
         self._sharing: dict[int, Sharing] = {}
 
     def rule_mask(self, parts: tuple[int, ...]) -> int:
@@ -735,9 +774,16 @@ class TypeProfile:
         parts = label.cycle_type.parts
         masks = self.primitive.get(parts)
         if masks is None:
+            if self.absent is not None:
+                raise CatalogAbsent(self.absent)
+            try:
+                fingerprints = degree_fingerprints(self.n, self.cache_dir)
+            except CatalogAbsent as exc:
+                self.absent = str(exc)
+                raise
             split = not self.sym and has_distinct_odd_parts(Partition(parts))
             plus = minus = 0
-            for k, fp in enumerate(degree_fingerprints(self.n, self.cache_dir)):
+            for k, fp in enumerate(fingerprints):
                 if parts not in fp.types_present:
                     continue
                 bit = 1 << (self.primitive_shift + 2 * k)
@@ -760,20 +806,14 @@ class TypeProfile:
 
     def sharing(self, bit: int) -> Sharing:
         """The verdict named by a single feature bit."""
+        index = bit.bit_length() - 1
+        if index < self.primitive_shift:
+            return self.names[bit]
         verdict = self._sharing.get(bit)
         if verdict is None:
-            index = bit.bit_length() - 1
-            if index == 0:
-                verdict = Sharing("alternating", f"A_{self.n}")
-            elif index < self.block_shift:
-                verdict = Sharing("intransitive", f"i={index}")
-            elif index < self.primitive_shift:
-                verdict = Sharing("imprimitive", f"m={self.block_sizes[index - self.block_shift]}")
-            else:
-                k, mirror = divmod(index - self.primitive_shift, 2)
-                fp = degree_fingerprints(self.n, self.cache_dir)[k]
-                verdict = Sharing("primitive", fp.name + "'" * mirror)
-            self._sharing[bit] = verdict
+            k, mirror = divmod(index - self.primitive_shift, 2)
+            fp = degree_fingerprints(self.n, self.cache_dir)[k]
+            verdict = self._sharing[bit] = Sharing("primitive", fp.name + "'" * mirror)
         return verdict
 
 
@@ -781,6 +821,15 @@ class TypeProfile:
 def type_profile(n: int, sym: bool, cache_dir: str | None = None) -> TypeProfile:
     """The shared feature masks of degree n in S_n (sym) or A_n."""
     return TypeProfile(n, sym, cache_dir)
+
+
+def _label_rules(label: ClassLabel, cache_dir: str | None) -> tuple[int, _RuleSharing]:
+    """A label's rule mask and its degree's rule names, kept on the label."""
+    n = label.degree
+    profile = type_profile(n, label.group is GroupKind.SYM, cache_dir)
+    rules = (profile.rule_mask(label.cycle_type.parts), _rule_sharing(n))
+    object.__setattr__(label, "_rules", rules)
+    return rules
 
 
 def shares_subgroup(
@@ -793,21 +842,23 @@ def shares_subgroup(
     feature masks are laid out in that order, so the witness is the lowest
     bit the two classes' masks share: the smallest partial sum, the smallest
     block size, the first fingerprint in catalog order before its mirror.
+
+    Each label keeps its rule mask and its degree's rule names from its
+    first verdict, so a pair the rules decide costs one AND and one lookup.
+    Only a pair whose rule masks do not meet reads the fingerprint bits,
+    from the profile of ``cache_dir``.
     """
-    parts1, parts2 = c1.cycle_type.parts, c2.cycle_type.parts
-    profile = type_profile(sum(parts1), c1.group is GroupKind.SYM, cache_dir)
-    rules = profile.rules  # looked up inline: this runs once per pair
-    mask1 = rules.get(parts1)
-    if mask1 is None:
-        mask1 = profile.rule_mask(parts1)
-    mask2 = rules.get(parts2)
-    if mask2 is None:
-        mask2 = profile.rule_mask(parts2)  # raises on a degree mismatch
+    mask1, names = c1._rules or _label_rules(c1, cache_dir)
+    mask2, names2 = c2._rules or _label_rules(c2, cache_dir)
+    if names is not names2:  # one table per degree
+        raise ValueError("degree mismatch")
     if c1.group is not c2.group:
         raise ValueError("group mismatch")
     common = mask1 & mask2
+    if common:
+        return names[common & -common]
+    profile = type_profile(c1.degree, c1.group is GroupKind.SYM, cache_dir)
+    common = profile.primitive_mask(c1) & profile.primitive_mask(c2)
     if not common:
-        common = profile.primitive_mask(c1) & profile.primitive_mask(c2)
-        if not common:
-            return None
+        return None
     return profile.sharing(common & -common)

@@ -149,6 +149,34 @@ def test_cache_dir_before_the_subcommand(tmp_path, capsys):
     assert (tmp_path / "sub" / "fingerprints-deg5.json").exists()
 
 
+def test_parser_keeps_no_arguments_between_calls(tmp_path, monkeypatch, capsys):
+    # main builds its parser once; a call that omits --cache-dir or --out
+    # must not inherit them from an earlier call that named them
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("INVGRAPH_CACHE_DIR", str(tmp_path / "env"))
+    out_file = tmp_path / "catalog.txt"
+    first = (
+        ["--cache-dir", str(tmp_path / "top"), "catalog", "--n", "5", "--out", str(out_file)],
+        ["catalog", "--n", "6", "--cache-dir", str(tmp_path / "sub")],
+    )
+    for argv, degree in zip(first, (5, 6)):
+        code, _ = run(capsys, *argv)
+        assert code == 0
+        code, out = run(capsys, "catalog", "--n", str(degree))
+        assert code == 0 and out.startswith(("C5:", "PSL(2,5):"))
+        assert (tmp_path / "env" / f"fingerprints-deg{degree}.json").exists()
+    assert out_file.read_text().startswith("C5:")
+    assert (tmp_path / "top" / "fingerprints-deg5.json").exists()
+    assert (tmp_path / "sub" / "fingerprints-deg6.json").exists()
+    monkeypatch.delenv("INVGRAPH_CACHE_DIR")
+    code, _ = run(capsys, "catalog", "--n", "7")
+    assert code == 0
+    assert [p.name for p in (tmp_path / ".invgraph-cache").iterdir()] == ["fingerprints-deg7.json"]
+    assert sorted(p.name for p in (tmp_path / "env").iterdir()) == [
+        "fingerprints-deg5.json", "fingerprints-deg6.json"
+    ]
+
+
 def test_oracle_wreath_past_the_cap_is_a_usage_error(capsys, monkeypatch):
     # with a cap of 100 the first block size at n = 8 (order 384) is refused
     monkeypatch.setattr(subgroup_membership, "_WREATH_ORACLE_CAP", 100)

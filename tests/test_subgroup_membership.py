@@ -1,12 +1,15 @@
 import dataclasses
+import gc
 import hashlib
 import importlib.util
 import json
 import math
+import weakref
 from pathlib import Path
 
 import pytest
 
+from invgraph import subgroup_membership
 from invgraph.arith import proper_block_sizes
 from invgraph.partitions import (
     Partition,
@@ -364,12 +367,84 @@ def test_shares_subgroup_is_symmetric(cache_dir):
 def test_shares_subgroup_input_validation(cache_dir):
     a = ClassLabel(Partition([3]), GroupKind.SYM)
     b = ClassLabel(Partition([4]), GroupKind.SYM)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^degree mismatch$"):
         shares_subgroup(a, b, cache_dir)
     c = ClassLabel(Partition([2, 2]), GroupKind.ALT)
     d = ClassLabel(Partition([2, 1, 1]), GroupKind.SYM)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^group mismatch$"):
         shares_subgroup(c, d, cache_dir)
+    # degree and group both differ: the degree is reported, whichever label
+    # comes first and whether or not it has had a verdict before
+    e = ClassLabel(Partition([3]), GroupKind.ALT, Split.PLUS)
+    for pair in ((e, b), (b, e), (c, a), (a, c)):
+        with pytest.raises(ValueError, match="^degree mismatch$"):
+            shares_subgroup(*pair, cache_dir)
+    # a first verdict that raises CatalogAbsent leaves both labels able to
+    # answer the pairs the rules decide
+    x = ClassLabel(Partition([14]), GroupKind.SYM)
+    y = ClassLabel(Partition([13, 1]), GroupKind.SYM)
+    with pytest.raises(CatalogAbsent, match="; not 14$"):
+        shares_subgroup(x, y, cache_dir)
+    assert shares_subgroup(x, x, cache_dir) == Sharing("imprimitive", "m=2")
+    assert shares_subgroup(y, y, cache_dir) == Sharing("alternating", "A_14")
+    z = ClassLabel(Partition([12, 1, 1]), GroupKind.SYM)
+    assert shares_subgroup(y, z, cache_dir) == Sharing("intransitive", "i=1")
+    with pytest.raises(ValueError, match="^degree mismatch$"):
+        shares_subgroup(x, b, cache_dir)
+
+
+def test_verdict_state_keeps_no_label_alive(cache_dir):
+    # one rule-decided and one fingerprint-decided verdict, then the labels
+    # are dropped: nothing the verdict keeps may refer to them
+    labels = type_labels(Partition([7]), GroupKind.ALT)
+    assert shares_subgroup(labels[0], labels[0], cache_dir) == Sharing("primitive", "C7")
+    sym = type_labels(Partition([4, 3]), GroupKind.SYM)
+    assert shares_subgroup(sym[0], sym[0], cache_dir) == Sharing("intransitive", "i=3")
+    refs = [weakref.ref(label) for label in labels + sym]
+    del labels, sym
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 3
+
+
+def test_fingerprint_bits_come_from_the_calls_cache_dir(tmp_path, monkeypatch):
+    # the same labels, asked under two cache directories, name the group
+    # from each call's own fingerprints
+    real = subgroup_membership.degree_fingerprints
+    renamed_dir = str(tmp_path / "renamed")
+
+    def fingerprints(n, cache_dir=None):
+        fps = real(n, cache_dir)
+        if cache_dir == renamed_dir:
+            fps = tuple(dataclasses.replace(fp, name=fp.name + "@renamed") for fp in fps)
+        return fps
+
+    monkeypatch.setattr(subgroup_membership, "degree_fingerprints", fingerprints)
+    plus, minus = type_labels(Partition([7]), GroupKind.ALT)
+    plain_dir = str(tmp_path / "plain")
+    assert shares_subgroup(plus, minus, plain_dir) == Sharing("primitive", "C7")
+    assert shares_subgroup(plus, minus, renamed_dir) == Sharing("primitive", "C7@renamed")
+    assert shares_subgroup(minus, plus, plain_dir) == Sharing("primitive", "C7")
+
+
+def test_absent_catalog_is_asked_once_per_profile(tmp_path):
+    # every pair the rules leave open at degree 14 raises the catalog's own
+    # message, and only the first one asks primitive_catalog
+    cache_dir = str(tmp_path)
+    labels = class_labels(14, GroupKind.SYM)
+    misses = primitive_catalog.cache_info().misses
+    messages, open_types = set(), set()
+    for i, a in enumerate(labels):
+        for b in labels[i:]:
+            try:
+                shares_subgroup(a, b, cache_dir)
+            except CatalogAbsent as exc:
+                messages.add(str(exc))
+                open_types |= {a.cycle_type, b.cycle_type}
+    assert len(open_types) > 1
+    assert primitive_catalog.cache_info().misses == misses + 1
+    with pytest.raises(CatalogAbsent) as first:
+        primitive_catalog(14)
+    assert messages == {str(first.value)}
 
 
 def _reference_contains(fp, label, mirrored):
