@@ -14,8 +14,10 @@ tail)`` is ``g^-1 * x * g`` (translating ``g`` by a table of ``x`` composes
 its elements.  Given the order of a group known to contain the generated
 one, it stops as soon as its order reaches that bound, which decides
 generation.  ``conjugacy_class`` walks one class by conjugating with the
-generators, and ``class_representatives`` walks the class of each new
-product of transversal elements until the classes cover the chain order.
+generators.  ``class_representatives`` takes the powers of each new product
+of transversal elements first, walks their classes under a generating pair
+drawn from the chain, and checks each class against the class equation,
+until the classes cover the chain order.
 ``symmetric_group_generators`` and ``alternating_group_generators`` are the
 generating sets the edge oracle walks its classes with.  ``closure_images``
 returns the set of every element, found breadth-first; its one option is a
@@ -27,6 +29,7 @@ reference enumeration for the tests and for
 from __future__ import annotations
 
 import math
+import random
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -254,13 +257,16 @@ def stabilizer_chain(
     base: list[int] = []
     level_tables: list[list[bytes]] = []  # strong generators as translate tables
     transversals: list[dict[int, bytes]] = []
+    reached = 1  # chain_order(transversals), kept up to date by grow_orbit
 
     def add_base_point(g: bytes) -> None:
-        base.append(next(x for x in range(degree) if g[x] != x))
+        b = next(x for x in range(degree) if g[x] != x)
+        base.append(b)
         level_tables.append([])
-        transversals.append({})
+        transversals.append({b: identity})
 
     def grow_orbit(i: int) -> None:
+        nonlocal reached
         b = base[i]
         transversal = {b: identity}
         reps = [identity]
@@ -270,6 +276,7 @@ def stabilizer_chain(
                 if v[b] not in transversal:
                     transversal[v[b]] = v
                     reps.append(v)
+        reached = reached // len(transversals[i]) * len(transversal)
         transversals[i] = transversal
 
     def sift(g: bytes, start: int) -> tuple[bytes, int]:
@@ -297,7 +304,7 @@ def stabilizer_chain(
     for i in range(len(base)):
         level_tables[i] = [g + tail for g in gens if all(g[b] == b for b in base[:i])]
         grow_orbit(i)
-    if order is not None and chain_order(transversals) >= order:
+    if order is not None and reached >= order:
         return transversals
 
     # the levels after i are complete; a residue fixes the base points before
@@ -314,7 +321,7 @@ def stabilizer_chain(
         for level in range(i + 1, j + 1):
             level_tables[level].append(residue + tail)
             grow_orbit(level)
-        if order is not None and chain_order(transversals) >= order:
+        if order is not None and reached >= order:
             return transversals
         i = j
     return transversals
@@ -366,28 +373,90 @@ def conjugacy_class(x: bytes, generators: Iterable[Sequence[int]], degree: int) 
     return members
 
 
+# Seeded pairs of chain products tried by ``_generating_pair``; every
+# catalog group with more than two generators finds one within five.
+_PAIR_TRIES = 8
+
+
+def _generating_pair(
+    chain: Sequence[dict[int, bytes]], generators: list[bytes], degree: int, order: int
+) -> list[bytes]:
+    """Two chain products that generate the group, else ``generators``.
+
+    A product of one seeded random element per transversal is a uniform
+    element of the group.  A pair whose ``stabilizer_chain`` reaches the
+    group order ``order`` generates the whole group, since both lie in it.
+    Two or fewer generators are kept as they are, and so are more when no
+    pair is found within ``_PAIR_TRIES`` tries.
+    """
+    if len(generators) <= 2:
+        return generators
+    rng = random.Random(0)
+    identity = bytes(range(degree))
+    tail = bytes(range(degree, 256))
+    levels = [list(transversal.values()) for transversal in reversed(chain)]
+
+    def draw() -> bytes:
+        x = identity
+        for level in levels:
+            x = x.translate(rng.choice(level) + tail)  # u * x
+        return x
+
+    for _ in range(_PAIR_TRIES):
+        pair = [draw(), draw()]
+        if chain_order(stabilizer_chain(pair, degree, order=order)) == order:
+            return pair
+    return generators
+
+
 def class_representatives(
     chain: Sequence[dict[int, bytes]], generators: Iterable[Sequence[int]], degree: int
 ) -> Iterator[bytes]:
     """One element per conjugacy class of the group ``generators`` span.
 
-    ``chain`` is the group's ``stabilizer_chain``.  Each of its products
-    not yet covered is yielded and its ``conjugacy_class`` covered.  Every
-    walked element is a product of generators and the classes are disjoint,
-    so once the covered elements number the group order every class has
-    been yielded and the walk stops.  Raises RuntimeError when the classes
-    pass the chain order or the products run out short of it.  A chain that
-    misses elements can still stop the walk early, so callers check the
-    chain order against an independently known order first.
+    ``chain`` is the group's ``stabilizer_chain``.  For each of its products
+    x not yet covered, the powers ``x, x^2, ...`` are taken in turn, and
+    each one not yet covered is yielded and its ``conjugacy_class`` covered
+    (Handbook of Computational Group Theory, 4.6): small classes are powers
+    of large ones, so they turn up long before the products run out.  The
+    classes are walked under a generating pair drawn from the chain when
+    the group has more generators (``_generating_pair``), so each member
+    costs two conjugations.  Every walked element is a product of
+    generators and the classes are disjoint, so once the covered elements
+    number the group order every class has been yielded and the walk stops.
+
+    Each class must pass the class equation: its size divides the chain
+    order, and so does the order of its representative times its size,
+    because ``<x>`` lies in the centralizer of x.  Raises RuntimeError when
+    a class fails it, when the classes pass the chain order, or when the
+    products run out short of it.  A chain that misses elements can still
+    stop the walk early, so callers check the chain order against an
+    independently known order first.
     """
     order = chain_order(chain)
-    gens = [bytes(g) for g in generators]
+    gens = _generating_pair(chain, [bytes(g) for g in generators], degree, order)
+    identity = bytes(range(degree))
+    tail = bytes(range(degree, 256))
     covered: set[bytes] = set()
-    for rep in _chain_elements(chain, degree):
-        if rep in covered:
+    for x in _chain_elements(chain, degree):
+        if x in covered:  # then so is every power of x
             continue
-        yield rep
-        covered.update(conjugacy_class(rep, gens, degree))
+        powers = [x]
+        table = x + tail
+        while powers[-1] != identity:
+            powers.append(powers[-1].translate(table))  # x * x^k
+        for k, power in enumerate(powers, 1):
+            if power in covered:
+                continue
+            members = conjugacy_class(power, gens, degree)
+            power_order = len(powers) // math.gcd(k, len(powers))
+            if order % len(members) or order // len(members) % power_order:
+                raise RuntimeError(
+                    f"class walk covered a class of {len(members)} elements of order "
+                    f"{power_order}, which chain order {order} does not allow"
+                )
+            yield power
+            covered.update(members)
         if len(covered) >= order:
             break
     if len(covered) != order:

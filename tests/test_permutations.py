@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from invgraph import permutations
 from invgraph.partitions import Partition, has_distinct_odd_parts
 from invgraph.permutations import (
     ClassLabel,
@@ -147,6 +148,48 @@ def test_class_walk_rejects_a_chain_of_the_wrong_order(name):
     for wrong in broken:
         with pytest.raises(RuntimeError, match="class walk covered"):
             list(class_representatives(wrong, gens, degree))
+
+
+@pytest.mark.parametrize(
+    "name,degree,level,point,order,size",
+    [
+        # the classes the walk finds (1, 21, 56, 24 and 24) sum to 126
+        ("PSL(3,2)", 7, -1, 4, 126, 56),
+        # 42 divides 126, but 126 / 42 is no multiple of the element order 4
+        ("PSL(3,2)", 7, -1, 5, 126, 42),
+        # 100 // 15 is a multiple of the element order 2, but 15 does not
+        # divide 100; the classes found (15, 1, 24, 20, 10, 30) sum to 100
+        ("PGL(2,5)", 6, 0, 5, 100, 15),
+    ],
+)
+def test_class_walk_checks_each_class_against_the_chain_order(
+    name, degree, level, point, order, size
+):
+    gens = [g.images for g in _catalog_generators(degree, name)]
+    chain = stabilizer_chain(gens, degree)
+    del chain[level][point]
+    assert chain_order(chain) == order
+    with pytest.raises(RuntimeError, match=f"class walk covered a class of {size} elements"):
+        list(class_representatives(chain, gens, degree))
+
+
+def test_class_walk_reads_few_products_of_m12(monkeypatch):
+    # small classes are powers of large ones, so the walk finds every class
+    # long before it has read the chain's 95,040 products
+    read = []
+    chain_elements = permutations._chain_elements
+
+    def counted(chain, degree):
+        for x in chain_elements(chain, degree):
+            read.append(x)
+            yield x
+
+    monkeypatch.setattr(permutations, "_chain_elements", counted)
+    gens = [g.images for g in _catalog_generators(12, "M12")]
+    chain = stabilizer_chain(gens, 12)
+    assert chain_order(chain) == 95040
+    assert len(list(class_representatives(chain, gens, 12))) == 15
+    assert 0 < len(read) <= 1000
 
 
 def test_stabilizer_chain_orders_of_symmetric_and_alternating_groups():

@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import pytest
 
+import invgraph
 from invgraph.arith import is_prime, proper_block_sizes
 from invgraph.partitions import (
     Partition,
@@ -466,3 +470,45 @@ def test_table1(cache_dir):
         (3, 1, 1), (4, 1, 2), (5, 3, 2), (6, "null graph", 2),
         (7, 4, 2), (8, 6, 3), (9, 3, 3), (10, 4, 3),
     ]
+
+
+# Runs every witness claim construct_witness accepts at n = 11..129 and
+# prints the claim count and the sizes of the process-lifetime caches.
+_CLAIMS_THEN_CACHE_SIZES = """
+import json, sys
+from invgraph import subgroup_membership as sm
+from invgraph import witness_verifier as wv
+from invgraph.permutations import GroupKind
+claims = 0
+for lemma in wv.LEMMA_IDS[1:]:
+    for group in GroupKind:
+        for n in range(11, 130):
+            try:
+                claim = wv.construct_witness(lemma, n, group)
+            except wv.InadmissibleDegree:
+                continue
+            wv.verify_witness(claim, sys.argv[1])
+            claims += 1
+caches = (sm.type_profile, sm.wreath_member, sm.primitive_catalog, sm._rule_sharing)
+print(json.dumps([claims, *(f.cache_info().currsize for f in caches)]))
+"""
+
+
+def test_witness_claims_leave_bounded_caches(tmp_path):
+    # the caches live as long as the process, so the claims run in a fresh one
+    src = os.path.dirname(os.path.dirname(invgraph.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", _CLAIMS_THEN_CACHE_SIZES, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    claims, profiles, wreath, catalogs, rule_tables = json.loads(done.stdout)
+    assert claims == 514
+    # the counts when this test was written: a profile per degree and group
+    # claimed, a rule table per degree 11..129, a catalog per exact degree
+    # from 11 up, and the block memberships of the types the claims name
+    assert profiles <= 207
+    assert wreath <= 4190
+    assert catalogs <= 5
+    assert rule_tables <= 119
