@@ -5,7 +5,8 @@ nontrivial conjugacy classes and whose edges join classes that invariably
 generate the group.  Adjacency is decided exactly from subgroup sharing
 (parity, partial sums, block systems, and a complete catalog of the
 primitive groups of the supported degrees), isolated vertices are removed
-to form the reduced graph, and diameters are computed by BFS.  A separate
+to form the reduced graph, and diameters are found by growing every
+vertex's ball at once over the adjacency bit masks.  A separate
 verifier certifies the adjacency profile of the structured witness
 vertices used to force diameter lower bounds at degrees beyond exact
 computation.

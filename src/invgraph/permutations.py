@@ -233,7 +233,9 @@ def stabilizer_chain(
     levels, and a nontrivial residue becomes a strong generator (and a new
     base point when it fixes every base point).  With the tables of the
     module docstring, ``q.translate(p + tail)`` is ``p * q`` and
-    ``bytes.maketrans(u, identity)`` is the table of ``u^-1``.
+    ``bytes.maketrans(u, identity)`` is the table of ``u^-1``; each
+    transversal element's inverse table is built once, when ``grow_orbit``
+    adds it, and kept beside the transversal for every sift.
 
     ``order``, when given, is the order of a group known to contain the
     generated group H, and the chain is returned as soon as its order
@@ -257,6 +259,8 @@ def stabilizer_chain(
     base: list[int] = []
     level_tables: list[list[bytes]] = []  # strong generators as translate tables
     transversals: list[dict[int, bytes]] = []
+    inverses: list[dict[int, bytes]] = []  # the table of u^-1 per transversal point
+    identity_table = bytes(range(256))
     reached = 1  # chain_order(transversals), kept up to date by grow_orbit
 
     def add_base_point(g: bytes) -> None:
@@ -264,36 +268,40 @@ def stabilizer_chain(
         base.append(b)
         level_tables.append([])
         transversals.append({b: identity})
+        inverses.append({b: identity_table})
 
     def grow_orbit(i: int) -> None:
         nonlocal reached
         b = base[i]
         transversal = {b: identity}
+        inverse = {b: identity_table}
         reps = [identity]
         for u in reps:  # breadth-first; reps grows while it is walked
             for table in level_tables[i]:
                 v = u.translate(table)  # s * u
                 if v[b] not in transversal:
                     transversal[v[b]] = v
+                    inverse[v[b]] = bytes.maketrans(v, identity)
                     reps.append(v)
         reached = reached // len(transversals[i]) * len(transversal)
         transversals[i] = transversal
+        inverses[i] = inverse
 
     def sift(g: bytes, start: int) -> tuple[bytes, int]:
         for i in range(start, len(base)):
-            u = transversals[i].get(g[base[i]])
-            if u is None:
+            inverse = inverses[i].get(g[base[i]])
+            if inverse is None:
                 return g, i
-            g = g.translate(bytes.maketrans(u, identity))  # u^-1 * g
+            g = g.translate(inverse)  # u^-1 * g
         return g, len(base)
 
     def schreier_residue(i: int) -> tuple[bytes, int] | None:
         """The first Schreier generator of level i that does not sift."""
-        b, transversal = base[i], transversals[i]
-        for u in transversal.values():
+        b, inverse = base[i], inverses[i]
+        for u in transversals[i].values():
             for table in level_tables[i]:
                 su = u.translate(table)  # s * u
-                h, j = sift(su.translate(bytes.maketrans(transversal[su[b]], identity)), i + 1)
+                h, j = sift(su.translate(inverse[su[b]]), i + 1)
                 if j < len(base) or h != identity:
                     return h, j
         return None

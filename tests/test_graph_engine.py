@@ -4,6 +4,8 @@ import json
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invgraph import graph_engine
 from invgraph.partitions import Partition, enumerate_partitions, has_distinct_odd_parts
@@ -141,6 +143,75 @@ def test_diameter_invariant_under_vertex_reordering(graph):
         g.degree, g.group, tuple(g.vertices[i] for i in order), tuple(rows)
     )
     assert diameter(shuffled) == diameter(g)
+
+
+def _bfs_diameter(rows):
+    """Reference: one breadth-first search from every vertex over neighbour lists."""
+    count = len(rows)
+    if count == 0:
+        return SpecialDiameter.EMPTY
+    near = [[j for j in range(count) if row >> j & 1] for row in rows]
+    best = 0
+    for start in range(count):
+        dist = {start: 0}
+        queue = [start]
+        for v in queue:  # queue grows while it is walked
+            for w in near[v]:
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+        if len(dist) < count:
+            return SpecialDiameter.DISCONNECTED
+        best = max(best, max(dist.values()))
+    return best
+
+
+def _graph_of_rows(rows):
+    vertex = ClassLabel(Partition([5]), GroupKind.SYM)
+    return ClassGraph(5, GroupKind.SYM, (vertex,) * len(rows), tuple(rows))
+
+
+@st.composite
+def _symmetric_rows(draw):
+    """Bit-mask rows of a loop-free undirected graph on up to 16 vertices.
+
+    Random edges leave some rows empty; half the draws add a random spanning
+    tree, which makes the graph connected with a spread of diameters.
+    """
+    count = draw(st.integers(0, 16))
+    rows = [0] * count
+    if count >= 2:
+        vertex = st.integers(0, count - 1)
+        edges = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * count))
+        if draw(st.booleans()):
+            edges += [(i, draw(st.integers(0, i - 1))) for i in range(1, count)]
+        for i, j in edges:
+            if i != j:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return rows
+
+
+def test_diameter_matches_per_source_bfs(graph):
+    @settings(deadline=None)
+    @given(_symmetric_rows())
+    def check(rows):
+        assert diameter(_graph_of_rows(rows)) == _bfs_diameter(rows)
+
+    check()
+    path = [0] * 200
+    for i in range(199):
+        path[i] |= 1 << i + 1
+        path[i + 1] |= 1 << i
+    assert diameter(_graph_of_rows(path)) == _bfs_diameter(path) == 199
+    full = (1 << 30) - 1
+    complete = [full ^ 1 << i for i in range(30)]
+    assert diameter(_graph_of_rows(complete)) == _bfs_diameter(complete) == 1
+    for n in sorted(EXACT_DEGREES):
+        for group in (GroupKind.SYM, GroupKind.ALT):
+            g = graph(n, group)
+            for h in (g, xi_subgraph(g)):
+                assert diameter(h) == _bfs_diameter(h.adjacency), (n, group, len(h.vertices))
 
 
 def test_exports(graph):
