@@ -103,12 +103,23 @@ def wreath_member(t: Partition, m: int) -> bool:
     whose lengths are divisible by d and whose quotients by d sum to m.  So t
     is realized iff its parts split into groups, each group assigned some d
     dividing all its parts with sum(part/d) == m, the d's summing to n/m.
+
+    The search takes the largest value v first, and first tries v in bulk.
+    The shortest block cycle that copies of v alone can fill has length
+    d = v/gcd(v, m) and takes j = m/gcd(v, m) copies; the bulk try takes as
+    many such groups as the copies and blocks allow, when that is more than
+    one.  A True from there is a valid split, but a False proves nothing,
+    so the search then falls back to placing one group at a time, and that
+    search decides.  On every partition of n <= 24 at every proper block
+    size, and on every call the witness claims make, the bulk try never
+    failed where the answer was True; no proof says it cannot, so the
+    fallback stays.
     """
     n = t.n
     if not (1 < m < n) or n % m:
         raise ValueError(f"m={m} is not a proper divisor of n={n}")
     blocks = n // m
-    counts = tuple(sorted({(v, t.parts.count(v)) for v in set(t.parts)}, reverse=True))
+    counts = tuple((v, len(list(run))) for v, run in itertools.groupby(t.parts))
     memo: dict[tuple, bool] = {}
 
     def complete_group(counts_now: tuple, d: int, need: int, start: int):
@@ -141,6 +152,17 @@ def wreath_member(t: Partition, m: int) -> bool:
         if key in memo:
             return memo[key]
         v, c = counts_now[0]
+        # the bulk try: g block cycles of length d, each of j copies of v;
+        # only a True is final
+        k = math.gcd(v, m)
+        d, j = v // k, m // k
+        g = min(c // j, blocks_left // d)
+        if g > 1:
+            left = c - g * j
+            rest = ((v, left),) + counts_now[1:] if left else counts_now[1:]
+            if solve(rest, blocks_left - g * d):
+                memo[key] = True
+                return True
         removed = list(counts_now)
         if c - 1:
             removed[0] = (v, c - 1)

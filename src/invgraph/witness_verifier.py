@@ -38,7 +38,6 @@ from invgraph.graph_engine import (
 )
 from invgraph.partitions import (
     Partition,
-    enumerate_partitions,
     enumerate_partitions_with_sums_in,
     even_class_partitions,
     is_even_type,
@@ -669,6 +668,39 @@ def verify_lm(n: int, cache_dir: str | None = None) -> tuple[bool, list[Partitio
     return sorted(predicted) == actual, predicted
 
 
+def _first_partition_by_mask(n: int) -> dict[int, tuple[int, ...]]:
+    """Map each partial-sum mask of a partition of n to its first partition.
+
+    A depth-first walk over the partitions of n in descending lexicographic
+    order, carrying the subset-sum mask of the parts taken so far.  A state
+    (remaining, largest allowed part, mask) it has seen before is skipped;
+    see ``verify_sper`` for why that is exact.  The dict's insertion order is
+    first-partition order.
+    """
+    if n < 1:
+        raise ValueError("need n >= 1")
+    first: dict[int, tuple[int, ...]] = {}
+    seen: set[tuple[int, int, int]] = set()
+    # (remaining, largest allowed part, mask, parts taken); the largest next
+    # part is pushed last, so it is walked first.  A stack rather than a
+    # recursive closure, whose self-reference would keep ``seen`` alive
+    # until the next cyclic garbage collection.
+    stack = [(n, n, 1, ())]
+    while stack:
+        remaining, largest, mask, taken = stack.pop()
+        if not remaining:
+            first.setdefault(mask, taken)
+            continue
+        state = (remaining, largest, mask)
+        if state in seen:
+            continue
+        seen.add(state)
+        for part in range(1, largest + 1):
+            rest = remaining - part
+            stack.append((rest, min(part, rest), mask | mask << part, taken + (part,)))
+    return first
+
+
 def verify_sper(n: int) -> tuple[bool, tuple[Partition, Partition] | None]:
     """Exhaustive check: partitions with disjoint small partial sums always
     leave i and 2i unreached, for some i in {2,3,5,7}, in one of the two.
@@ -678,28 +710,30 @@ def verify_sper(n: int) -> tuple[bool, tuple[Partition, Partition] | None]:
     in enumeration order.  Disjointness is symmetric, so the first bad mask
     with a bad disjoint partner (itself allowed) and that partner's first
     partition form the pair a scan over all partitions a <= b meets first.
-    The masks are built here rather than through the ``partial_sum_mask``
-    cache, which would keep every partition of every n alive.
+
+    The masks come from ``_first_partition_by_mask``, a walk that skips
+    every (remaining, largest allowed part, mask) state it has met before.
+    That skip is exact: the masks a state can still reach depend only on
+    the state, and the earlier visit reached all of them (or skipped states
+    met earlier still), so each one already has an earlier partition.  The
+    walk runs in enumeration order, so every mask keeps its first partition.
+    The seen states live only for the call: no cache outlives it, and the
+    ``partial_sum_mask`` cache, which would keep every partition of every n
+    alive, is not touched.  Only the returned pair becomes ``Partition``s.
     """
-    parts = list(enumerate_partitions(n))
+    first = _first_partition_by_mask(n)
     half_mask = (1 << (n // 2 + 1)) - 2
-    first: dict[int, int] = {}
-    for index, p in enumerate(parts):
-        mask = 1
-        for part in p.parts:
-            mask |= mask << part
-        first.setdefault(mask, index)
     # insertion order is first-partition order, so ``bad`` is sorted by it
     bad = [
-        (index, m)
-        for m, index in first.items()
+        (parts, m)
+        for m, parts in first.items()
         if not any(not m >> i & 1 and not m >> (2 * i) & 1 for i in (2, 3, 5, 7))
     ]
     for a, ma in bad:
         ma &= half_mask
         b = next((b for b, mb in bad if not ma & mb), None)
         if b is not None:
-            return False, (parts[a], parts[b])
+            return False, (Partition(a), Partition(b))
     return True, None
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from invgraph import subgroup_membership
-from invgraph.arith import proper_block_sizes
+from invgraph.arith import divisors, proper_block_sizes
 from invgraph.partitions import (
     Partition,
     enumerate_partitions,
@@ -113,6 +113,80 @@ def test_wreath_product_generators_are_distinct():
         for k in range(1, 12 // m + 1):
             gens = wreath_product_generators(m, k)
             assert len(set(gens)) == len(gens), (m, k)
+
+
+def _wreath_one_group_search(t, m):
+    # the block search one group at a time, with no bulk step, kept as a
+    # reference: split the parts into groups, each with a block-cycle length
+    # d dividing its parts and sum(part / d) == m, the d's summing to n / m
+    counts = tuple(sorted({(v, t.parts.count(v)) for v in set(t.parts)}, reverse=True))
+    memo = {}
+
+    def complete_group(counts_now, d, need, start):
+        if need == 0:
+            yield counts_now
+            return
+        for idx in range(start, len(counts_now)):
+            v, c = counts_now[idx]
+            if v % d or v // d > need:
+                continue
+            for take in range(min(c, need // (v // d)), 0, -1):
+                reduced = list(counts_now)
+                if c - take:
+                    reduced[idx] = (v, c - take)
+                    next_start = idx + 1
+                else:
+                    del reduced[idx]
+                    next_start = idx
+                yield from complete_group(tuple(reduced), d, need - take * (v // d), next_start)
+
+    def solve(counts_now, blocks_left):
+        if not counts_now:
+            return blocks_left == 0
+        if blocks_left <= 0:
+            return False
+        key = (counts_now, blocks_left)
+        if key not in memo:
+            v, c = counts_now[0]
+            removed = ((v, c - 1),) + counts_now[1:] if c > 1 else counts_now[1:]
+            memo[key] = any(
+                solve(rest, blocks_left - d)
+                for d in divisors(v)
+                if d <= blocks_left and v // d <= m
+                for rest in complete_group(removed, d, m - v // d, 0)
+            )
+        return memo[key]
+
+    return solve(counts, t.n // m)
+
+
+def test_wreath_member_matches_one_group_search():
+    # every partition of n <= 24 at every proper block size; the uncached
+    # function, so the process-wide cache stays as small as the other tests
+    # leave it
+    checks = 0
+    for n in range(4, 25):
+        for m in proper_block_sizes(n):
+            for t in enumerate_partitions(n):
+                assert wreath_member.__wrapped__(t, m) == _wreath_one_group_search(t, m), (t, m)
+                checks += 1
+    assert checks == 18894
+
+
+def test_wreath_member_shared_block_cycles():
+    cases = [
+        # a part divisible by m may have to share its block cycle: 25, 20 and
+        # 5 share one cycle of five blocks (5 + 4 + 1 = 10), while 25 and 5
+        # alone fit no three blocks, so splitting 20 off is no shortcut
+        ((25, 20, 5), 10, True),
+        ((25, 5), 10, False),
+        # the bulk step fires (each 4 a cycle of two blocks) and fails, and
+        # the one-group search must still say no
+        ((4, 4, 4, 4, 3, 1), 2, False),
+    ]
+    for parts, m, expected in cases:
+        t = Partition(parts)
+        assert wreath_member(t, m) == _wreath_one_group_search(t, m) == expected, parts
 
 
 def test_wreath_oracle_small_degrees():

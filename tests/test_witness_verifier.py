@@ -32,6 +32,7 @@ from invgraph.witness_verifier import (
     WitnessClaim,
     WitnessReport,
     _families_for_target,
+    _first_partition_by_mask,
     _try_exclude,
     build_isolated_family,
     construct_witness,
@@ -354,6 +355,22 @@ def test_sper_matches_pair_loop():
         assert verify_sper(n) == _sper_pair_loop(n), n
     assert [p.parts for p in verify_sper(14)[1]] == [(9, 3, 2), (6, 4, 4)]
     assert [p.parts for p in verify_sper(17)[1]] == [(12, 3, 2), (7, 6, 4)]
+
+
+def test_sper_walk_keeps_each_masks_first_partition():
+    # the pruned walk gives the same table, in the same order, as a pass over
+    # every partition
+    for n in range(1, 31):
+        first = {}
+        for p in enumerate_partitions(n):
+            first.setdefault(partial_sum_mask.__wrapped__(p), p.parts)
+        assert list(_first_partition_by_mask(n).items()) == list(first.items()), n
+
+
+def test_sper_rejects_a_degree_below_one():
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            verify_sper(n)
 
 
 def test_sper_leaves_mask_cache_alone():
