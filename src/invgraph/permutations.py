@@ -14,10 +14,12 @@ tail)`` is ``g^-1 * x * g`` (translating ``g`` by a table of ``x`` composes
 its elements.  Given the order of a group known to contain the generated
 one, it stops as soon as its order reaches that bound, which decides
 generation.  ``conjugacy_class`` walks one class by conjugating with the
-generators.  ``class_representatives`` takes the powers of each new product
-of transversal elements first, walks their classes under a generating pair
-drawn from the chain, and checks each class against the class equation,
-until the classes cover the chain order.
+generators.  ``class_representatives`` finds elements that meet every class
+by walking down the chain from its deepest level up: an element with a
+fixed point in a level's base orbit is conjugate into the next level's
+group, so each level re-weights the representatives found below it and
+walks only the classes with no fixed point in its orbit, until the weights
+add up to the level's order.
 ``symmetric_group_generators`` and ``alternating_group_generators`` are the
 generating sets the edge oracle walks its classes with.  ``closure_images``
 returns the set of every element, found breadth-first; its one option is a
@@ -381,8 +383,10 @@ def conjugacy_class(x: bytes, generators: Iterable[Sequence[int]], degree: int) 
     return members
 
 
-# Seeded pairs of chain products tried by ``_generating_pair``; every
-# catalog group with more than two generators finds one within five.
+# Seeded pairs of chain products tried by ``_generating_pair`` per chain
+# level.  Over the catalog groups and the wreath products at n <= 10, 120
+# levels have more than two generators: 114 find a pair within six tries
+# (59 at the first), and 6, of orders 36 to 720, keep all their generators.
 _PAIR_TRIES = 8
 
 
@@ -417,58 +421,119 @@ def _generating_pair(
     return generators
 
 
-def class_representatives(
+def _class_levels(
     chain: Sequence[dict[int, bytes]], generators: Iterable[Sequence[int]], degree: int
-) -> Iterator[bytes]:
-    """One element per conjugacy class of the group ``generators`` span.
+) -> Iterator[list[tuple[bytes, int]]]:
+    """Weighted class representatives of each chain level, deepest first.
 
-    ``chain`` is the group's ``stabilizer_chain``.  For each of its products
-    x not yet covered, the powers ``x, x^2, ...`` are taken in turn, and
-    each one not yet covered is yielded and its ``conjugacy_class`` covered
-    (Handbook of Computational Group Theory, 4.6): small classes are powers
-    of large ones, so they turn up long before the products run out.  The
-    classes are walked under a generating pair drawn from the chain when
-    the group has more generators (``_generating_pair``), so each member
-    costs two conjugations.  Every walked element is a product of
-    generators and the classes are disjoint, so once the covered elements
-    number the group order every class has been yielded and the walk stops.
-
-    Each class must pass the class equation: its size divides the chain
-    order, and so does the order of its representative times its size,
-    because ``<x>`` lies in the centralizer of x.  Raises RuntimeError when
-    a class fails it, when the classes pass the chain order, or when the
-    products run out short of it.  A chain that misses elements can still
-    stop the walk early, so callers check the chain order against an
-    independently known order first.
+    ``H_j`` is the group of ``chain[j:]`` and ``O_j`` the orbit of its base
+    point.  For j = len(chain) down to 0 this yields pairs (r, w) of
+    elements of ``H_j`` and weights, such that the weights of the pairs in
+    each class C of ``H_j`` sum to ``|C| * scale``, with ``scale =
+    lcm(1..degree) ** len(chain)``; so the weights sum to ``|H_j| * scale``.
+    ``class_representatives`` documents the step from one level to the next.
     """
-    order = chain_order(chain)
-    gens = _generating_pair(chain, [bytes(g) for g in generators], degree, order)
     identity = bytes(range(degree))
     tail = bytes(range(degree, 256))
-    covered: set[bytes] = set()
-    for x in _chain_elements(chain, degree):
-        if x in covered:  # then so is every power of x
-            continue
-        powers = [x]
-        table = x + tail
-        while powers[-1] != identity:
-            powers.append(powers[-1].translate(table))  # x * x^k
-        for k, power in enumerate(powers, 1):
-            if power in covered:
-                continue
-            members = conjugacy_class(power, gens, degree)
-            power_order = len(powers) // math.gcd(k, len(powers))
-            if order % len(members) or order // len(members) % power_order:
-                raise RuntimeError(
-                    f"class walk covered a class of {len(members)} elements of order "
-                    f"{power_order}, which chain order {order} does not allow"
-                )
-            yield power
-            covered.update(members)
-        if len(covered) >= order:
-            break
-    if len(covered) != order:
-        raise RuntimeError(f"class walk covered {len(covered)} elements, chain order {order}")
+    scale = math.lcm(*range(1, degree + 1)) ** len(chain)
+    weighted = [(identity, scale)]
+    yield weighted
+    for j in range(len(chain) - 1, -1, -1):
+        transversal = chain[j]
+        base = next(iter(transversal))
+        orbit = {u[base] for u in transversal.values()}  # O_j, as images: all below degree
+        order = chain_order(chain[j:])
+        # each class of H_j with a fixed point in O_j meets H_{j+1}, and
+        # counting its pairs (element, fixed point in O_j) gives
+        # |C| = |O_j| / fix(C) * |C & H_{j+1}|
+        weighted = [
+            (r, w * len(transversal) // sum(r[y] == y for y in orbit)) for r, w in weighted
+        ]
+        with_fixed = sum(w for _, w in weighted)
+        if with_fixed % scale or with_fixed >= order * scale:
+            raise RuntimeError(
+                f"class walk counted {with_fixed / scale:g} elements of chain order {order} "
+                f"with a fixed point in an orbit of {len(transversal)} points"
+            )
+        need = order - with_fixed // scale
+        if j:
+            level_gens = [u for t in chain[j:] for u in t.values() if u != identity]
+        else:
+            level_gens = [bytes(g) for g in generators]
+        gens = _generating_pair(chain[j:], level_gens, degree, order)
+        covered: set[bytes] = set()
+        for x in _chain_elements(chain[j:], degree):
+            if x in covered or any(x[y] == y for y in orbit):
+                continue  # covered: then so is every power of x without a fixed point
+            powers = [x]
+            table = x + tail
+            while powers[-1] != identity:
+                powers.append(powers[-1].translate(table))  # x * x^k
+            for k, power in enumerate(powers, 1):
+                if power in covered or any(power[y] == y for y in orbit):
+                    continue
+                members = conjugacy_class(power, gens, degree)
+                power_order = len(powers) // math.gcd(k, len(powers))
+                if order % len(members) or order // len(members) % power_order:
+                    raise RuntimeError(
+                        f"class walk covered a class of {len(members)} elements of order "
+                        f"{power_order}, which chain order {order} does not allow"
+                    )
+                weighted.append((power, len(members) * scale))
+                covered.update(members)
+            if len(covered) >= need:
+                break
+        if len(covered) != need:
+            raise RuntimeError(
+                f"class walk covered {len(covered)} elements with no fixed point in an "
+                f"orbit of {len(transversal)} points, where chain order {order} leaves {need}"
+            )
+        yield weighted
+
+
+def class_representatives(
+    chain: Sequence[dict[int, bytes]], generators: Iterable[Sequence[int]], degree: int
+) -> list[bytes]:
+    """Elements that meet every conjugacy class of the group ``generators`` span.
+
+    ``chain`` is the group's ``stabilizer_chain``; ``H_j`` is the group of
+    ``chain[j:]``, so ``H_0`` is the whole group, and ``O_j`` is the orbit of
+    the base point of ``chain[j]``.  The walk runs from the trivial group
+    ``H_len(chain)`` up to ``H_0`` and rests on two facts.  An element of
+    ``H_j`` that fixes a point ``u(b_j)`` of ``O_j`` is conjugate by u into
+    ``H_{j+1}``.  Counting the pairs (element, fixed point in ``O_j``) shows
+    that the elements with a fixed point in ``O_j`` number ``|O_j|`` times
+    the sum of ``1 / fix(h)`` over h in ``H_{j+1}``, where ``fix`` counts
+    the fixed points in ``O_j``, a class function of ``H_j``.
+
+    So each level re-weights the representatives of ``H_{j+1}`` by
+    ``|O_j| / fix(r)``, which makes them count the classes of ``H_j`` with a
+    fixed point in ``O_j``, and walks only the classes with none: for each
+    product x of transversal elements not yet covered and with no fixed
+    point in ``O_j``, the powers ``x, x^2, ...`` without one are taken in
+    turn and each one not yet covered gets its ``conjugacy_class`` covered
+    (Handbook of Computational Group Theory, 4.6).  Small classes are
+    powers of large ones, so they turn up long before the products run out.
+    Each class is walked under a generating pair of ``H_j`` when it has
+    more generators (``_generating_pair``): the given generators at the top
+    level, and the transversal elements of ``chain[j:]`` at the levels
+    below it.  The level is done once these classes cover ``|H_j|`` minus
+    the re-weighted count.  The weights are integers scaled by
+    ``lcm(1..degree)`` per level, since ``fix(r) <= degree`` divides that.
+
+    Every class of the group then holds one representative or more, and
+    the weights of each class sum to its size.  Raises RuntimeError when a
+    walked class fails the class equation (its size divides ``|H_j|``, and
+    so does its size times the order of its elements, because ``<x>`` lies
+    in the centralizer of x), when the count with a fixed point is no
+    integer below ``|H_j|`` (a group transitive on two points or more has
+    an element that fixes none, by Jordan's theorem), or when the walked
+    classes do not cover the rest exactly.  A chain that misses elements
+    can still pass, so callers check the chain order against an
+    independently known order first.
+    """
+    *_, weighted = _class_levels(chain, generators, degree)
+    return [rep for rep, _ in weighted]
 
 
 def conjugator(x: Permutation, y: Permutation) -> Permutation | None:

@@ -9,12 +9,13 @@ Four families decide every edge question at the supported degrees:
 * primitive groups, decided against fingerprints (the realized cycle types,
   with per-split-class incidence) of a complete per-degree catalog.
 
-A fingerprint is computed per conjugacy class of the group, not per element,
-and without listing the group first: ``stabilizer_chain`` gives the order,
-checked against the catalog's, and ``class_representatives`` walks classes
-until their sizes add up to it.  One representative gives a class's cycle
-type and split label.  When the group has an odd element, every split type
-it meets is met in both A_n classes.
+A fingerprint is computed from class representatives of the group, not per
+element, and without listing the group first: ``stabilizer_chain`` gives the
+order, checked against the catalog's, and ``class_representatives`` returns
+elements that meet every class, walking at each chain level only the
+classes with no fixed point in its base orbit.  Any representative gives
+its class's cycle type and split label.  When the group has an odd element,
+every split type it meets is met in both A_n classes.
 
 Each class gets one feature mask per degree and group kind
 (``type_profile``): its parity, its partial sums up to n/2, a bit per block
@@ -118,71 +119,75 @@ def wreath_member(t: Partition, m: int) -> bool:
     n = t.n
     if not (1 < m < n) or n % m:
         raise ValueError(f"m={m} is not a proper divisor of n={n}")
-    blocks = n // m
     counts = tuple((v, len(list(run))) for v, run in itertools.groupby(t.parts))
-    memo: dict[tuple, bool] = {}
+    return _wreath_solve(counts, n // m, m, {})
 
-    def complete_group(counts_now: tuple, d: int, need: int, start: int):
-        """Yield remaining multisets after removing d-divisible parts summing need*d."""
-        if need == 0:
-            yield counts_now
-            return
-        for idx in range(start, len(counts_now)):
-            v, c = counts_now[idx]
-            if v % d or v // d > need:
-                continue
-            unit = v // d
-            max_take = min(c, need // unit)
-            for take in range(max_take, 0, -1):
-                reduced = list(counts_now)
-                if c - take:
-                    reduced[idx] = (v, c - take)
-                    next_start = idx + 1
-                else:
-                    del reduced[idx]
-                    next_start = idx
-                yield from complete_group(tuple(reduced), d, need - take * unit, next_start)
 
-    def solve(counts_now: tuple, blocks_left: int) -> bool:
-        if not counts_now:
-            return blocks_left == 0
-        if blocks_left <= 0:
-            return False
-        key = (counts_now, blocks_left)
-        if key in memo:
-            return memo[key]
-        v, c = counts_now[0]
-        # the bulk try: g block cycles of length d, each of j copies of v;
-        # only a True is final
-        k = math.gcd(v, m)
-        d, j = v // k, m // k
-        g = min(c // j, blocks_left // d)
-        if g > 1:
-            left = c - g * j
-            rest = ((v, left),) + counts_now[1:] if left else counts_now[1:]
-            if solve(rest, blocks_left - g * d):
-                memo[key] = True
-                return True
-        removed = list(counts_now)
-        if c - 1:
-            removed[0] = (v, c - 1)
-        else:
-            del removed[0]
-        removed_t = tuple(removed)
-        ok = False
-        for d in divisors(v):
-            if d > blocks_left or v // d > m:
-                continue
-            for rest in complete_group(removed_t, d, m - v // d, 0):
-                if solve(rest, blocks_left - d):
-                    ok = True
-                    break
-            if ok:
+def _wreath_solve(counts_now: tuple, blocks_left: int, m: int, memo: dict) -> bool:
+    """Can the parts ``counts_now`` fill ``blocks_left`` blocks of size m?
+
+    The search of ``wreath_member``.  ``m`` and the memo are passed down
+    rather than closed over, so a call leaves no reference cycle behind.
+    """
+    if not counts_now:
+        return blocks_left == 0
+    if blocks_left <= 0:
+        return False
+    key = (counts_now, blocks_left)
+    if key in memo:
+        return memo[key]
+    v, c = counts_now[0]
+    # the bulk try: g block cycles of length d, each of j copies of v;
+    # only a True is final
+    k = math.gcd(v, m)
+    d, j = v // k, m // k
+    g = min(c // j, blocks_left // d)
+    if g > 1:
+        left = c - g * j
+        rest = ((v, left),) + counts_now[1:] if left else counts_now[1:]
+        if _wreath_solve(rest, blocks_left - g * d, m, memo):
+            memo[key] = True
+            return True
+    removed = list(counts_now)
+    if c - 1:
+        removed[0] = (v, c - 1)
+    else:
+        del removed[0]
+    removed_t = tuple(removed)
+    ok = False
+    for d in divisors(v):
+        if d > blocks_left or v // d > m:
+            continue
+        for rest in _complete_group(removed_t, d, m - v // d, 0):
+            if _wreath_solve(rest, blocks_left - d, m, memo):
+                ok = True
                 break
-        memo[key] = ok
-        return ok
+        if ok:
+            break
+    memo[key] = ok
+    return ok
 
-    return solve(counts, blocks)
+
+def _complete_group(counts_now: tuple, d: int, need: int, start: int):
+    """Yield remaining multisets after removing d-divisible parts summing need*d."""
+    if need == 0:
+        yield counts_now
+        return
+    for idx in range(start, len(counts_now)):
+        v, c = counts_now[idx]
+        if v % d or v // d > need:
+            continue
+        unit = v // d
+        max_take = min(c, need // unit)
+        for take in range(max_take, 0, -1):
+            reduced = list(counts_now)
+            if c - take:
+                reduced[idx] = (v, c - take)
+                next_start = idx + 1
+            else:
+                del reduced[idx]
+                next_start = idx
+            yield from _complete_group(tuple(reduced), d, need - take * unit, next_start)
 
 
 def wreath_product_generators(m: int, k: int) -> list[Permutation]:
@@ -579,9 +584,12 @@ def _compute_fingerprint(spec: GroupSpec) -> Fingerprint:
         raise RuntimeError(
             f"{spec.name}: chain order {order} != expected {spec.expected_order}"
         )
-    # Cycle type and split label are class invariants, so one element per
-    # class decides both.  An odd element of the group swaps the two A_n
-    # classes of a split type, so then every split type present meets both.
+    # Every class holds a representative, and cycle type and split label
+    # are class invariants, so the representatives decide both; a class may
+    # hold several of them, which adds nothing new.  For a group inside A_n
+    # conjugation keeps the split label; an odd element of the group swaps
+    # the two A_n classes of a split type, so then every split type present
+    # meets both.
     odd = any(not g.is_even for g in spec.generators)
     types: set[tuple[int, ...]] = set()
     incidence: dict[tuple[int, ...], set[Split]] = {}

@@ -1,11 +1,13 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from invgraph import permutations
+from invgraph.arith import proper_block_sizes
 from invgraph.partitions import Partition, has_distinct_odd_parts
 from invgraph.permutations import (
     ClassLabel,
@@ -19,6 +21,7 @@ from invgraph.permutations import (
     class_labels,
     class_representatives,
     closure_images,
+    conjugacy_class,
     conjugator,
     format_cycles,
     is_primitive,
@@ -28,7 +31,11 @@ from invgraph.permutations import (
     stabilizer_chain,
     symmetric_group_generators,
 )
-from invgraph.subgroup_membership import EXACT_DEGREES, primitive_catalog
+from invgraph.subgroup_membership import (
+    EXACT_DEGREES,
+    primitive_catalog,
+    wreath_product_generators,
+)
 
 
 def random_perm(rng, n):
@@ -120,13 +127,26 @@ CLASS_COUNTS = [
 ]
 
 
+def _class_count(reps, gens, degree):
+    """The number of classes of the group ``gens`` span that ``reps`` meet."""
+    covered = set()
+    count = 0
+    for rep in reps:
+        if rep not in covered:
+            covered.update(conjugacy_class(rep, gens, degree))
+            count += 1
+    return count
+
+
 @pytest.mark.parametrize(
     "name,generators,degree,classes", CLASS_COUNTS, ids=[c[0] for c in CLASS_COUNTS]
 )
 def test_class_representatives_match_published_class_counts(name, generators, degree, classes):
+    # the walk may return several elements of one class; walking each one's
+    # class under the group's generators merges them
     gens = [g.images for g in generators()]
-    reps = list(class_representatives(stabilizer_chain(gens, degree), gens, degree))
-    assert len(reps) == classes
+    reps = class_representatives(stabilizer_chain(gens, degree), gens, degree)
+    assert _class_count(reps, gens, degree) == classes
 
 
 @pytest.mark.parametrize("name", ["PSL(3,2)", "PGL(2,7)", "AGL(3,2)", "M11"])
@@ -146,50 +166,85 @@ def test_class_walk_rejects_a_chain_of_the_wrong_order(name):
         more[level][degree] = bytes(range(degree))
         broken.append(more)
     for wrong in broken:
-        with pytest.raises(RuntimeError, match="class walk covered"):
-            list(class_representatives(wrong, gens, degree))
+        with pytest.raises(RuntimeError, match="class walk"):
+            class_representatives(wrong, gens, degree)
+
+
+def _translations_and_a_rotation():
+    # the chain of the translations x -> x ^ v of F_2^3 (order 8), walked
+    # under them and the rotation of the three coordinates, which span a
+    # group of order 24: the seven translations other than the identity
+    # fall into classes of 3, 3 and 1; 3 does not divide 8, but 8 // 3 is
+    # even, and the classes cover exactly the seven
+    translations = [bytes(x ^ v for x in range(8)) for v in (1, 2, 4)]
+    rotation = bytes((x << 1 & 7) | x >> 2 for x in range(8))
+    return stabilizer_chain(translations, 8), translations + [rotation], 8
+
+
+def _rotations_of_a_square():
+    # the chain of the rotations of a square (order 4), walked under the
+    # dihedral group of order 8: the three rotations other than the
+    # identity fall into classes of 2 and 1, which cover them, but a class
+    # of 2 elements of order 4 needs a centralizer of order 4, not 4 / 2
+    rotation = bytes([1, 2, 3, 0])
+    return stabilizer_chain([rotation], 4), [rotation, bytes([0, 3, 2, 1])], 4
+
+
+def _catalog_chain_cut(name, degree, level, points):
+    # a catalog group's chain with the given points removed from one level
+    gens = [g.images for g in _catalog_generators(degree, name)]
+    chain = stabilizer_chain(gens, degree)
+    for point in points:
+        del chain[level][point]
+    return chain, gens, degree
 
 
 @pytest.mark.parametrize(
-    "name,degree,level,point,order,size",
+    "case,message",
     [
-        # the classes the walk finds (1, 21, 56, 24 and 24) sum to 126
-        ("PSL(3,2)", 7, -1, 4, 126, 56),
-        # 42 divides 126, but 126 / 42 is no multiple of the element order 4
-        ("PSL(3,2)", 7, -1, 5, 126, 42),
-        # 100 // 15 is a multiple of the element order 2, but 15 does not
-        # divide 100; the classes found (15, 1, 24, 20, 10, 30) sum to 100
-        ("PGL(2,5)", 6, 0, 5, 100, 15),
+        (_translations_and_a_rotation, "covered a class of 3 elements of order 2, which chain"),
+        (_rotations_of_a_square, "covered a class of 2 elements of order 4, which chain"),
+        # the first level cut down to its base point 1: every element fixes it
+        (
+            lambda: _catalog_chain_cut("PSL(3,2)", 7, 0, [5, 3, 4, 0, 2, 6]),
+            "counted 24 elements of chain order 24 with a fixed point in an orbit of 1 points",
+        ),
+        # every class passes, but their sizes do not add up to the rest
+        (
+            lambda: _catalog_chain_cut("PSL(2,7)", 8, 0, [1, 7]),
+            "covered 21 elements with no fixed point in an orbit of 6 points, where "
+            "chain order 126 leaves 5",
+        ),
     ],
+    ids=["class-size", "element-order", "fixed-point-count", "coverage"],
 )
-def test_class_walk_checks_each_class_against_the_chain_order(
-    name, degree, level, point, order, size
-):
-    gens = [g.images for g in _catalog_generators(degree, name)]
-    chain = stabilizer_chain(gens, degree)
-    del chain[level][point]
-    assert chain_order(chain) == order
-    with pytest.raises(RuntimeError, match=f"class walk covered a class of {size} elements"):
-        list(class_representatives(chain, gens, degree))
+def test_class_walk_checks_each_class_against_the_chain_order(case, message):
+    # each case is caught by one check of the walk alone: with that check
+    # removed, the walk returns without noticing
+    chain, gens, degree = case()
+    with pytest.raises(RuntimeError, match=re.escape("class walk " + message)):
+        class_representatives(chain, gens, degree)
 
 
-def test_class_walk_reads_few_products_of_m12(monkeypatch):
-    # small classes are powers of large ones, so the walk finds every class
-    # long before it has read the chain's 95,040 products
-    read = []
-    chain_elements = permutations._chain_elements
+def test_class_walk_of_m12_walks_few_elements(monkeypatch):
+    # only the classes with no fixed point in each level's base orbit are
+    # walked; covering every class of M12 would walk its 95,040 elements
+    walked = []
+    walk = permutations.conjugacy_class
 
-    def counted(chain, degree):
-        for x in chain_elements(chain, degree):
-            read.append(x)
-            yield x
+    def counted(x, generators, degree):
+        members = walk(x, generators, degree)
+        walked.append(len(members))
+        return members
 
-    monkeypatch.setattr(permutations, "_chain_elements", counted)
+    monkeypatch.setattr(permutations, "conjugacy_class", counted)
     gens = [g.images for g in _catalog_generators(12, "M12")]
     chain = stabilizer_chain(gens, 12)
     assert chain_order(chain) == 95040
-    assert len(list(class_representatives(chain, gens, 12))) == 15
-    assert 0 < len(read) <= 1000
+    reps = class_representatives(chain, gens, 12)
+    assert 0 < sum(walked) <= 40000
+    monkeypatch.undo()
+    assert _class_count(reps, gens, 12) == 15
 
 
 def test_stabilizer_chain_orders_of_symmetric_and_alternating_groups():
@@ -219,9 +274,42 @@ def test_stabilizer_chain_stopped_at_the_known_order_is_complete():
         early = stabilizer_chain(gens, n, order=order)
         assert chain_order(full) == order, name
         assert chain_order(early) == chain_order(full), name
-        assert len(list(class_representatives(early, gens, n))) == len(
-            list(class_representatives(full, gens, n))
+        assert _class_count(class_representatives(early, gens, n), gens, n) == _class_count(
+            class_representatives(full, gens, n), gens, n
         ), name
+
+
+def _oracle_wreath_products():
+    for n in (4, 6, 8, 9, 10):
+        for m in proper_block_sizes(n):
+            gens = [g.images for g in wreath_product_generators(m, n // m)]
+            yield f"S{m}wrS{n // m}", gens, n
+
+
+def test_class_level_weights_count_each_level():
+    # at every level j the weights sum to |H_j| times the scale; where H_j
+    # is small, the weights of each of its classes sum to the class size
+    groups = [g[:3] for g in _groups_with_known_orders()] + list(_oracle_wreath_products())
+    for name, gens, n in groups:
+        chain = stabilizer_chain(gens, n)
+        scale = math.lcm(*range(1, n + 1)) ** len(chain)
+        levels = list(permutations._class_levels(chain, gens, n))
+        assert len(levels) == len(chain) + 1, name
+        for j, weighted in zip(range(len(chain), -1, -1), levels):
+            order = chain_order(chain[j:])
+            assert sum(w for _, w in weighted) == order * scale, (name, j)
+            if order > 2000:
+                continue
+            level_gens = [u for t in chain[j:] for u in t.values()]
+            class_of, sizes, totals = {}, [], []
+            for rep, w in weighted:
+                if rep not in class_of:
+                    members = conjugacy_class(rep, level_gens, n)
+                    class_of.update(dict.fromkeys(members, len(sizes)))
+                    sizes.append(len(members))
+                    totals.append(0)
+                totals[class_of[rep]] += w
+            assert totals == [size * scale for size in sizes], (name, j)
 
 
 def test_stabilizer_chain_of_the_identity():
@@ -229,7 +317,7 @@ def test_stabilizer_chain_of_the_identity():
         identity = tuple(range(n))
         assert stabilizer_chain([identity], n) == []
         assert chain_order([]) == 1
-        assert list(class_representatives([], [identity], n)) == [bytes(identity)]
+        assert class_representatives([], [identity], n) == [bytes(identity)]
 
 
 def test_split_label_examples():

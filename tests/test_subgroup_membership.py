@@ -173,6 +173,22 @@ def test_wreath_member_matches_one_group_search():
     assert checks == 18894
 
 
+def test_wreath_member_leaves_no_reference_cycles():
+    # reference counting alone frees each call's search state, so the
+    # cyclic collector finds nothing after a batch of calls
+    calls = [
+        (t, m) for n in range(4, 17) for m in proper_block_sizes(n) for t in enumerate_partitions(n)
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for t, m in calls:
+            wreath_member.__wrapped__(t, m)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_wreath_member_shared_block_cycles():
     cases = [
         # a part divisible by m may have to share its block cycle: 25, 20 and
