@@ -82,26 +82,6 @@ def smallest_prime_factor(n: int) -> int:
     return n
 
 
-def primitive_root(p: int) -> int:
-    """A generator of the multiplicative group mod p (p prime)."""
-    if p == 2:
-        return 1
-    factors = set()
-    m = p - 1
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            factors.add(d)
-            m //= d
-        d += 1
-    if m > 1:
-        factors.add(m)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // f, p) != 1 for f in factors):
-            return g
-    raise ArithmeticError(f"no primitive root mod {p}")
-
-
 def lcm_of(values) -> int:
     out = 1
     for v in values:

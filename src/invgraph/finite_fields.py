@@ -84,9 +84,6 @@ class GF:
             return (-a) % self.p
         return self._from_vec([(-x) % self.p for x in self._to_vec(a)])
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         return self._mul_table[a][b]
 

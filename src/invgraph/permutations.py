@@ -445,10 +445,15 @@ def _class_levels(
         order = chain_order(chain[j:])
         # each class of H_j with a fixed point in O_j meets H_{j+1}, and
         # counting its pairs (element, fixed point in O_j) gives
-        # |C| = |O_j| / fix(C) * |C & H_{j+1}|
-        weighted = [
-            (r, w * len(transversal) // sum(r[y] == y for y in orbit)) for r, w in weighted
-        ]
+        # |C| = |O_j| / fix(C) * |C & H_{j+1}|; an element of H_{j+1} fixes
+        # the base point, unless the chain mixes up its levels
+        fixed = [sum(r[y] == y for y in orbit) for r, _ in weighted]
+        if not all(fixed):
+            raise RuntimeError(
+                f"class walk met an element of the level below with no fixed point "
+                f"in an orbit of {len(transversal)} points"
+            )
+        weighted = [(r, w * len(transversal) // f) for (r, w), f in zip(weighted, fixed)]
         with_fixed = sum(w for _, w in weighted)
         if with_fixed % scale or with_fixed >= order * scale:
             raise RuntimeError(
@@ -523,7 +528,9 @@ def class_representatives(
 
     Every class of the group then holds one representative or more, and
     the weights of each class sum to its size.  Raises RuntimeError when a
-    walked class fails the class equation (its size divides ``|H_j|``, and
+    representative from the level below fixes no point of ``O_j`` (a
+    transversal holds an element of another level), when a walked class
+    fails the class equation (its size divides ``|H_j|``, and
     so does its size times the order of its elements, because ``<x>`` lies
     in the centralizer of x), when the count with a fixed point is no
     integer below ``|H_j|`` (a group transitive on two points or more has

@@ -36,10 +36,12 @@ The exact degrees, ``EXACT_DEGREES``, are the keys of the one table
 ``_CATALOG``, whose row for a degree returns its groups in catalog order;
 adding a degree takes one row and, in the tests, its published count of
 primitive groups.  ``primitive_catalog`` raises ``CatalogAbsent`` at every
-other degree.  Entries are built programmatically (affine, projective,
-product action, subgroups of the one-dimensional affine group at prime
-degree) except for the Mathieu groups and two derived groups, whose verified
-generators ship in a data file.
+other degree.  Entries are built programmatically, as the permutations that
+maps induce on a list of points (``_on_points``): the groups x -> ax + b of
+GF(q) at every prime power q, prime degree included, affine matrix groups,
+projective lines and spaces, the product action and the 2-sets action.  Only
+the Mathieu groups and two derived groups ship their verified generators in
+a data file.
 Conjugating a subgroup by an odd permutation mirrors its split-class
 incidence, so each fingerprint has a mirror bit beside its own; that covers
 every S_n-conjugate of every cataloged group.
@@ -58,7 +60,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Sequence
 
-from invgraph.arith import divisors, primitive_root, proper_block_sizes
+from invgraph.arith import divisors, proper_block_sizes
 from invgraph.finite_fields import field
 from invgraph.partitions import Partition, has_distinct_odd_parts, partial_sum_mask
 from invgraph.permutations import (
@@ -245,9 +247,6 @@ class GroupSpec:
     generators: tuple[Permutation, ...]
     expected_order: int
 
-    def generator_key(self) -> tuple:
-        return tuple(sorted(g.images for g in self.generators))
-
 
 @dataclass(frozen=True)
 class Fingerprint:
@@ -271,45 +270,23 @@ class CatalogResult:
     groups: tuple[GroupSpec, ...]
 
 
-def _prime_chain(p: int) -> list[GroupSpec]:
-    """Subgroups of the 1-dimensional affine group of prime degree p
-    containing the translation cycle: one entry per divisor of p-1."""
-    g = primitive_root(p)
-    translate = Permutation((x + 1) % p for x in range(p))
-    specs = []
-    for d in divisors(p - 1):
-        gens = [translate]
-        if d > 1:
-            a = pow(g, (p - 1) // d, p)
-            gens.append(Permutation(a * x % p for x in range(p)))
-        if d == 1:
-            name = f"C{p}"
-        elif d == 2:
-            name = f"D{2 * p}"
-        elif d == p - 1:
-            name = f"AGL(1,{p})"
-        else:
-            name = f"{p}:{d}"
-        specs.append(GroupSpec(name, p, Family.AFFINE, tuple(gens), p * d))
-    return specs
+def _on_points(points: Sequence, *maps: Callable) -> tuple[Permutation, ...]:
+    """The permutation each map induces on a list of points, by position."""
+    index = {point: i for i, point in enumerate(points)}
+    return tuple(Permutation(index[f(point)] for point in points) for f in maps)
+
+
+def _times(mat, vec, p: int) -> tuple[int, ...]:
+    """The matrix product mat * vec over GF(p)."""
+    return tuple(sum(a * x for a, x in zip(row, vec)) % p for row in mat)
 
 
 def _affine_matrix_group(name: str, p: int, m: int, matrices, order: int) -> GroupSpec:
     """Affine group E(p^m) : <matrices> acting on the vectors of F_p^m."""
     points = list(itertools.product(range(p), repeat=m))
-    index = {pt: i for i, pt in enumerate(points)}
-    perms = []
-    for mat in matrices:
-        imgs = []
-        for pt in points:
-            img = tuple(sum(mat[i][j] * pt[j] for j in range(m)) % p for i in range(m))
-            imgs.append(index[img])
-        perms.append(Permutation(imgs))
-    e1 = (1,) + (0,) * (m - 1)
-    translation = Permutation(
-        index[tuple((pt[i] + e1[i]) % p for i in range(m))] for pt in points
-    )
-    return GroupSpec(name, p**m, Family.AFFINE, tuple(perms + [translation]), order)
+    maps = [lambda v, mat=mat: _times(mat, v, p) for mat in matrices]
+    maps.append(lambda v: ((v[0] + 1) % p,) + v[1:])  # the translation by e_1
+    return GroupSpec(name, p**m, Family.AFFINE, _on_points(points, *maps), order)
 
 
 def _sl_generator_matrices(m: int, p: int):
@@ -325,35 +302,23 @@ def _sl_generator_matrices(m: int, p: int):
 def _gl_generator_matrices(m: int, p: int):
     mats = _sl_generator_matrices(m, p)
     if p > 2:
-        g = primitive_root(p)
+        g = field(p).primitive_element()
         diag = [[(g if i == j == 0 else (1 if i == j else 0)) for j in range(m)] for i in range(m)]
         mats.append(tuple(map(tuple, diag)))
     return mats
 
 
 def _projective_space_group(name: str, p: int, d: int, order: int) -> GroupSpec:
-    """PSL(d,p) (p prime, gcd(d,p-1)=1 cases used here) on projective points."""
-    points = []
-    index = {}
-    for vec in itertools.product(range(p), repeat=d):
-        if all(c == 0 for c in vec):
-            continue
-        lead = next(c for c in vec if c)
-        inv = pow(lead, p - 2, p)
-        norm = tuple(c * inv % p for c in vec)
-        if norm not in index:
-            index[norm] = len(points)
-            points.append(norm)
-    perms = []
-    for mat in _sl_generator_matrices(d, p):
-        imgs = []
-        for pt in points:
-            img = tuple(sum(mat[i][j] * pt[j] for j in range(d)) % p for i in range(d))
-            lead = next(c for c in img if c)
-            inv = pow(lead, p - 2, p)
-            imgs.append(index[tuple(c * inv % p for c in img)])
-        perms.append(Permutation(imgs))
-    return GroupSpec(name, len(points), Family.PROJECTIVE, tuple(perms), order)
+    """PSL(d,p) (p prime, gcd(d,p-1)=1 cases used here) on projective points,
+    the nonzero vectors whose first nonzero coordinate is 1."""
+
+    def normal(v: tuple[int, ...]) -> tuple[int, ...]:
+        lead = next(c for c in v if c)
+        return tuple(c * pow(lead, p - 2, p) % p for c in v)
+
+    points = [v for v in itertools.product(range(p), repeat=d) if any(v) and normal(v) == v]
+    maps = [lambda v, mat=mat: normal(_times(mat, v, p)) for mat in _sl_generator_matrices(d, p)]
+    return GroupSpec(name, len(points), Family.PROJECTIVE, _on_points(points, *maps), order)
 
 
 def _projective_line_specs(p: int, r: int) -> list[GroupSpec]:
@@ -365,14 +330,13 @@ def _projective_line_specs(p: int, r: int) -> list[GroupSpec]:
     mu = gf.primitive_element()
 
     def mobius(a: int, b: int, c: int, d: int) -> Permutation:
-        """x -> (ax + b) / (cx + d)."""
-        imgs = []
-        for x in range(q):
-            den = gf.add(gf.mul(c, x), d)
-            num = gf.add(gf.mul(a, x), b)
-            imgs.append(q if den == 0 else gf.mul(num, gf.inv(den)))
-        imgs.append(q if c == 0 else gf.mul(a, gf.inv(c)))  # image of infinity
-        return Permutation(imgs)
+        """x -> (ax + b) / (cx + d), which takes infinity to a / c."""
+
+        def ratio(num: int, den: int) -> int:
+            return q if den == 0 else gf.mul(num, gf.inv(den))
+
+        finite = [ratio(gf.add(gf.mul(a, x), b), gf.add(gf.mul(c, x), d)) for x in range(q)]
+        return Permutation(finite + [ratio(a, c)])
 
     def frobenius(steps: int = 1) -> Permutation:
         return Permutation([gf.frobenius(x, steps) for x in range(q)] + [q])
@@ -405,44 +369,46 @@ def _projective_line_specs(p: int, r: int) -> list[GroupSpec]:
 
 def _two_sets_specs() -> list[GroupSpec]:
     """A_5 and S_5 acting on the ten 2-subsets of five points."""
-    pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
-    index = {pr: k for k, pr in enumerate(pairs)}
 
-    def lift(perm5: Permutation) -> Permutation:
-        return Permutation(
-            index[tuple(sorted((perm5(a), perm5(b))))] for a, b in pairs
-        )
+    def lift(cycle: tuple[int, ...]) -> Callable:
+        g = Permutation.from_cycles(5, [cycle])
+        return lambda pair: tuple(sorted(map(g, pair)))
 
-    five = Permutation.from_cycles(5, [(0, 1, 2, 3, 4)])
-    swap = Permutation.from_cycles(5, [(0, 1)])
-    three = Permutation.from_cycles(5, [(0, 1, 2)])
+    three, five, swap = _on_points(
+        list(itertools.combinations(range(5), 2)),
+        lift((0, 1, 2)),
+        lift((0, 1, 2, 3, 4)),
+        lift((0, 1)),
+    )
     return [
-        GroupSpec("A5(2-sets)", 10, Family.OTHER, (lift(three), lift(five)), 60),
-        GroupSpec("S5(2-sets)", 10, Family.OTHER, (lift(swap), lift(five)), 120),
+        GroupSpec("A5(2-sets)", 10, Family.OTHER, (three, five), 60),
+        GroupSpec("S5(2-sets)", 10, Family.OTHER, (swap, five), 120),
     ]
 
 
 def _product_action_spec(r: int) -> GroupSpec:
     """S_r wr S_2 in product action on the r x r grid."""
-    n = r * r
-    row_cycle = Permutation(((i + 1) % r) * r + j for i in range(r) for j in range(r))
-    row_swap = Permutation(
-        ({0: 1, 1: 0}.get(i, i)) * r + j for i in range(r) for j in range(r)
+    gens = _on_points(
+        list(itertools.product(range(r), repeat=2)),
+        lambda v: ((v[0] + 1) % r, v[1]),  # cycle the rows
+        lambda v: ({0: 1, 1: 0}.get(v[0], v[0]), v[1]),  # swap rows 0 and 1
+        lambda v: (v[1], v[0]),  # transpose
     )
-    transpose = Permutation(j * r + i for i in range(r) for j in range(r))
     return GroupSpec(
-        f"S{r}wrS2(product)",
-        n,
-        Family.PRODUCT_ACTION,
-        (row_cycle, row_swap, transpose),
-        math.factorial(r) ** 2 * 2,
+        f"S{r}wrS2(product)", r * r, Family.PRODUCT_ACTION, gens, math.factorial(r) ** 2 * 2
     )
 
 
 def _affine_line_specs(p: int, r: int) -> list[GroupSpec]:
-    """The groups of maps x -> a x^s + b of GF(q) that the catalog lists at
-    degree q = p^r, in catalog order: AGL(1,q), with E9:C4 and E9:Q8 at
-    q = 9, and AGammaL(1,q) when r > 1."""
+    """The primitive groups of maps x -> a x^s + b of GF(q), q = p^r, that
+    the catalog lists at degree q, in catalog order.
+
+    First, for each d dividing q - 1 but no p^k - 1 with 1 <= k < r, the
+    group with a in the order-d subgroup of GF(q)* and s = 1: these are the
+    ones whose multipliers lie in no proper subfield, which makes them act
+    irreducibly and so primitively, and at prime q every d qualifies.  Then
+    E9:Q8 at q = 9, and AGammaL(1,q) when r > 1.
+    """
     gf = field(p, r)
     q = gf.q
     mu = gf.primitive_element()
@@ -450,17 +416,29 @@ def _affine_line_specs(p: int, r: int) -> list[GroupSpec]:
     def spec(name: str, gens: tuple[Permutation, ...], order: int) -> GroupSpec:
         return GroupSpec(name, q, Family.AFFINE, gens, order)
 
+    def scale(a: int) -> Permutation:
+        return Permutation(gf.mul(a, x) for x in range(q))
+
     translate = Permutation(gf.add(x, 1) for x in range(q))
-    multiply = Permutation(gf.mul(mu, x) for x in range(q))
-    specs = [spec(f"AGL(1,{q})", (translate, multiply), q * (q - 1))]
+    specs = []
+    for d in divisors(q - 1):
+        if any((p**k - 1) % d == 0 for k in range(1, r)):
+            continue
+        if d == q - 1:
+            name = f"AGL(1,{q})"
+        elif r > 1:
+            name = f"E{q}:C{d}"
+        else:
+            name = {1: f"C{q}", 2: f"D{2 * q}"}.get(d, f"{q}:{d}")
+        gens = (translate, scale(gf.power(mu, (q - 1) // d))) if d > 1 else (translate,)
+        specs.append(spec(name, gens, q * d))
     if q == 9:
-        square = Permutation(gf.mul(gf.mul(mu, mu), x) for x in range(q))
+        square = scale(gf.mul(mu, mu))
         twisted = Permutation(gf.frobenius(gf.mul(mu, x)) for x in range(q))
-        specs.insert(0, spec("E9:C4", (translate, square), 36))
         specs.append(spec("E9:Q8", (translate, square, twisted), 72))
     if r > 1:
         frobenius = Permutation(gf.frobenius(x) for x in range(q))
-        specs.append(spec(f"AGammaL(1,{q})", (translate, multiply, frobenius), q * (q - 1) * r))
+        specs.append(spec(f"AGammaL(1,{q})", (translate, scale(mu), frobenius), q * (q - 1) * r))
     return specs
 
 
@@ -470,51 +448,44 @@ _CURATED_FILE = Path(__file__).parent / "data" / "curated_groups.txt"
 @lru_cache(maxsize=None)
 def _curated_specs() -> dict[str, GroupSpec]:
     """Parse the shipped generator stanzas (Mathieu groups and derived entries)."""
-    specs: dict[str, GroupSpec] = {}
-    stanza: dict[str, object] = {}
-
-    def flush():
-        if not stanza:
-            return
-        degree = int(stanza["degree"])  # type: ignore[arg-type]
-        gens = tuple(parse_cycles(text, degree) for text in stanza["gens"])  # type: ignore[index]
-        spec = GroupSpec(
-            str(stanza["name"]),
-            degree,
-            Family(str(stanza["family"])),
-            gens,
-            int(stanza["order"]),  # type: ignore[arg-type]
-        )
-        specs[spec.name] = spec
-
+    stanzas: dict[str, dict] = {}
     for raw in _CURATED_FILE.read_text().splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         key, _, value = line.partition(" ")
         if key == "group":
-            flush()
-            stanza = {"name": value.strip(), "gens": []}
+            stanza = stanzas[value.strip()] = {"gen": []}
         elif key in ("degree", "order", "family"):
             stanza[key] = value.strip()
         elif key == "gen":
-            stanza["gens"].append(value.strip())  # type: ignore[union-attr]
+            stanza["gen"].append(value.strip())
         else:
             raise ValueError(f"bad line in curated group file: {raw!r}")
-    flush()
-    return specs
+    return {
+        name: GroupSpec(
+            name,
+            int(s["degree"]),
+            Family(s["family"]),
+            tuple(parse_cycles(text, int(s["degree"])) for text in s["gen"]),
+            int(s["order"]),
+        )
+        for name, s in stanzas.items()
+    }
 
 
 # Each exact degree maps to its primitive groups other than A_n and S_n, in
 # catalog order (the order of the fingerprint bits and of the cache files).
-# A row is a callable, so nothing is built until a degree is asked for.  A new
-# row needs its published count in the tests' PRIMITIVE_GROUP_COUNTS.
+# A row is a callable, so nothing is built until a degree is asked for.  From
+# 5 on, every prime-power degree p^r starts with ``_affine_line_specs(p, r)``.
+# A new row needs its published count in the tests' PRIMITIVE_GROUP_COUNTS,
+# and it changes the catalog pin there.
 _CATALOG: dict[int, Callable[[], list[GroupSpec]]] = {
     3: lambda: [],
     4: lambda: [],
-    5: lambda: _prime_chain(5),
+    5: lambda: _affine_line_specs(5, 1),
     6: lambda: _projective_line_specs(5, 1),
-    7: lambda: _prime_chain(7) + [_projective_space_group("PSL(3,2)", 2, 3, 168)],
+    7: lambda: _affine_line_specs(7, 1) + [_projective_space_group("PSL(3,2)", 2, 3, 168)],
     8: lambda: (
         _affine_line_specs(2, 3)
         + _projective_line_specs(7, 1)
@@ -530,14 +501,16 @@ _CATALOG: dict[int, Callable[[], list[GroupSpec]]] = {
         + _projective_line_specs(2, 3)
     ),
     10: lambda: _two_sets_specs() + _projective_line_specs(3, 2),
-    11: lambda: _prime_chain(11) + [_curated_specs()["PSL(2,11)@11"], _curated_specs()["M11"]],
+    11: lambda: (
+        _affine_line_specs(11, 1) + [_curated_specs()["PSL(2,11)@11"], _curated_specs()["M11"]]
+    ),
     12: lambda: (
         [replace(s, name=s.name + "@12") for s in _projective_line_specs(11, 1)]
         + [_curated_specs()["M11@12"], _curated_specs()["M12"]]
     ),
-    13: lambda: _prime_chain(13) + [_projective_space_group("PSL(3,3)", 3, 3, 5616)],
-    17: lambda: _prime_chain(17) + _projective_line_specs(2, 4),
-    19: lambda: _prime_chain(19),
+    13: lambda: _affine_line_specs(13, 1) + [_projective_space_group("PSL(3,3)", 3, 3, 5616)],
+    17: lambda: _affine_line_specs(17, 1) + _projective_line_specs(2, 4),
+    19: lambda: _affine_line_specs(19, 1),
 }
 EXACT_DEGREES = frozenset(_CATALOG)
 
@@ -571,7 +544,7 @@ def _catalog_digest(groups: Sequence[GroupSpec]) -> str:
         h.update(spec.name.encode())
         h.update(str(spec.degree).encode())
         h.update(str(spec.expected_order).encode())
-        for images in spec.generator_key():
+        for images in sorted(g.images for g in spec.generators):
             h.update(bytes(images))
     return h.hexdigest()
 

@@ -21,26 +21,30 @@ _SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _used_identifiers(tree):
-    """Names, attributes, imports and the words of non-docstring strings.
+    """The names a module uses, and the attributes it uses.
 
-    Docstrings and comments are prose, so a helper they mention is not used.
-    Other strings count, because the benchmark tracer names what it wraps.
+    Names are loaded names and imports.  Attributes are attribute accesses
+    and the words of non-docstring strings: docstrings and comments are
+    prose, so a helper they mention is not used, but other strings count,
+    because the benchmark tracer names what it wraps.
     """
     docstrings = {
         id(node.body[0].value)
         for node in ast.walk(tree)
         if isinstance(node, _SCOPES) and node.body and isinstance(node.body[0], ast.Expr)
     }
+    names, attributes = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            yield node.attr
+            attributes.add(node.attr)
         elif isinstance(node, ast.alias):
-            yield node.name.rsplit(".", 1)[-1]
+            names.add(node.name.rsplit(".", 1)[-1])
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if id(node) not in docstrings:
-                yield from re.findall(r"\w+", node.value)
+                attributes.update(re.findall(r"\w+", node.value))
+    return names, attributes
 
 
 def test_every_definition_has_a_caller():
@@ -51,14 +55,26 @@ def test_every_definition_has_a_caller():
         for path in sorted(folder.glob("*.py"))
         if path != PACKAGE / "__init__.py"
     ]
-    used = set()
+    names, attributes = set(), set()
     for path in sources:
-        used.update(_used_identifiers(ast.parse(path.read_text())))
+        module_names, module_attributes = _used_identifiers(ast.parse(path.read_text()))
+        names |= module_names
+        attributes |= module_attributes
     unused = {}
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        # a method is reached through an attribute; a local variable or a
+        # function that shares its name does not call it
+        methods = {
+            id(node)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+        }
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 dunder = node.name.startswith("__") and node.name.endswith("__")
+                used = attributes if id(node) in methods else names | attributes
                 if not dunder and node.name not in used:
                     unused[node.name] = path.name
     assert {k: v for k, v in unused.items() if k not in TEST_REFERENCES} == {}

@@ -199,6 +199,15 @@ def _catalog_chain_cut(name, degree, level, points):
     return chain, gens, degree
 
 
+def _catalog_chain_mixed(name, degree, level, point, into):
+    # a catalog group's chain with one transversal element replaced by one
+    # of another level: ``into`` is (level, point) of the replaced element
+    gens = [g.images for g in _catalog_generators(degree, name)]
+    chain = stabilizer_chain(gens, degree)
+    chain[into[0]][into[1]] = chain[level][point]
+    return chain, gens, degree
+
+
 @pytest.mark.parametrize(
     "case,message",
     [
@@ -215,12 +224,20 @@ def _catalog_chain_cut(name, degree, level, points):
             "covered 21 elements with no fixed point in an orbit of 6 points, where "
             "chain order 126 leaves 5",
         ),
+        # base points 0, 1, 3: level 1's element taking 1 to 3 replaces
+        # level 2's element taking 3 to 6, so the walk of level 2 returns a
+        # representative that fixes no point of level 1's orbit {1, 2, 3, 6}
+        (
+            lambda: _catalog_chain_mixed("S3wrS2(product)", 9, 1, 3, into=(2, 6)),
+            "met an element of the level below with no fixed point in an orbit of 4 points",
+        ),
     ],
-    ids=["class-size", "element-order", "fixed-point-count", "coverage"],
+    ids=["class-size", "element-order", "fixed-point-count", "coverage", "mixed-levels"],
 )
 def test_class_walk_checks_each_class_against_the_chain_order(case, message):
     # each case is caught by one check of the walk alone: with that check
-    # removed, the walk returns without noticing
+    # removed, the walk returns without noticing, or, for mixed levels,
+    # divides by a fixed-point count of 0
     chain, gens, degree = case()
     with pytest.raises(RuntimeError, match=re.escape("class walk " + message)):
         class_representatives(chain, gens, degree)

@@ -245,6 +245,32 @@ def test_catalog_counts_match_the_published_counts():
         assert len(primitive_catalog(n).groups) + 2 == PRIMITIVE_GROUP_COUNTS[n], n
 
 
+def test_catalog_specs_are_pinned():
+    # sha256 over every group in catalog order of its name, degree, family,
+    # generator images in order and order; the cache pin above sees only
+    # names, orders and sorted generator images
+    digest = hashlib.sha256()
+    for spec in _all_catalog_groups():
+        images = [g.images for g in spec.generators]
+        record = (spec.name, spec.degree, spec.family.value, images, spec.expected_order)
+        digest.update(repr(record).encode())
+    assert digest.hexdigest() == (
+        "0bf33a77927a6f2393d50027bb7c95f2e9b612c36bc1157d902f949a15df2746"
+    )
+
+
+def test_catalog_groups_differ_in_order_or_fingerprint(cache_dir):
+    # a group listed twice would pass the count test while another group of
+    # its degree is missing; equal orders occur (168 at 8, 72 at 9, 720 at
+    # 10), so the fingerprints must tell those groups apart
+    for n in sorted(EXACT_DEGREES):
+        seen = {}
+        for fp in degree_fingerprints(n, cache_dir):
+            key = (fp.order, fp.types_present, fp.split_incidence)
+            assert key not in seen, (n, seen.get(key), fp.name)
+            seen[key] = fp.name
+
+
 def test_catalog_absent_outside_supported_degrees():
     for n in (14, 20):
         with pytest.raises(CatalogAbsent):
