@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
-"""Re-derive the searched generator stanzas in the curated data file.
+"""Re-derive the two searched generator pairs of the primitive-group catalog.
 
-The two Mathieu stanzas use classical generating sets; this script verifies
-them by closure and then searches inside them for the two derived entries:
+The catalog lists M11 and M12 by classical generators (``M11_GENERATORS``
+and ``M12_GENERATORS`` in ``invgraph.subgroup_membership``).  This script
+checks both sets by closure, for order and transitivity, and then searches
+inside them for the two pairs the catalog rows of degrees 11 and 12 list:
 the degree-12 transitive copy of M11 (inside M12) and the degree-11 copy of
-PSL(2,11) (inside M11).  The search keeps a candidate pair when the order
-of its stabilizer chain equals the target order and the pair is transitive.
-Output is in the data-file stanza format, so a fresh run can be pasted over
-src/invgraph/data/curated_groups.txt.
+PSL(2,11) (inside M11).  A search keeps a candidate pair when the order of
+its stabilizer chain equals the target order and the pair is transitive.
+Each pair prints in cycle notation, as the catalog rows write it.
 
-Both searches are seeded and deterministic.
+Both searches are seeded and deterministic.  Run it from the repository root:
+
+    PYTHONPATH=src python scripts/find_curated_generators.py
 """
 
 import random
@@ -26,14 +29,17 @@ from invgraph.permutations import (
     parse_cycles,
     stabilizer_chain,
 )
-
-M11_GENS = ["(1,2,3,4,5,6,7,8,9,10,11)", "(3,7,11,8)(4,10,5,6)"]
-M12_GENS = M11_GENS + ["(1,12)(2,11)(3,6)(4,8)(5,9)(7,10)"]
+from invgraph.subgroup_membership import M11_GENERATORS, M12_GENERATORS
 
 
-def closure_of(texts, degree):
+def checked_closure(texts, degree, order):
+    """Every element of the group the texts generate, after checking that the
+    group is transitive of the given order."""
     gens = [parse_cycles(t, degree) for t in texts]
-    return gens, closure_images([g.images for g in gens], degree)
+    elements = closure_images([g.images for g in gens], degree)
+    if len(elements) != order or not is_transitive(gens, degree):
+        raise RuntimeError(f"{texts} do not generate a transitive group of order {order}")
+    return elements
 
 
 def search_subgroup(elements, degree, target_order, x_type, seed):
@@ -50,27 +56,22 @@ def search_subgroup(elements, degree, target_order, x_type, seed):
             return gens
 
 
-def stanza(name, degree, family, order, gens):
-    lines = [f"group {name}", f"degree {degree}", f"family {family}", f"order {order}"]
-    lines += [f"gen {format_cycles(g)}" for g in gens]
-    return "\n".join(lines)
+def searched_pairs():
+    """Check M11 and M12 by closure, then return each searched pair by name,
+    in cycle notation."""
+    m11 = checked_closure(M11_GENERATORS, 11, 7920)
+    m12 = checked_closure(M12_GENERATORS, 12, 95040)
+    found = {
+        "M11@12": search_subgroup(m12, 12, 7920, (11, 1), seed=1),
+        "PSL(2,11)@11": search_subgroup(m11, 11, 660, (11,), seed=2),
+    }
+    return {name: tuple(format_cycles(g) for g in gens) for name, gens in found.items()}
 
 
 def main():
     t0 = time.time()
-    m11_gens, m11 = closure_of(M11_GENS, 11)
-    assert len(m11) == 7920 and is_transitive(m11_gens, 11)
-    print(stanza("M11", 11, "mathieu", 7920, m11_gens), end="\n\n")
-
-    m12_gens, m12 = closure_of(M12_GENS, 12)
-    assert len(m12) == 95040 and is_transitive(m12_gens, 12)
-    print(stanza("M12", 12, "mathieu", 95040, m12_gens), end="\n\n")
-
-    found = search_subgroup(m12, 12, 7920, (11, 1), seed=1)
-    print(stanza("M11@12", 12, "mathieu", 7920, found), end="\n\n")
-
-    found = search_subgroup(m11, 11, 660, (11,), seed=2)
-    print(stanza("PSL(2,11)@11", 11, "projective", 660, found), end="\n\n")
+    for name, cycles in searched_pairs().items():
+        print(name, *cycles)
     print(f"# done in {time.time() - t0:.1f}s", file=sys.stderr)
 
 

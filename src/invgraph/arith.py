@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, isqrt
+from math import isqrt
 
 
 @lru_cache(maxsize=None)
@@ -80,10 +80,3 @@ def smallest_prime_factor(n: int) -> int:
         if n % q == 0:
             return q
     return n
-
-
-def lcm_of(values) -> int:
-    out = 1
-    for v in values:
-        out = out * v // gcd(out, v)
-    return out

@@ -156,9 +156,10 @@ def cmd_oracle_edges(args) -> int:
 
 
 def cmd_oracle_wreath(args) -> int:
+    types = list(enumerate_partitions(args.n))  # raises ValueError when n < 1
     diffs = []
     for m in proper_block_sizes(args.n):
-        for t in enumerate_partitions(args.n):
+        for t in types:
             if wreath_member(t, m) != wreath_member_oracle(t, m):
                 diffs.append((t, m))
     _emit(

@@ -53,8 +53,6 @@ class GF:
 
     def _poly_mul(self, a: int, b: int) -> int:
         p, r = self.p, self.r
-        if r == 1:
-            return a * b % p
         va, vb = self._to_vec(a), self._to_vec(b)
         prod = [0] * (2 * r - 1)
         for i, da in enumerate(va):
@@ -74,14 +72,10 @@ class GF:
         return [[self._poly_mul(a, b) for b in range(q)] for a in range(q)]
 
     def add(self, a: int, b: int) -> int:
-        if self.r == 1:
-            return (a + b) % self.p
         va, vb = self._to_vec(a), self._to_vec(b)
         return self._from_vec([(x + y) % self.p for x, y in zip(va, vb)])
 
     def neg(self, a: int) -> int:
-        if self.r == 1:
-            return (-a) % self.p
         return self._from_vec([(-x) % self.p for x in self._to_vec(a)])
 
     def mul(self, a: int, b: int) -> int:

@@ -162,24 +162,28 @@ def enumerate_partitions_with_sums_in(n: int, allowed: Iterable[int]) -> list[Pa
     for i in a_set:
         a_mask |= 1 << i
     out: list[Partition] = []
-    acc: list[int] = []
-
-    def rec(remaining: int, max_part: int, mask: int) -> None:
-        if remaining == 0:
-            out.append(Partition(acc))
-            return
-        for part in range(min(max_part, remaining), 0, -1):
-            if not a_mask >> part & 1:
-                continue
-            new_mask = mask | mask << part
-            if new_mask & ~a_mask:
-                continue
-            acc.append(part)
-            rec(remaining - part, part, new_mask)
-            acc.pop()
-
-    rec(n, n, 1)
+    _sums_in_search(n, n, 1, a_mask, [], out)
     return out
+
+
+def _sums_in_search(
+    remaining: int, max_part: int, mask: int, a_mask: int, acc: list[int], out: list[Partition]
+) -> None:
+    """Append to ``out`` every completion of the parts ``acc`` (subset-sum
+    mask ``mask``) by parts <= ``max_part`` summing to ``remaining`` whose
+    partial sums stay inside ``a_mask``."""
+    if remaining == 0:
+        out.append(Partition(acc))
+        return
+    for part in range(min(max_part, remaining), 0, -1):
+        if not a_mask >> part & 1:
+            continue
+        new_mask = mask | mask << part
+        if new_mask & ~a_mask:
+            continue
+        acc.append(part)
+        _sums_in_search(remaining - part, part, new_mask, a_mask, acc, out)
+        acc.pop()
 
 
 def even_class_partitions(n: int) -> list[Partition]:

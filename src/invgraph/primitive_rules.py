@@ -12,9 +12,9 @@ exclusion predicate never asserts membership.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
-from invgraph.arith import divisors, is_prime, lcm_of, prime_power
+from invgraph.arith import divisors, is_prime, prime_power
 from invgraph.partitions import Partition, is_partial_sum, partial_sum_mask
 
 
@@ -41,7 +41,7 @@ def _fixed_count_of_power(t: Partition, k: int) -> int:
 
 def _power_exponents(t: Partition) -> list[int]:
     """Exponents k that realize every distinct power type: divisors of lcm."""
-    return list(divisors(lcm_of(t.parts)))
+    return list(divisors(lcm(*t.parts)))
 
 
 def jordan_excludes(t: Partition) -> bool:
@@ -192,7 +192,7 @@ def projective_line_excludes(t: Partition, q: int, semilinear: bool) -> bool:
     n = q + 1
     if t.n != n:
         raise ValueError(f"degree {t.n} != q+1 = {n}")
-    order = lcm_of(t.parts)
+    order = lcm(*t.parts)
     allowed_fixed = {gamma**l + 1 for l in divisors(r)}
     for k in _power_exponents(t):
         if k % order == 0:

@@ -40,8 +40,8 @@ other degree.  Entries are built programmatically, as the permutations that
 maps induce on a list of points (``_on_points``): the groups x -> ax + b of
 GF(q) at every prime power q, prime degree included, affine matrix groups,
 projective lines and spaces, the product action and the 2-sets action.  Only
-the Mathieu groups and two derived groups ship their verified generators in
-a data file.
+the Mathieu groups and two groups found inside them are listed by generators
+in cycle notation (``_listed``).
 Conjugating a subgroup by an odd permutation mirrors its split-class
 incidence, so each fingerprint has a mirror bit beside its own; that covers
 every S_n-conjugate of every cataloged group.
@@ -442,36 +442,20 @@ def _affine_line_specs(p: int, r: int) -> list[GroupSpec]:
     return specs
 
 
-_CURATED_FILE = Path(__file__).parent / "data" / "curated_groups.txt"
+# M11's two classical generators; M12 adds one involution on the twelfth point
+M11_GENERATORS = ("(1,2,3,4,5,6,7,8,9,10,11)", "(3,7,11,8)(4,10,5,6)")
+M12_GENERATORS = M11_GENERATORS + ("(1,12)(2,11)(3,6)(4,8)(5,9)(7,10)",)
 
 
-@lru_cache(maxsize=None)
-def _curated_specs() -> dict[str, GroupSpec]:
-    """Parse the shipped generator stanzas (Mathieu groups and derived entries)."""
-    stanzas: dict[str, dict] = {}
-    for raw in _CURATED_FILE.read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition(" ")
-        if key == "group":
-            stanza = stanzas[value.strip()] = {"gen": []}
-        elif key in ("degree", "order", "family"):
-            stanza[key] = value.strip()
-        elif key == "gen":
-            stanza["gen"].append(value.strip())
-        else:
-            raise ValueError(f"bad line in curated group file: {raw!r}")
-    return {
-        name: GroupSpec(
-            name,
-            int(s["degree"]),
-            Family(s["family"]),
-            tuple(parse_cycles(text, int(s["degree"])) for text in s["gen"]),
-            int(s["order"]),
-        )
-        for name, s in stanzas.items()
-    }
+def _listed(name: str, degree: int, family: Family, order: int, *cycles: str) -> GroupSpec:
+    """A group given by generators in cycle notation.
+
+    The Mathieu groups use classical generators; M11@12 and PSL(2,11)@11 are
+    the pairs that ``scripts/find_curated_generators.py`` finds inside M12
+    and M11.  Like every catalog group, each is checked against its order
+    when its fingerprint is computed.
+    """
+    return GroupSpec(name, degree, family, tuple(parse_cycles(c, degree) for c in cycles), order)
 
 
 # Each exact degree maps to its primitive groups other than A_n and S_n, in
@@ -502,11 +486,24 @@ _CATALOG: dict[int, Callable[[], list[GroupSpec]]] = {
     ),
     10: lambda: _two_sets_specs() + _projective_line_specs(3, 2),
     11: lambda: (
-        _affine_line_specs(11, 1) + [_curated_specs()["PSL(2,11)@11"], _curated_specs()["M11"]]
+        _affine_line_specs(11, 1)
+        + [
+            _listed(
+                "PSL(2,11)@11", 11, Family.PROJECTIVE, 660,
+                "(1,2,3,4,5,6,7,8,9,10,11)", "(1,10,4,7,2,6,9,5,11,8,3)",
+            ),
+            _listed("M11", 11, Family.MATHIEU, 7920, *M11_GENERATORS),
+        ]
     ),
     12: lambda: (
         [replace(s, name=s.name + "@12") for s in _projective_line_specs(11, 1)]
-        + [_curated_specs()["M11@12"], _curated_specs()["M12"]]
+        + [
+            _listed(
+                "M11@12", 12, Family.MATHIEU, 7920,
+                "(2,3,4,5,9,12,10,8,6,7,11)", "(1,5,8,10)(2,6,3,7,9,12,4,11)",
+            ),
+            _listed("M12", 12, Family.MATHIEU, 95040, *M12_GENERATORS),
+        ]
     ),
     13: lambda: _affine_line_specs(13, 1) + [_projective_space_group("PSL(3,3)", 3, 3, 5616)],
     17: lambda: _affine_line_specs(17, 1) + _projective_line_specs(2, 4),

@@ -104,6 +104,9 @@ def test_usage_errors(capsys, cache_dir):
         assert err == f"error: exact mode supports degrees {supported}; not 14\n"
     assert run(capsys, "witness", "--lemma", "p", "--n", "23", "--cache-dir", cache_dir)[0] == 2
     assert run(capsys, "oracle-edges", "--n", "10", "--cache-dir", cache_dir)[0] == 2
+    for n in ("0", "-5"):  # no degree to check
+        assert main(["oracle-wreath", "--n", n]) == 2
+        assert capsys.readouterr() == ("", "error: need n >= 1\n")
 
 
 def test_byte_identical_reruns(capsys, cache_dir):

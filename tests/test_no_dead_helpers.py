@@ -1,6 +1,6 @@
 """Every function and class the package defines is used by the package,
 its scripts or the benchmark, apart from a few kept as test references, and
-every name a package module imports is used by that module."""
+every name a package module or a script imports is used by that module."""
 
 import ast
 import re
@@ -95,7 +95,7 @@ def _imported_names(tree):
 def test_every_import_is_used():
     # the imports of __init__.py are re-exports
     unused = {}
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")):
         if path == PACKAGE / "__init__.py":
             continue
         tree = ast.parse(path.read_text())

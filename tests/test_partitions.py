@@ -1,3 +1,4 @@
+import gc
 import random
 from itertools import combinations
 
@@ -176,6 +177,24 @@ def test_constrained_enumeration_matches_filtering():
         }
         assert set(enumerate_partitions_with_sums_in(n, allowed)) == expected
         checked += 1
+
+
+def test_constrained_enumeration_leaves_no_reference_cycles():
+    # reference counting alone frees each call's search state, so the
+    # cyclic collector finds nothing after a batch of calls
+    calls = [
+        (n, {i for i in range(n + 1) if i % k == 0 or (n - i) % k == 0})
+        for n in range(2, 21)
+        for k in range(1, 5)
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for n, allowed in calls:
+            enumerate_partitions_with_sums_in(n, allowed)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_even_class_partitions():

@@ -1,6 +1,8 @@
+import math
+
 import pytest
 
-from invgraph.arith import divisors, lcm_of, primes
+from invgraph.arith import divisors, primes
 from invgraph.partitions import Partition, enumerate_partitions, power_type
 from invgraph.primitive_rules import (
     affine_excludes,
@@ -30,7 +32,7 @@ def test_jordan_excludes_examples():
 
 def _jordan_reference(t):
     # builds the cycle type of every power, as jordan_excludes once did
-    for k in divisors(lcm_of(t.parts)):
+    for k in divisors(math.lcm(*t.parts)):
         pt = power_type(t, k)
         big = [p for p in pt.parts if p > 1]
         if len(big) == 1 and pt.multiplicity(1) >= 3:
