@@ -157,8 +157,11 @@ def cmd_oracle_edges(args) -> int:
 
 def cmd_oracle_wreath(args) -> int:
     types = list(enumerate_partitions(args.n))  # raises ValueError when n < 1
+    block_sizes = proper_block_sizes(args.n)
+    if not block_sizes:  # nothing to compare: a pass would claim a check never made
+        raise ValueError(f"degree {args.n} has no proper block size")
     diffs = []
-    for m in proper_block_sizes(args.n):
+    for m in block_sizes:
         for t in types:
             if wreath_member(t, m) != wreath_member_oracle(t, m):
                 diffs.append((t, m))

@@ -30,6 +30,7 @@ from invgraph.permutations import (
     Split,
     alternating_group_generators,
     canonical_of_type,
+    centralizer_generators,
     chain_order,
     class_labels,
     conjugacy_class,
@@ -229,25 +230,6 @@ def _generates(x: bytes, y: bytes, n: int, order: int) -> bool:
     return chain_order(stabilizer_chain([x, y], n, order=order)) == order
 
 
-def _centralizer_generators(x: bytes) -> list[bytes]:
-    """Generators of the centralizer of x in S_n.
-
-    It is the product of the wreath products ``C_k wr S_m``, one per cycle
-    length k of x with m cycles of that length (Holt, Eick & O'Brien,
-    Handbook of Computational Group Theory, 2005): each nontrivial cycle,
-    and the involution swapping two consecutive k-cycles point by point.
-    """
-    n = len(x)
-    cycles = sorted(Permutation(x).cycles(include_fixed=True), key=len)
-    gens = [Permutation.from_cycles(n, [c]) for c in cycles if len(c) > 1]
-    gens += [
-        Permutation.from_cycles(n, list(zip(c, d)))
-        for c, d in zip(cycles, cycles[1:])
-        if len(c) == len(d)
-    ]
-    return [bytes(g.images) for g in gens]
-
-
 def oracle_adjacency(n: int, group: GroupKind) -> ClassGraph:
     """Adjacency by explicit generation checks; feasible for n <= 9.
 
@@ -282,7 +264,7 @@ def oracle_adjacency(n: int, group: GroupKind) -> ClassGraph:
             else:
                 fixed_class, moving_class = cj, ci
             x = fixed_class[0]
-            centralizer = _centralizer_generators(x)
+            centralizer = centralizer_generators(x)
             seen: set[bytes] = set()
             adjacent = True
             for y in moving_class:

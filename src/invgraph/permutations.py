@@ -15,11 +15,18 @@ its elements.  Given the order of a group known to contain the generated
 one, it stops as soon as its order reaches that bound, which decides
 generation.  ``conjugacy_class`` walks one class by conjugating with the
 generators.  ``class_representatives`` finds elements that meet every class
-by walking down the chain from its deepest level up: an element with a
-fixed point in a level's base orbit is conjugate into the next level's
-group, so each level re-weights the representatives found below it and
-walks only the classes with no fixed point in its orbit, until the weights
-add up to the level's order.
+by climbing the chain from its deepest level up: an element with a fixed
+point in a level's base orbit is conjugate into the next level's group, so
+each level re-weights the representatives found below it and sizes only
+the classes with no fixed point in its orbit, until the weights add up to
+the level's order.  A class whose representative x has a small
+centralizer ``K`` in S_n, ``|K|^2 < |H|`` for the level's group H, is
+counted instead of walked: ``centralizer_generators`` spans ``K`` (a
+product of wreath products ``C_k wr S_m``), the elements of K that sift
+through the chain form ``C_H(x)``, and the class has ``|H| / |C_H(x)|``
+members.  Listing K costs ``|K|`` sifts, fewer than the at least
+``|H| / |K|`` conjugations a walk would take.  The other classes, whose
+centralizer in S_n is large, are small, and are walked.
 ``symmetric_group_generators`` and ``alternating_group_generators`` are the
 generating sets the edge oracle walks its classes with.  ``closure_images``
 returns the set of every element, found breadth-first; its one option is a
@@ -32,10 +39,10 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from invgraph.partitions import Partition, has_distinct_odd_parts, is_even_type
 
@@ -101,21 +108,7 @@ class Permutation:
         return g.inverse() * self * g
 
     def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
-        seen = [False] * len(self.images)
-        out = []
-        for start in range(len(self.images)):
-            if seen[start]:
-                continue
-            cycle = [start]
-            seen[start] = True
-            point = self.images[start]
-            while point != start:
-                cycle.append(point)
-                seen[point] = True
-                point = self.images[point]
-            if len(cycle) > 1 or include_fixed:
-                out.append(tuple(cycle))
-        return out
+        return [c for c in _cycles(self.images) if len(c) > 1 or include_fixed]
 
     def cycle_type(self) -> Partition:
         return Partition(len(c) for c in self.cycles(include_fixed=True))
@@ -137,24 +130,27 @@ class Permutation:
         return format_cycles(self)
 
 
-def cycle_type_of_images(images: Sequence[int]) -> tuple[int, ...]:
-    """Cycle type of a raw image sequence, as a decreasing tuple."""
-    n = len(images)
-    seen = bytearray(n)
-    lengths = []
-    for start in range(n):
+def _cycles(images: Sequence[int]) -> list[tuple[int, ...]]:
+    """The cycles of a raw image sequence, fixed points included, by least point."""
+    seen = bytearray(len(images))
+    out = []
+    for start in range(len(images)):
         if seen[start]:
             continue
-        length = 1
+        cycle = [start]
         seen[start] = 1
         point = images[start]
         while point != start:
+            cycle.append(point)
             seen[point] = 1
-            length += 1
             point = images[point]
-        lengths.append(length)
-    lengths.sort(reverse=True)
-    return tuple(lengths)
+        out.append(tuple(cycle))
+    return out
+
+
+def cycle_type_of_images(images: Sequence[int]) -> tuple[int, ...]:
+    """Cycle type of a raw image sequence, as a decreasing tuple."""
+    return tuple(sorted(map(len, _cycles(images)), reverse=True))
 
 
 def parse_cycles(text: str, degree: int) -> Permutation:
@@ -383,6 +379,33 @@ def conjugacy_class(x: bytes, generators: Iterable[Sequence[int]], degree: int) 
     return members
 
 
+def centralizer_generators(x: bytes) -> list[bytes]:
+    """Generators of the centralizer of x in S_n.
+
+    It is the product of the wreath products ``C_k wr S_m``, one per cycle
+    length k of x with m cycles of that length (Holt, Eick & O'Brien,
+    Handbook of Computational Group Theory, 2005): each nontrivial cycle,
+    and the involution swapping two consecutive k-cycles point by point.
+    """
+    n = len(x)
+    cycles = sorted(_cycles(x), key=len)
+    gens = [Permutation.from_cycles(n, [c]) for c in cycles if len(c) > 1]
+    gens += [
+        Permutation.from_cycles(n, list(zip(c, d)))
+        for c, d in zip(cycles, cycles[1:])
+        if len(c) == len(d)
+    ]
+    return [bytes(g.images) for g in gens]
+
+
+def _centralizer_order(lengths: Iterable[int]) -> int:
+    """The order of the centralizer in S_n of an element with these cycle lengths.
+
+    ``C_k wr S_m`` has order ``k^m * m!`` for m cycles of length k.
+    """
+    return math.prod(k**m * math.factorial(m) for k, m in Counter(lengths).items())
+
+
 # Seeded pairs of chain products tried by ``_generating_pair`` per chain
 # level.  Over the catalog groups and the wreath products at n <= 10, 120
 # levels have more than two generators: 114 find a pair within six tries
@@ -398,8 +421,10 @@ def _generating_pair(
     A product of one seeded random element per transversal is a uniform
     element of the group.  A pair whose ``stabilizer_chain`` reaches the
     group order ``order`` generates the whole group, since both lie in it.
-    Two or fewer generators are kept as they are, and so are more when no
-    pair is found within ``_PAIR_TRIES`` tries.
+    A pair whose orbit of the first base point is smaller than that
+    point's orbit under the group cannot generate it, so it is dropped
+    before its chain is built.  Two or fewer generators are kept as they
+    are, and so are more when no pair is found within ``_PAIR_TRIES`` tries.
     """
     if len(generators) <= 2:
         return generators
@@ -407,6 +432,8 @@ def _generating_pair(
     identity = bytes(range(degree))
     tail = bytes(range(degree, 256))
     levels = [list(transversal.values()) for transversal in reversed(chain)]
+    base = next(iter(chain[0]))
+    orbit_size = len({u[base] for u in chain[0].values()})
 
     def draw() -> bytes:
         x = identity
@@ -416,6 +443,13 @@ def _generating_pair(
 
     for _ in range(_PAIR_TRIES):
         pair = [draw(), draw()]
+        reached = [base]
+        for point in reached:  # breadth-first; reached grows while it is walked
+            for g in pair:
+                if g[point] not in reached:
+                    reached.append(g[point])
+        if len(reached) < orbit_size:
+            continue
         if chain_order(stabilizer_chain(pair, degree, order=order)) == order:
             return pair
     return generators
@@ -436,12 +470,13 @@ def _class_levels(
     identity = bytes(range(degree))
     tail = bytes(range(degree, 256))
     scale = math.lcm(*range(1, degree + 1)) ** len(chain)
+    bases = [next(iter(transversal)) for transversal in chain]
+    inverses = [{y: bytes.maketrans(u, identity) for y, u in t.items()} for t in chain]
     weighted = [(identity, scale)]
     yield weighted
     for j in range(len(chain) - 1, -1, -1):
         transversal = chain[j]
-        base = next(iter(transversal))
-        orbit = {u[base] for u in transversal.values()}  # O_j, as images: all below degree
+        orbit = {u[bases[j]] for u in transversal.values()}  # O_j, as images: all below degree
         order = chain_order(chain[j:])
         # each class of H_j with a fixed point in O_j meets H_{j+1}, and
         # counting its pairs (element, fixed point in O_j) gives
@@ -461,39 +496,115 @@ def _class_levels(
                 f"with a fixed point in an orbit of {len(transversal)} points"
             )
         need = order - with_fixed // scale
-        if j:
-            level_gens = [u for t in chain[j:] for u in t.values() if u != identity]
-        else:
-            level_gens = [bytes(g) for g in generators]
-        gens = _generating_pair(chain[j:], level_gens, degree, order)
-        covered: set[bytes] = set()
+        sifts = list(zip(bases[j:], inverses[j:]))
+
+        def in_level(g: bytes) -> bool:
+            """Whether g sifts to the identity through ``chain[j:]``."""
+            for base, inverse in sifts:
+                table = inverse.get(g[base])
+                if table is None:
+                    return False
+                g = g.translate(table)  # u^-1 * g
+            return g == identity
+
+        covered: set[bytes] = set()  # the members of the walked classes
+        # cycle type -> (cycles of r, a table of c per coset of C_{H_j}(r) in
+        # C_{S_n}(r)) for each counted representative r
+        counted: dict[tuple[int, ...], list[tuple[list[tuple[int, ...]], list[bytes]]]] = {}
+        counted_size = 0
+        gens = None
+
+        def known(y: bytes) -> bool:
+            """Whether y has a fixed point in O_j or lies in a class found before."""
+            if y in covered or any(y[z] == z for z in orbit):
+                return True
+            cycles = sorted(_cycles(y), key=len)
+            for r_cycles, coset_tables in counted.get(tuple(map(len, cycles)), ()):
+                s = bytes(_aligning(r_cycles, cycles))
+                # y = (c * s)^-1 * r * (c * s) for every c in C_{S_n}(r), and
+                # c * s is in H_j for all of a coset or for none of it
+                if any(in_level(s.translate(table)) for table in coset_tables):
+                    return True
+            return False
+
         for x in _chain_elements(chain[j:], degree):
-            if x in covered or any(x[y] == y for y in orbit):
-                continue  # covered: then so is every power of x without a fixed point
+            if known(x):
+                continue  # then so is every power of x without a fixed point in O_j
             powers = [x]
             table = x + tail
             while powers[-1] != identity:
                 powers.append(powers[-1].translate(table))  # x * x^k
             for k, power in enumerate(powers, 1):
-                if power in covered or any(power[y] == y for y in orbit):
+                if known(power):
                     continue
-                members = conjugacy_class(power, gens, degree)
                 power_order = len(powers) // math.gcd(k, len(powers))
-                if order % len(members) or order // len(members) % power_order:
-                    raise RuntimeError(
-                        f"class walk covered a class of {len(members)} elements of order "
-                        f"{power_order}, which chain order {order} does not allow"
-                    )
-                weighted.append((power, len(members) * scale))
-                covered.update(members)
-            if len(covered) >= need:
+                cycles = sorted(_cycles(power), key=len)
+                centralizer = _centralizer_order(map(len, cycles))
+                if centralizer * centralizer < order:
+                    size, coset_tables = _count_class(power, in_level, order, power_order)
+                    counted.setdefault(tuple(map(len, cycles)), []).append((cycles, coset_tables))
+                    counted_size += size
+                else:
+                    if gens is None:
+                        if j:
+                            level_gens = [u for t in chain[j:] for u in t.values() if u != identity]
+                        else:
+                            level_gens = [bytes(g) for g in generators]
+                        gens = _generating_pair(chain[j:], level_gens, degree, order)
+                    members = conjugacy_class(power, gens, degree)
+                    size = len(members)
+                    if order % size or order // size % power_order:
+                        raise RuntimeError(
+                            f"class walk covered a class of {size} elements of order "
+                            f"{power_order}, which chain order {order} does not allow"
+                        )
+                    covered.update(members)
+                weighted.append((power, size * scale))
+            if len(covered) + counted_size >= need:
                 break
-        if len(covered) != need:
+        if len(covered) + counted_size != need:
             raise RuntimeError(
-                f"class walk covered {len(covered)} elements with no fixed point in an "
-                f"orbit of {len(transversal)} points, where chain order {order} leaves {need}"
+                f"class walk covered {len(covered) + counted_size} elements with no fixed "
+                f"point in an orbit of {len(transversal)} points, where chain order {order} "
+                f"leaves {need}"
             )
         yield weighted
+
+
+def _count_class(
+    x: bytes, in_level: Callable[[bytes], bool], order: int, x_order: int
+) -> tuple[int, list[bytes]]:
+    """The size of x's class in the group H of ``in_level``, by its centralizer.
+
+    Lists ``K = C_{S_n}(x)`` breadth-first from ``centralizer_generators``;
+    the elements of K in H are ``C_H(x)``, and the class has
+    ``|H| / |C_H(x)|`` members.  Also returns the table of one element c
+    per coset ``C_H(x) * c`` of K.  Raises RuntimeError unless ``|C_H(x)|``
+    divides ``order`` and is a multiple of ``x_order``, the order of x.
+    """
+    tail = bytes(range(len(x), 256))
+    elements = [bytes(range(len(x)))]
+    seen = set(elements)
+    tables = [g + tail for g in centralizer_generators(x)]
+    for c in elements:  # breadth-first; elements grows while it is walked
+        for table in tables:
+            d = c.translate(table)
+            if d not in seen:
+                seen.add(d)
+                elements.append(d)
+    inside = [z + tail for z in elements if in_level(z)]
+    if order % len(inside) or len(inside) % x_order:
+        raise RuntimeError(
+            f"class walk counted a centralizer of {len(inside)} elements for an element "
+            f"of order {x_order}, which chain order {order} does not allow"
+        )
+    marked: set[bytes] = set()
+    coset_tables = []
+    for c in elements:
+        if c not in marked:
+            coset_tables.append(c + tail)
+            marked.update(c.translate(z) for z in inside)  # z * c
+    return order // len(inside), coset_tables
 
 
 def class_representatives(
@@ -513,31 +624,49 @@ def class_representatives(
 
     So each level re-weights the representatives of ``H_{j+1}`` by
     ``|O_j| / fix(r)``, which makes them count the classes of ``H_j`` with a
-    fixed point in ``O_j``, and walks only the classes with none: for each
-    product x of transversal elements not yet covered and with no fixed
-    point in ``O_j``, the powers ``x, x^2, ...`` without one are taken in
-    turn and each one not yet covered gets its ``conjugacy_class`` covered
-    (Handbook of Computational Group Theory, 4.6).  Small classes are
-    powers of large ones, so they turn up long before the products run out.
-    Each class is walked under a generating pair of ``H_j`` when it has
-    more generators (``_generating_pair``): the given generators at the top
-    level, and the transversal elements of ``chain[j:]`` at the levels
-    below it.  The level is done once these classes cover ``|H_j|`` minus
-    the re-weighted count.  The weights are integers scaled by
-    ``lcm(1..degree)`` per level, since ``fix(r) <= degree`` divides that.
+    fixed point in ``O_j``, and sizes only the classes with none: for each
+    product x of transversal elements in no class found so far and with no
+    fixed point in ``O_j``, the powers ``x, x^2, ...`` without one are taken
+    in turn, and each one in no class found so far is a new representative
+    (Handbook of Computational Group Theory, 4.6).  Small classes are powers
+    of large ones, so they turn up long before the products run out.  The
+    level is done once these classes cover ``|H_j|`` minus the re-weighted
+    count.  The weights are integers scaled by ``lcm(1..degree)`` per
+    level, since ``fix(r) <= degree`` divides that.
+
+    A new representative r is sized in one of two ways, by comparing two
+    costs read from the input.  ``K = C_{S_n}(r)`` is the product of
+    ``C_k wr S_m`` over r's cycle lengths k, each with m cycles, of order
+    ``prod k^m * m!``.  When ``|K|^2 < |H_j|`` the class is counted: K is
+    listed from ``centralizer_generators`` and each element sifted through
+    ``chain[j:]`` (``_count_class``); those that sift to the identity form
+    ``C_{H_j}(r)``, and the class has ``|H_j| / |C_{H_j}(r)|`` members.
+    That takes ``|K|`` sifts, where a walk would take at least
+    ``|H_j| / |K|`` conjugations.  A later element y of r's cycle type is
+    in r's class exactly when some ``c * s`` lies in ``H_j``, for c in K and
+    s the permutation that aligns r's cycles with y's, so
+    ``s^-1 * r * s == y``; one c per coset ``C_{H_j}(r) * c`` is tested,
+    ``|K : C_{H_j}(r)|`` sifts.  Otherwise ``K`` is large and the class
+    small, and its ``conjugacy_class`` is walked and kept, so a later
+    element is found in it by lookup.  A walk runs under a generating pair
+    of ``H_j`` when the level has more generators (``_generating_pair``,
+    drawn only at a level that walks a class): the given generators at the
+    top level, and the transversal elements of ``chain[j:]`` at the levels
+    below it.
 
     Every class of the group then holds one representative or more, and
     the weights of each class sum to its size.  Raises RuntimeError when a
     representative from the level below fixes no point of ``O_j`` (a
-    transversal holds an element of another level), when a walked class
-    fails the class equation (its size divides ``|H_j|``, and
-    so does its size times the order of its elements, because ``<x>`` lies
-    in the centralizer of x), when the count with a fixed point is no
+    transversal holds an element of another level), when a class fails the
+    class equation (a walked class's size divides ``|H_j|``, and so does
+    its size times the order of its elements, because ``<x>`` lies in the
+    centralizer of x; a counted ``|C_{H_j}(r)|`` divides ``|H_j|`` and is
+    a multiple of r's order), when the count with a fixed point is no
     integer below ``|H_j|`` (a group transitive on two points or more has
     an element that fixes none, by Jordan's theorem), or when the walked
-    classes do not cover the rest exactly.  A chain that misses elements
-    can still pass, so callers check the chain order against an
-    independently known order first.
+    and counted classes do not cover the rest exactly.  A chain that
+    misses elements can still pass, so callers check the chain order
+    against an independently known order first.
     """
     *_, weighted = _class_levels(chain, generators, degree)
     return [rep for rep, _ in weighted]
@@ -550,14 +679,26 @@ def conjugator(x: Permutation, y: Permutation) -> Permutation | None:
     if x.cycle_type() != y.cycle_type():
         return None
     key = lambda c: (-len(c), c[0])
-    images = [0] * x.degree
-    for cx, cy in zip(
-        sorted(x.cycles(include_fixed=True), key=key),
-        sorted(y.cycles(include_fixed=True), key=key),
-    ):
+    return Permutation(
+        _aligning(
+            sorted(x.cycles(include_fixed=True), key=key),
+            sorted(y.cycles(include_fixed=True), key=key),
+        )
+    )
+
+
+def _aligning(x_cycles: list[tuple[int, ...]], y_cycles: list[tuple[int, ...]]) -> list[int]:
+    """The images of the s with s^-1 * x * s == y that takes y's cycles to x's.
+
+    The cycles of x and y, fixed points included, come in the same order of
+    lengths; s maps the i-th point of each cycle of y to the i-th point of
+    the matching cycle of x.
+    """
+    images = [0] * sum(map(len, x_cycles))
+    for cx, cy in zip(x_cycles, y_cycles):
         for a, b in zip(cx, cy):
             images[b] = a
-    return Permutation(images)
+    return images
 
 
 def canonical_of_type(p: Partition) -> Permutation:

@@ -12,9 +12,11 @@ Four families decide every edge question at the supported degrees:
 A fingerprint is computed from class representatives of the group, not per
 element, and without listing the group first: ``stabilizer_chain`` gives the
 order, checked against the catalog's, and ``class_representatives`` returns
-elements that meet every class, walking at each chain level only the
-classes with no fixed point in its base orbit.  Any representative gives
-its class's cycle type and split label.  When the group has an odd element,
+elements that meet every class, sizing at each chain level only the classes
+with no fixed point in its base orbit.  A class whose representative has a
+small centralizer in S_n is counted by sifting that centralizer through the
+chain, and only the other, small classes are walked by conjugation.  Any
+representative gives its class's cycle type and split label.  When the group has an odd element,
 every split type it meets is met in both A_n classes.
 
 Each class gets one feature mask per degree and group kind

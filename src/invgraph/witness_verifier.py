@@ -720,21 +720,46 @@ def verify_sper(n: int) -> tuple[bool, tuple[Partition, Partition] | None]:
     The seen states live only for the call: no cache outlives it, and the
     ``partial_sum_mask`` cache, which would keep every partition of every n
     alive, is not touched.  Only the returned pair becomes ``Partition``s.
+
+    The pair scan (``_first_disjoint_pair``) reads a per-bit index over the
+    bad masks, so each one costs at most n/2 big-integer ORs instead of a
+    pass over all of them.
     """
     first = _first_partition_by_mask(n)
-    half_mask = (1 << (n // 2 + 1)) - 2
     # insertion order is first-partition order, so ``bad`` is sorted by it
     bad = [
         (parts, m)
         for m, parts in first.items()
         if not any(not m >> i & 1 and not m >> (2 * i) & 1 for i in (2, 3, 5, 7))
     ]
-    for a, ma in bad:
-        ma &= half_mask
-        b = next((b for b, mb in bad if not ma & mb), None)
-        if b is not None:
-            return False, (Partition(a), Partition(b))
-    return True, None
+    found = _first_disjoint_pair([m for _, m in bad], n // 2)
+    if found is None:
+        return True, None
+    a, b = found
+    return False, (Partition(bad[a][0]), Partition(bad[b][0]))
+
+
+def _first_disjoint_pair(masks: Sequence[int], top: int) -> tuple[int, int] | None:
+    """The first index a, and its first partner b, whose masks share no bit 1..top.
+
+    b may equal a.  ``holders[i]`` is the set of indices whose mask has bit
+    i, as a bitset; the partners of a are the complement of the union of
+    its bits' sets, and the lowest bit of that complement is the first.
+    """
+    holders = {
+        i: int("0" + "".join("1" if m >> i & 1 else "0" for m in reversed(masks)), 2)
+        for i in range(1, top + 1)
+    }
+    everyone = (1 << len(masks)) - 1
+    for a, ma in enumerate(masks):
+        blocked = 0
+        for i, holder in holders.items():
+            if ma >> i & 1:
+                blocked |= holder
+        partners = everyone & ~blocked
+        if partners:
+            return a, (partners & -partners).bit_length() - 1
+    return None
 
 
 def table1(cache_dir: str | None = None) -> list[tuple[int, object, object]]:

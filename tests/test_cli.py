@@ -107,6 +107,9 @@ def test_usage_errors(capsys, cache_dir):
     for n in ("0", "-5"):  # no degree to check
         assert main(["oracle-wreath", "--n", n]) == 2
         assert capsys.readouterr() == ("", "error: need n >= 1\n")
+    for n in ("1", "7"):  # no proper block size, so nothing to compare
+        assert main(["oracle-wreath", "--n", n]) == 2
+        assert capsys.readouterr() == ("", f"error: degree {n} has no proper block size\n")
 
 
 def test_byte_identical_reruns(capsys, cache_dir):

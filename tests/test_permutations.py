@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from invgraph import permutations
 from invgraph.arith import proper_block_sizes
-from invgraph.partitions import Partition, has_distinct_odd_parts
+from invgraph.partitions import Partition, enumerate_partitions, has_distinct_odd_parts
 from invgraph.permutations import (
     ClassLabel,
     ClosureCapExceeded,
@@ -327,6 +327,122 @@ def test_class_level_weights_count_each_level():
                     totals.append(0)
                 totals[class_of[rep]] += w
             assert totals == [size * scale for size in sizes], (name, j)
+
+
+@pytest.mark.parametrize(
+    "degree,name",
+    [(11, "M11"), (12, "M12"), (13, "PSL(3,3)"), (17, "PGammaL(2,16)"), (10, "S5wrS2")],
+)
+def test_counted_class_sizes_match_the_walked_classes(monkeypatch, degree, name):
+    # each class counted through its centralizer has the size a walk of the
+    # class under its level's generators finds
+    if name == "S5wrS2":
+        gens = [g.images for g in wreath_product_generators(5, 2)]
+    else:
+        gens = [g.images for g in _catalog_generators(degree, name)]
+    chain = stabilizer_chain(gens, degree)
+    counted = []
+    count = permutations._count_class
+
+    def recording(x, in_level, order, x_order):
+        size, coset_tables = count(x, in_level, order, x_order)
+        counted.append((x, size, order))
+        return size, coset_tables
+
+    monkeypatch.setattr(permutations, "_count_class", recording)
+    class_representatives(chain, gens, degree)
+    monkeypatch.undo()
+    assert counted, name
+    level_of = {chain_order(chain[j:]): j for j in range(len(chain))}
+    for rep, size, order in counted:
+        level_gens = [u for t in chain[level_of[order]:] for u in t.values()]
+        assert size == len(conjugacy_class(rep, level_gens, degree)), (name, rep)
+
+
+def test_class_walk_of_m12_counts_its_large_classes(monkeypatch):
+    # the classes of a small S_n-centralizer are counted, not walked, which
+    # leaves the walk a few thousand of M12's 95,040 elements
+    walked = []
+    walk = permutations.conjugacy_class
+
+    def walking(x, generators, degree):
+        members = walk(x, generators, degree)
+        walked.append(len(members))
+        return members
+
+    monkeypatch.setattr(permutations, "conjugacy_class", walking)
+    gens = [g.images for g in _catalog_generators(12, "M12")]
+    reps = class_representatives(stabilizer_chain(gens, 12), gens, 12)
+    assert 0 < sum(walked) <= 5000
+    monkeypatch.undo()
+    assert _class_count(reps, gens, 12) == 15
+
+
+@pytest.mark.parametrize(
+    "case,message",
+    [
+        # M12 without point 1 at the top level: 11 elements of S_12 that
+        # centralize an element of type (6,6) sift through the chain, but a
+        # centralizer holds the element's powers, so its order is a multiple
+        # of 6
+        (
+            lambda: _catalog_chain_cut("M12", 12, 0, [1]),
+            "counted a centralizer of 11 elements for an element of order 6, which chain "
+            "order 87120",
+        ),
+        # PGammaL(2,8) without point 2 at level 1: a centralizer of 6
+        # elements cannot divide the chain order 147
+        (
+            lambda: _catalog_chain_cut("PGammaL(2,8)", 9, 1, [2]),
+            "counted a centralizer of 6 elements for an element of order 6, which chain "
+            "order 147",
+        ),
+    ],
+    ids=["element-order", "chain-order"],
+)
+def test_class_count_checks_each_centralizer_against_the_chain_order(case, message):
+    chain, gens, degree = case()
+    with pytest.raises(RuntimeError, match=re.escape("class walk " + message)):
+        class_representatives(chain, gens, degree)
+
+
+def test_generating_pair_builds_few_chains(monkeypatch):
+    # a drawn pair that does not even move the base point over its whole
+    # orbit is dropped before its chain is built.  The class walks of the
+    # catalog groups and the oracle's wreath products built 304 pair chains
+    # when every class was walked, 296 once counted classes skipped the
+    # pair search at some levels, and 209 with the orbit test as well
+    chains = []
+    build = permutations.stabilizer_chain
+
+    def counting(generators, degree, **options):
+        chains.append(degree)
+        return build(generators, degree, **options)
+
+    groups = [
+        ([g.images for g in spec.generators], n)
+        for n in sorted(EXACT_DEGREES)
+        for spec in primitive_catalog(n).groups
+    ] + [(gens, n) for _, gens, n in _oracle_wreath_products()]
+    assert len(groups) == 70
+    prepared = [(stabilizer_chain(gens, n), gens, n) for gens, n in groups]
+    monkeypatch.setattr(permutations, "stabilizer_chain", counting)
+    for chain, gens, n in prepared:
+        class_representatives(chain, gens, n)
+    assert 0 < len(chains) < 250
+
+
+def test_centralizer_generators_span_the_centralizer():
+    # for every class of S_n, the generators must span exactly the elements
+    # of S_n that commute with its canonical representative
+    for n in range(3, 8):
+        tail = bytes(range(n, 256))
+        sym = closure_images([g.images for g in symmetric_group_generators(n)], n)
+        for t in enumerate_partitions(n):
+            x = bytes(canonical_of_type(t).images)
+            x_table = x + tail
+            commuting = {g for g in sym if x.translate(g + tail) == g.translate(x_table)}
+            assert closure_images(permutations.centralizer_generators(x), n) == commuting, t
 
 
 def test_stabilizer_chain_of_the_identity():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from dataclasses import fields
@@ -32,6 +33,7 @@ from invgraph.witness_verifier import (
     WitnessClaim,
     WitnessReport,
     _families_for_target,
+    _first_disjoint_pair,
     _first_partition_by_mask,
     _try_exclude,
     build_isolated_family,
@@ -355,6 +357,29 @@ def test_sper_matches_pair_loop():
         assert verify_sper(n) == _sper_pair_loop(n), n
     assert [p.parts for p in verify_sper(14)[1]] == [(9, 3, 2), (6, 4, 4)]
     assert [p.parts for p in verify_sper(17)[1]] == [(12, 3, 2), (7, 6, 4)]
+
+
+def _disjoint_pair_scan(masks, top):
+    # the pairwise scan the per-bit index replaced, kept as its reference
+    half_mask = (1 << (top + 1)) - 2
+    for a, ma in enumerate(masks):
+        ma &= half_mask
+        b = next((b for b, mb in enumerate(masks) if not ma & mb), None)
+        if b is not None:
+            return a, b
+    return None
+
+
+def test_sper_index_matches_the_pairwise_scan():
+    for n in range(1, 31):
+        masks = list(_first_partition_by_mask(n))
+        for top in range(n // 2 + 1):
+            assert _first_disjoint_pair(masks, top) == _disjoint_pair_scan(masks, top), (n, top)
+    rng = random.Random(5)
+    for _ in range(300):
+        masks = [rng.getrandbits(12) for _ in range(rng.randrange(1, 40))]
+        top = rng.randrange(0, 12)
+        assert _first_disjoint_pair(masks, top) == _disjoint_pair_scan(masks, top), (masks, top)
 
 
 def test_sper_walk_keeps_each_masks_first_partition():
