@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd
 
 from invgraph.permutations import (
     ClassLabel,
@@ -30,10 +30,11 @@ from invgraph.permutations import (
     Split,
     alternating_group_generators,
     canonical_of_type,
-    centralizer_generators,
     chain_order,
     class_labels,
     conjugacy_class,
+    cyclic_powers,
+    normalizer_generators,
     stabilizer_chain,
     symmetric_group_generators,
 )
@@ -104,7 +105,9 @@ def isolated_vertices(g: ClassGraph) -> list[ClassLabel]:
 
 
 def xi_subgraph(g: ClassGraph) -> ClassGraph:
-    """Induced subgraph on the non-isolated vertices."""
+    """Induced subgraph on the non-isolated vertices; g itself if it has none isolated."""
+    if all(g.adjacency):
+        return g
     keep = [i for i, row in enumerate(g.adjacency) if row]
     relabel = {old: new for new, old in enumerate(keep)}
     rows = []
@@ -241,39 +244,49 @@ def oracle_adjacency(n: int, group: GroupKind) -> ClassGraph:
     stabilizer chain of <x, y> that stops once its order reaches the order
     of G.  No subgroup catalog or rule is consulted.
 
-    Members y are walked up to conjugation by ``C_{S_n}(x)``.  For g in it,
-    ``<x, g^-1 y g> = g^-1 <x, y> g``, and G is normal in S_n, so the pair
-    generates G exactly when its conjugate does; hence ``C_{S_n}(x)``, which
-    contains ``C_{A_n}(x)``, serves for A_n too.  An orbit member outside
-    the class being walked is never visited, so marking it seen is harmless.
+    Once y generates, the pair's answer is known for every member of y's
+    orbit under two kinds of map, and the walk skips them:
+
+    - conjugation by c in ``N_{S_n}(<x>)``.  Then ``c x c^-1 = x^k`` with k
+      prime to |x|, so ``<x, c^-1 y c> = c^-1 <x^k, y> c = c^-1 <x, y> c``;
+      G is normal in S_n, so that pair generates G exactly when <x, y> does.
+      ``normalizer_generators(x)``, computed once per class, spans it.
+    - unit powers: ``<x, y^k> = <x, y>`` for k prime to |y|.
+
+    An orbit member outside the class being walked is never visited, so
+    marking it seen is harmless.
     """
     if n > 9:
         raise ValueError("the explicit oracle is limited to n <= 9")
     labels = tuple(class_labels(n, group))
     classes = _class_elements(n, group)
     group_order = factorial(n) // (1 if group is GroupKind.SYM else 2)
-    assert 1 + sum(len(c) for c in classes.values()) == group_order, (n, group)
+    listed = 1 + sum(len(c) for c in classes.values())
+    if listed != group_order:
+        raise RuntimeError(
+            f"the classes of {group.value} {n} hold {listed} elements, not {group_order}"
+        )
     count = len(labels)
     rows = [0] * count
-    keys = [(lbl.cycle_type.parts, lbl.split.value) for lbl in labels]
+    members = [classes[(lbl.cycle_type.parts, lbl.split.value)] for lbl in labels]
+    normalizers = [normalizer_generators(c[0]) for c in members]
     for i in range(count):
         for j in range(i + 1, count):
-            ci, cj = classes[keys[i]], classes[keys[j]]
-            if len(ci) >= len(cj):
-                fixed_class, moving_class = ci, cj
-            else:
-                fixed_class, moving_class = cj, ci
-            x = fixed_class[0]
-            centralizer = centralizer_generators(x)
+            fixed, moving = (i, j) if len(members[i]) >= len(members[j]) else (j, i)
+            x = members[fixed][0]
+            normalizer = normalizers[fixed]
             seen: set[bytes] = set()
             adjacent = True
-            for y in moving_class:
+            for y in members[moving]:
                 if y in seen:
                     continue
-                seen.update(conjugacy_class(y, centralizer, n))
                 if not _generates(x, y, n, group_order):
                     adjacent = False
                     break
+                powers = cyclic_powers(y)
+                for k, power in enumerate(powers, 1):
+                    if gcd(k, len(powers)) == 1 and power not in seen:
+                        seen.update(conjugacy_class(power, normalizer, n))
             if adjacent:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i

@@ -28,11 +28,12 @@ members.  Listing K costs ``|K|`` sifts, fewer than the at least
 ``|H| / |K|`` conjugations a walk would take.  The other classes, whose
 centralizer in S_n is large, are small, and are walked.
 ``symmetric_group_generators`` and ``alternating_group_generators`` are the
-generating sets the edge oracle walks its classes with.  ``closure_images``
-returns the set of every element, found breadth-first; its one option is a
-cap on that set's size.  No module of the package calls it: it is the
-reference enumeration for the tests and for
-``scripts/find_curated_generators.py``.
+generating sets the edge oracle walks its classes with, and
+``normalizer_generators`` spans the normalizer of <x> whose orbits it
+skips.  ``closure_images`` returns the set of every element, found
+breadth-first; its one option is a cap on that set's size.  No module of
+the package calls it: it is the reference enumeration for the tests and
+for ``scripts/find_curated_generators.py``.
 """
 
 from __future__ import annotations
@@ -398,6 +399,36 @@ def centralizer_generators(x: bytes) -> list[bytes]:
     return [bytes(g.images) for g in gens]
 
 
+def normalizer_generators(x: bytes) -> list[bytes]:
+    """Generators of the normalizer of <x> in S_n.
+
+    The centralizer's generators, and for each unit power x^k (k prime to
+    the order of x, 1 < k) the s with ``s^-1 * x * s == x^k`` that
+    ``_aligning`` builds: the cycle ``(a_0 a_1 ...)`` of x is the cycle
+    ``(a_0 a_k a_2k ...)`` of x^k on the same points.  Every unit power has
+    x's cycle type, so the normalizer induces every automorphism of <x> and
+    has order ``|C_{S_n}(x)| * phi(|x|)``.
+    """
+    cycles = _cycles(x)
+    order = math.lcm(*map(len, cycles))
+    gens = centralizer_generators(x)
+    for k in range(2, order):
+        if math.gcd(k, order) == 1:
+            powered = [tuple(c[i * k % len(c)] for i in range(len(c))) for c in cycles]
+            gens.append(bytes(_aligning(cycles, powered)))
+    return gens
+
+
+def cyclic_powers(x: bytes) -> list[bytes]:
+    """The powers x, x^2, ..., x^|x|, the last one the identity."""
+    identity = bytes(range(len(x)))
+    table = x + bytes(range(len(x), 256))
+    powers = [x]
+    while powers[-1] != identity:
+        powers.append(powers[-1].translate(table))  # x * x^k
+    return powers
+
+
 def _centralizer_order(lengths: Iterable[int]) -> int:
     """The order of the centralizer in S_n of an element with these cycle lengths.
 
@@ -468,7 +499,6 @@ def _class_levels(
     ``class_representatives`` documents the step from one level to the next.
     """
     identity = bytes(range(degree))
-    tail = bytes(range(degree, 256))
     scale = math.lcm(*range(1, degree + 1)) ** len(chain)
     bases = [next(iter(transversal)) for transversal in chain]
     inverses = [{y: bytes.maketrans(u, identity) for y, u in t.items()} for t in chain]
@@ -530,10 +560,7 @@ def _class_levels(
         for x in _chain_elements(chain[j:], degree):
             if known(x):
                 continue  # then so is every power of x without a fixed point in O_j
-            powers = [x]
-            table = x + tail
-            while powers[-1] != identity:
-                powers.append(powers[-1].translate(table))  # x * x^k
+            powers = cyclic_powers(x)
             for k, power in enumerate(powers, 1):
                 if known(power):
                     continue

@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 import re
@@ -443,6 +444,32 @@ def test_centralizer_generators_span_the_centralizer():
             x_table = x + tail
             commuting = {g for g in sym if x.translate(g + tail) == g.translate(x_table)}
             assert closure_images(permutations.centralizer_generators(x), n) == commuting, t
+
+
+def test_normalizer_generators_span_the_normalizer_of_the_cyclic_group():
+    # |N_{S_n}(<x>)| = |C_{S_n}(x)| * phi(|x|), since every unit power of x
+    # has x's cycle type; x is scrambled so no generator relies on layout
+    rng = random.Random(23)
+    for n in range(2, 9):
+        tail = bytes(range(n, 256))
+        for t in enumerate_partitions(n):
+            images = list(range(n))
+            rng.shuffle(images)
+            s = Permutation(images)
+            x = bytes(canonical_of_type(t).conjugate_by(s).images)
+            cyclic = [x]
+            while cyclic[-1] != bytes(range(n)):
+                cyclic.append(cyclic[-1].translate(x + tail))
+            order = len(cyclic)
+            phi = sum(math.gcd(k, order) == 1 for k in range(1, order + 1))
+            centralizer = math.prod(
+                k**m * math.factorial(m) for k, m in collections.Counter(t.parts).items()
+            )
+            gens = permutations.normalizer_generators(x)
+            assert chain_order(stabilizer_chain(gens, n)) == centralizer * phi, t
+            for g in gens:
+                inverse = bytes.maketrans(g, bytes(range(n)))
+                assert g.translate(x.translate(inverse) + tail) in cyclic, (t, g)
 
 
 def test_stabilizer_chain_of_the_identity():
