@@ -12,7 +12,10 @@ shared with another class's mask is the ``shares_subgroup`` verdict.  For
 every feature bit it keeps a column: the set of vertices having it.  A
 vertex's non-neighbours are the union of its features' columns, so row i is
 the complement of that union and of i itself, O(V * F) integer operations
-instead of a test per pair.
+instead of a test per pair.  On the way it keeps each vertex's verdict
+state (its rule mask and the rule names of its degree and group kind)
+on the label, so ``shares_subgroup`` on two vertices of a built graph
+reads no profile unless the rules leave the pair open.
 """
 
 from __future__ import annotations
@@ -79,7 +82,8 @@ def build_graph(n: int, group: GroupKind, cache_dir: str | None = None) -> Class
     primitive_catalog(n)  # raises before the classes of a large n are listed
     labels = tuple(class_labels(n, group))
     profile = type_profile(n, group is GroupKind.SYM, cache_dir)
-    features = [profile.features(lbl) for lbl in labels]
+    # verdict_state keeps each vertex's rule mask on its label for shares_subgroup
+    features = [profile.verdict_state(lbl)[0] | profile.primitive_mask(lbl) for lbl in labels]
     # columns[f]: the vertices having feature bit f
     columns: dict[int, int] = {}
     for i, rest in enumerate(features):

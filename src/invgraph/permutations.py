@@ -402,20 +402,26 @@ def centralizer_generators(x: bytes) -> list[bytes]:
 def normalizer_generators(x: bytes) -> list[bytes]:
     """Generators of the normalizer of <x> in S_n.
 
-    The centralizer's generators, and for each unit power x^k (k prime to
-    the order of x, 1 < k) the s with ``s^-1 * x * s == x^k`` that
+    The centralizer's generators, and for each k of a generating set of the
+    units mod the order of x the s with ``s^-1 * x * s == x^k`` that
     ``_aligning`` builds: the cycle ``(a_0 a_1 ...)`` of x is the cycle
     ``(a_0 a_k a_2k ...)`` of x^k on the same points.  Every unit power has
     x's cycle type, so the normalizer induces every automorphism of <x> and
-    has order ``|C_{S_n}(x)| * phi(|x|)``.
+    has order ``|C_{S_n}(x)| * phi(|x|)``; conjugation maps it onto the
+    units with the centralizer as kernel, so the aligners of generators of
+    the units, with the centralizer, span it.  A unit k is taken when the
+    units taken before it do not span it, smallest first: at most two at
+    n <= 9.
     """
     cycles = _cycles(x)
     order = math.lcm(*map(len, cycles))
     gens = centralizer_generators(x)
+    spanned = {1}
     for k in range(2, order):
-        if math.gcd(k, order) == 1:
+        if k not in spanned and math.gcd(k, order) == 1:
             powered = [tuple(c[i * k % len(c)] for i in range(len(c))) for c in cycles]
             gens.append(bytes(_aligning(cycles, powered)))
+            spanned = {u * k**i % order for u in spanned for i in range(order)}
     return gens
 
 
@@ -762,8 +768,9 @@ class ClassLabel:
     cycle_type: Partition
     group: GroupKind
     split: Split = Split.NONE
-    # (rule mask, rule names), set by subgroup_membership.shares_subgroup at
-    # the label's first verdict; not part of the label's value
+    # the verdict state (rule mask, rule names), set by
+    # subgroup_membership.TypeProfile.verdict_state when build_graph lists the
+    # label, or else at its first shares_subgroup verdict; not part of its value
     _rules: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):

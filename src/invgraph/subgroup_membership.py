@@ -29,10 +29,13 @@ whole graph from the same masks, and ``witness_verifier`` asks
 are filled on a type's first lookup, and the fingerprint bits only once a
 pair's rule bits do not meet, so without a catalog ``CatalogAbsent`` marks
 exactly the pairs the first three families leave open.  The rule bits
-depend on the class alone, so each ``ClassLabel`` keeps its rule mask, with
-its degree's table naming the rule bits, from its first verdict; a pair the
-rules decide is one AND and one lookup, and only the rule-open pairs read
-the profile, whose fingerprint bits depend on the cache directory.
+depend on the class alone, so each ``ClassLabel`` holds its rule mask and
+the one table naming the rule bits of its degree and group kind: the graph
+build keeps them on every vertex it lists, and any other label gets them at
+its first verdict.  A pair the rules decide is then one identity test of
+the two tables, one AND and one plain-dict lookup, and only the rule-open
+pairs read the profile, whose fingerprint bits depend on the cache
+directory.
 
 The exact degrees, ``EXACT_DEGREES``, are the keys of the one table
 ``_CATALOG``, whose row for a degree returns its groups in catalog order;
@@ -559,9 +562,9 @@ def _compute_fingerprint(spec: GroupSpec) -> Fingerprint:
     # Every class holds a representative, and cycle type and split label
     # are class invariants, so the representatives decide both; a class may
     # hold several of them, which adds nothing new.  For a group inside A_n
-    # conjugation keeps the split label; an odd element of the group swaps
-    # the two A_n classes of a split type, so then every split type present
-    # meets both.
+    # conjugation keeps the split label, which is asked only while the type
+    # lacks one of its two; an odd element of the group swaps the two A_n
+    # classes of a split type, so then every split type present meets both.
     odd = any(not g.is_even for g in spec.generators)
     types: set[tuple[int, ...]] = set()
     incidence: dict[tuple[int, ...], set[Split]] = {}
@@ -573,7 +576,9 @@ def _compute_fingerprint(spec: GroupSpec) -> Fingerprint:
             if odd:
                 incidence[t] = {Split.PLUS, Split.MINUS}
             else:
-                incidence.setdefault(t, set()).add(split_label(Permutation(rep)))
+                splits = incidence.setdefault(t, set())
+                if len(splits) < 2:
+                    splits.add(split_label(Permutation(rep)))
     return Fingerprint(
         degree=spec.degree,
         name=spec.name,
@@ -691,34 +696,30 @@ class Sharing:
         return f"{self.family}({self.witness})"
 
 
-class _RuleSharing(dict):
-    """The verdict named by each parity, partial-sum and block bit of a degree.
-
-    Filled on first lookup; the names depend on the degree alone, so every
-    class label of the degree holds this one table.
-    """
-
-    def __init__(self, n: int):
-        super().__init__()
-        self.n = n
-        self.block_sizes = proper_block_sizes(n)
-        self.block_shift = n // 2 + 1
-
-    def __missing__(self, bit: int) -> Sharing:
-        index = bit.bit_length() - 1
-        if index == 0:
-            verdict = Sharing("alternating", f"A_{self.n}")
-        elif index < self.block_shift:
-            verdict = Sharing("intransitive", f"i={index}")
-        else:
-            verdict = Sharing("imprimitive", f"m={self.block_sizes[index - self.block_shift]}")
-        self[bit] = verdict
-        return verdict
-
-
 @lru_cache(maxsize=None)
-def _rule_sharing(n: int) -> _RuleSharing:
-    return _RuleSharing(n)
+def _rule_sharing(n: int) -> tuple[dict[int, Sharing], dict[int, Sharing]]:
+    """The tables naming the rule bits of degree n: A_n's, then S_n's.
+
+    Each maps a parity, partial-sum or block bit to its verdict, filled by
+    ``_name_rule_bit`` the first time a pair shares the bit.  Every label of
+    one degree and group kind holds the same table, so two labels hold one
+    table exactly when their degree and group agree.
+    """
+    return {}, {}
+
+
+def _name_rule_bit(names: dict[int, Sharing], n: int, bit: int) -> Sharing:
+    """The verdict of a parity, partial-sum or block bit of degree n, kept in names."""
+    index = bit.bit_length() - 1
+    block_shift = n // 2 + 1
+    if index == 0:
+        verdict = Sharing("alternating", f"A_{n}")
+    elif index < block_shift:
+        verdict = Sharing("intransitive", f"i={index}")
+    else:
+        verdict = Sharing("imprimitive", f"m={proper_block_sizes(n)[index - block_shift]}")
+    names[bit] = verdict
+    return verdict
 
 
 class TypeProfile:
@@ -732,7 +733,8 @@ class TypeProfile:
 
     ``rules[parts]`` holds the parity, partial-sum and block bits of a type,
     filled on its first lookup; they depend on the degree and group kind
-    alone, and ``shares_subgroup`` keeps each class's copy on its label.
+    alone, so ``verdict_state`` keeps a class's rule mask on its label, with
+    ``names``, the degree and group kind's one table naming the rule bits.
     ``primitive[parts]`` holds the fingerprint bits (PLUS or unsplit class,
     MINUS class) read from this profile's cache directory, filled only for
     pairs the rules leave open, so degrees without a catalog answer every
@@ -745,8 +747,9 @@ class TypeProfile:
         self.n = n
         self.sym = sym
         self.cache_dir = cache_dir
-        self.names = names = _rule_sharing(n)  # the one layout of the rule bits
-        self.block_sizes, self.block_shift = names.block_sizes, names.block_shift
+        self.names = _rule_sharing(n)[sym]
+        self.block_sizes = proper_block_sizes(n)
+        self.block_shift = n // 2 + 1
         self.primitive_shift = self.block_shift + len(self.block_sizes)
         self.rules: dict[tuple[int, ...], int] = {}
         self.primitive: dict[tuple[int, ...], tuple[int, int]] = {}
@@ -802,18 +805,17 @@ class TypeProfile:
             masks = self.primitive[parts] = (plus, minus if split else plus)
         return masks[label.split is Split.MINUS]
 
-    def features(self, label: ClassLabel) -> int:
-        """Every feature bit of a class, for the column build."""
-        return self.rule_mask(label.cycle_type.parts) | self.primitive_mask(label)
+    def verdict_state(self, label: ClassLabel) -> tuple[int, dict[int, Sharing]]:
+        """A class's rule mask and the rule names, kept on its label."""
+        state = (self.rule_mask(label.cycle_type.parts), self.names)
+        object.__setattr__(label, "_rules", state)
+        return state
 
     def sharing(self, bit: int) -> Sharing:
-        """The verdict named by a single feature bit."""
-        index = bit.bit_length() - 1
-        if index < self.primitive_shift:
-            return self.names[bit]
+        """The verdict named by a single fingerprint bit."""
         verdict = self._sharing.get(bit)
         if verdict is None:
-            k, mirror = divmod(index - self.primitive_shift, 2)
+            k, mirror = divmod(bit.bit_length() - 1 - self.primitive_shift, 2)
             fp = degree_fingerprints(self.n, self.cache_dir)[k]
             verdict = self._sharing[bit] = Sharing("primitive", fp.name + "'" * mirror)
         return verdict
@@ -825,13 +827,10 @@ def type_profile(n: int, sym: bool, cache_dir: str | None = None) -> TypeProfile
     return TypeProfile(n, sym, cache_dir)
 
 
-def _label_rules(label: ClassLabel, cache_dir: str | None) -> tuple[int, _RuleSharing]:
-    """A label's rule mask and its degree's rule names, kept on the label."""
-    n = label.degree
-    profile = type_profile(n, label.group is GroupKind.SYM, cache_dir)
-    rules = (profile.rule_mask(label.cycle_type.parts), _rule_sharing(n))
-    object.__setattr__(label, "_rules", rules)
-    return rules
+def _label_rules(label: ClassLabel, cache_dir: str | None) -> tuple[int, dict[int, Sharing]]:
+    """The verdict state of a label no graph build has seen."""
+    profile = type_profile(label.degree, label.group is GroupKind.SYM, cache_dir)
+    return profile.verdict_state(label)
 
 
 def shares_subgroup(
@@ -845,20 +844,25 @@ def shares_subgroup(
     bit the two classes' masks share: the smallest partial sum, the smallest
     block size, the first fingerprint in catalog order before its mirror.
 
-    Each label keeps its rule mask and its degree's rule names from its
-    first verdict, so a pair the rules decide costs one AND and one lookup.
-    Only a pair whose rule masks do not meet reads the fingerprint bits,
-    from the profile of ``cache_dir``.
+    Each label holds its verdict state: its rule mask and the table naming
+    the rule bits of its degree and group kind.  ``build_graph`` keeps it on
+    every vertex it lists, and any other label gets it on its first verdict.
+    The tables are one per degree and group kind, so one identity test
+    checks that the pair is comparable, and a pair the rules decide costs one
+    AND and one lookup.  Only a pair whose rule masks do not meet reads the
+    fingerprint bits, from the profile of ``cache_dir``.
     """
     mask1, names = c1._rules or _label_rules(c1, cache_dir)
     mask2, names2 = c2._rules or _label_rules(c2, cache_dir)
-    if names is not names2:  # one table per degree
-        raise ValueError("degree mismatch")
-    if c1.group is not c2.group:
-        raise ValueError("group mismatch")
+    if names is not names2:
+        raise ValueError("degree mismatch" if c1.degree != c2.degree else "group mismatch")
     common = mask1 & mask2
     if common:
-        return names[common & -common]
+        bit = common & -common
+        try:
+            return names[bit]
+        except KeyError:
+            return _name_rule_bit(names, c1.degree, bit)
     profile = type_profile(c1.degree, c1.group is GroupKind.SYM, cache_dir)
     common = profile.primitive_mask(c1) & profile.primitive_mask(c2)
     if not common:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from invgraph import subgroup_membership
+from invgraph.graph_engine import build_graph
 from invgraph.arith import divisors, proper_block_sizes
 from invgraph.partitions import (
     Partition,
@@ -541,6 +542,76 @@ def test_fingerprint_bits_come_from_the_calls_cache_dir(tmp_path, monkeypatch):
     assert shares_subgroup(plus, minus, plain_dir) == Sharing("primitive", "C7")
     assert shares_subgroup(plus, minus, renamed_dir) == Sharing("primitive", "C7@renamed")
     assert shares_subgroup(minus, plus, plain_dir) == Sharing("primitive", "C7")
+
+
+# degrees and groups whose graphs the verdict-state tests build afresh: each
+# has rule-decided and rule-open pairs, and the A_n ones have split classes
+_SEEDED_GRAPHS = ((7, GroupKind.SYM), (8, GroupKind.ALT), (12, GroupKind.SYM), (13, GroupKind.ALT))
+
+
+def test_graph_build_seeds_each_vertex_with_its_verdict_state(tmp_path):
+    # before any verdict, every vertex of a graph carries the state a fresh
+    # label of the same class gets on its first verdict, table included
+    for n, group in _SEEDED_GRAPHS:
+        for label in build_graph(n, group, str(tmp_path)).vertices:
+            assert label._rules is not None, label
+            fresh = ClassLabel(label.cycle_type, label.group, label.split)
+            assert fresh._rules is None
+            shares_subgroup(fresh, fresh, str(tmp_path))
+            assert fresh._rules[0] == label._rules[0], label
+            assert fresh._rules[1] is label._rules[1], label
+
+
+def test_graph_labels_and_fresh_labels_share_one_name_table(tmp_path):
+    # mixing a graph vertex with a fresh label of any class of the same
+    # degree and group gives the vertices' verdict and edge bit; across
+    # groups or degrees the pair is refused as before
+    cache = str(tmp_path)
+    for n, group in _SEEDED_GRAPHS:
+        g = build_graph(n, group, cache)
+        fresh = [
+            next(lbl for lbl in type_labels(v.cycle_type, group) if lbl.split is v.split)
+            for v in g.vertices
+        ]
+        for i, a in enumerate(g.vertices):
+            for j, b in enumerate(fresh):
+                verdict = shares_subgroup(a, b, cache)
+                assert verdict == shares_subgroup(b, a, cache)
+                assert verdict == shares_subgroup(a, g.vertices[j], cache), (a, b)
+                assert (g.adjacency[i] >> j & 1) == (i != j and verdict is None), (a, b)
+        table = g.vertices[0]._rules[1]
+        assert all(lbl._rules[1] is table for lbl in g.vertices + tuple(fresh))
+        other_group = GroupKind.ALT if group is GroupKind.SYM else GroupKind.SYM
+        other = type_labels(Partition([3] + [1] * (n - 3)), other_group)[0]
+        with pytest.raises(ValueError, match="^group mismatch$"):
+            shares_subgroup(g.vertices[0], other, cache)
+        larger = type_labels(Partition([3] + [1] * (n - 2)), group)[0]
+        with pytest.raises(ValueError, match="^degree mismatch$"):
+            shares_subgroup(larger, g.vertices[0], cache)
+
+
+def test_rule_decided_verdicts_on_graph_vertices_read_no_profile(tmp_path, monkeypatch):
+    # a pair whose rule masks meet is answered from the labels alone: neither
+    # the profile nor the fallback that fills a label's state is asked
+    cache = str(tmp_path)
+    graphs = [build_graph(n, group, cache) for n, group in _SEEDED_GRAPHS]
+    expected = {
+        (a, b): _reference_shares_subgroup(a, b, cache)
+        for g in graphs
+        for a in g.vertices
+        for b in g.vertices
+        if a._rules[0] & b._rules[0]
+    }
+    assert len(expected) > 1000
+
+    def refuse(*args):
+        raise AssertionError("a rule-decided verdict asked for its state")
+
+    monkeypatch.setattr(subgroup_membership, "type_profile", refuse)
+    monkeypatch.setattr(subgroup_membership, "_label_rules", refuse)
+    for (a, b), want in expected.items():
+        assert want is not None
+        assert shares_subgroup(a, b, cache) == want, (a, b)
 
 
 def test_absent_catalog_is_asked_once_per_profile(tmp_path):
