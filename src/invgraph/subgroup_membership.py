@@ -4,8 +4,10 @@ Four families decide every edge question at the supported degrees:
 
 * the alternating group, in S_n, decided by parity;
 * intransitive subgroups, decided by common partial sums;
-* imprimitive wreath products of block size m, decided by a memoized
-  grouping search over the part multiset;
+* imprimitive wreath products of block size m, decided by a rule for two
+  blocks (a partial sum n/2, or only even parts) and for blocks of size two
+  (every odd part an even number of times), and at every other block size
+  by a memoized grouping search over the part multiset;
 * primitive groups, decided against fingerprints (the realized cycle types,
   with per-split-class incidence) of a complete per-degree catalog.
 
@@ -28,11 +30,13 @@ whole graph from the same masks, and ``witness_verifier`` asks
 ``shares_subgroup`` about every witness pair at every degree.  The rule bits
 are filled on a type's first lookup, and the fingerprint bits only once a
 pair's rule bits do not meet, so without a catalog ``CatalogAbsent`` marks
-exactly the pairs the first three families leave open.  The rule bits
-depend on the class alone, so each ``ClassLabel`` holds its rule mask and
-the one table naming the rule bits of its degree and group kind: the graph
-build keeps them on every vertex it lists, and any other label gets them at
-its first verdict.  A pair the rules decide is then one identity test of
+exactly the pairs the first three families leave open.  A type's block
+bits are decided once, by ``_block_bits``, which the S_n and A_n profiles of
+its degree share, through the same decision as ``wreath_member``.  The rule
+bits depend on the class alone, so each ``ClassLabel`` holds its rule mask
+and the one table naming the rule bits of its degree and group kind: the
+graph build keeps them on every vertex it lists, and any other label gets
+them at its first verdict.  A pair the rules decide is then one identity test of
 the two tables, one AND and one plain-dict lookup, and only the rule-open
 pairs read the profile, whose fingerprint bits depend on the cache
 directory.
@@ -112,6 +116,61 @@ def wreath_member(t: Partition, m: int) -> bool:
     is realized iff its parts split into groups, each group assigned some d
     dividing all its parts with sum(part/d) == m, the d's summing to n/m.
 
+    ``_in_blocks`` decides it, the one decision ``_block_bits`` also makes
+    for the feature masks: by a rule for two blocks and for blocks of size
+    two, and by the grouping search at every other block size.
+    """
+    n = t.n
+    if not (1 < m < n) or n % m:
+        raise ValueError(f"m={m} is not a proper divisor of n={n}")
+    return _in_blocks(t, _part_counts(t.parts), m, n // m)
+
+
+@lru_cache(maxsize=None)
+def _block_bits(parts: tuple[int, ...]) -> int:
+    """A type's block bits: bit i when it lies in S_m wr S_{n/m} for the
+    i-th proper block size m of its degree.
+
+    One entry per type, which the S_n and A_n profiles of its degree share.
+    """
+    t = Partition(parts)
+    n = t.n
+    counts = _part_counts(parts)
+    bits = 0
+    for i, m in enumerate(proper_block_sizes(n)):
+        if _in_blocks(t, counts, m, n // m):
+            bits |= 1 << i
+    return bits
+
+
+def _part_counts(parts: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """(part, multiplicity) of a descending part tuple, largest part first."""
+    return tuple((v, len(list(run))) for v, run in itertools.groupby(parts))
+
+
+def _in_blocks(t: Partition, counts: tuple, m: int, k: int) -> bool:
+    """Does the type t, with part counts ``counts``, fill k blocks of size m?
+
+    * k = 2: an element keeping two blocks fixes both, so its cycles split
+      into two sets summing to m (bit m of ``partial_sum_mask``), or swaps
+      them, so every cycle is even.
+    * m = 2: a block cycle of length d over pairs carries one 2d-cycle or
+      two d-cycles, so every odd part must occur an even number of times.
+    * Otherwise ``_wreath_solve`` searches for the grouping.
+
+    Parts divisible by m cannot be set aside first: (9,6,3) fills three
+    blocks of size 6, while (9,3) does not fill two.
+    """
+    if k == 2:
+        return all(v % 2 == 0 for v, _ in counts) or bool(partial_sum_mask(t) >> m & 1)
+    if m == 2:
+        return all(v % 2 == 0 or c % 2 == 0 for v, c in counts)
+    return _wreath_solve(counts, k, m, {})
+
+
+def _wreath_solve(counts_now: tuple, blocks_left: int, m: int, memo: dict) -> bool:
+    """Can the parts ``counts_now`` fill ``blocks_left`` blocks of size m?
+
     The search takes the largest value v first, and first tries v in bulk.
     The shortest block cycle that copies of v alone can fill has length
     d = v/gcd(v, m) and takes j = m/gcd(v, m) copies; the bulk try takes as
@@ -121,20 +180,8 @@ def wreath_member(t: Partition, m: int) -> bool:
     search decides.  On every partition of n <= 24 at every proper block
     size, and on every call the witness claims make, the bulk try never
     failed where the answer was True; no proof says it cannot, so the
-    fallback stays.
-    """
-    n = t.n
-    if not (1 < m < n) or n % m:
-        raise ValueError(f"m={m} is not a proper divisor of n={n}")
-    counts = tuple((v, len(list(run))) for v, run in itertools.groupby(t.parts))
-    return _wreath_solve(counts, n // m, m, {})
-
-
-def _wreath_solve(counts_now: tuple, blocks_left: int, m: int, memo: dict) -> bool:
-    """Can the parts ``counts_now`` fill ``blocks_left`` blocks of size m?
-
-    The search of ``wreath_member``.  ``m`` and the memo are passed down
-    rather than closed over, so a call leaves no reference cycle behind.
+    fallback stays.  ``m`` and the memo are passed down rather than closed
+    over, so a call leaves no reference cycle behind.
     """
     if not counts_now:
         return blocks_left == 0
@@ -732,8 +779,11 @@ class TypeProfile:
     meet, and the lowest common bit names the first witness in check order.
 
     ``rules[parts]`` holds the parity, partial-sum and block bits of a type,
-    filled on its first lookup; they depend on the degree and group kind
-    alone, so ``verdict_state`` keeps a class's rule mask on its label, with
+    filled on its first lookup.  The block bits come from ``_block_bits``,
+    one cache entry per type for both profiles of a degree, which decides
+    two blocks and blocks of size two by rule and searches only the other
+    block sizes.  The rule bits depend on the degree and group kind alone,
+    so ``verdict_state`` keeps a class's rule mask on its label, with
     ``names``, the degree and group kind's one table naming the rule bits.
     ``primitive[parts]`` holds the fingerprint bits (PLUS or unsplit class,
     MINUS class) read from this profile's cache directory, filled only for
@@ -764,13 +814,11 @@ class TypeProfile:
         n = self.n
         if sum(parts) != n:
             raise ValueError("degree mismatch")
-        t = Partition(parts)
-        mask = partial_sum_mask(t) & ((1 << self.block_shift) - 2)
+        mask = partial_sum_mask(Partition(parts)) & ((1 << self.block_shift) - 2)
         if self.sym and (n - len(parts)) % 2 == 0:
             mask |= 1
-        for bit, m in enumerate(self.block_sizes, self.block_shift):
-            if wreath_member(t, m):
-                mask |= 1 << bit
+        if self.block_sizes:
+            mask |= _block_bits(parts) << self.block_shift
         self.rules[parts] = mask
         return mask
 

@@ -676,10 +676,14 @@ def _first_partition_by_mask(n: int) -> dict[int, tuple[int, ...]]:
     (remaining, largest allowed part, mask) it has seen before is skipped;
     see ``verify_sper`` for why that is exact.  The dict's insertion order is
     first-partition order.
+
+    The parts taken are a chain of ``(earlier, part)`` pairs ending in
+    ``()``, so a step shares its prefix instead of copying it; only the
+    chains of the returned partitions are unlinked into tuples.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    first: dict[int, tuple[int, ...]] = {}
+    first: dict[int, tuple] = {}
     seen: set[tuple[int, int, int]] = set()
     # (remaining, largest allowed part, mask, parts taken); the largest next
     # part is pushed last, so it is walked first.  A stack rather than a
@@ -697,8 +701,17 @@ def _first_partition_by_mask(n: int) -> dict[int, tuple[int, ...]]:
         seen.add(state)
         for part in range(1, largest + 1):
             rest = remaining - part
-            stack.append((rest, min(part, rest), mask | mask << part, taken + (part,)))
-    return first
+            stack.append((rest, part if part < rest else rest, mask | mask << part, (taken, part)))
+    return {mask: _unlink(taken) for mask, taken in first.items()}
+
+
+def _unlink(taken: tuple) -> tuple[int, ...]:
+    """The parts of an ``(earlier, part)`` chain, in the order they were taken."""
+    parts = []
+    while taken:
+        taken, part = taken
+        parts.append(part)
+    return tuple(reversed(parts))
 
 
 def verify_sper(n: int) -> tuple[bool, tuple[Partition, Partition] | None]:

@@ -40,6 +40,7 @@ from invgraph.subgroup_membership import (
     EXACT_DEGREES,
     CatalogAbsent,
     Sharing,
+    TypeProfile,
     _compute_fingerprint,
     degree_fingerprints,
     primitive_catalog,
@@ -201,10 +202,40 @@ def test_wreath_member_shared_block_cycles():
         # the bulk step fires (each 4 a cycle of two blocks) and fails, and
         # the one-group search must still say no
         ((4, 4, 4, 4, 3, 1), 2, False),
+        # 9, 6 and 3 share one cycle of three blocks (3 + 2 + 1 = 6), so the
+        # part 6, which fills a block alone, cannot be dropped: (9, 3) fills
+        # no two blocks of size 6
+        ((9, 6, 3), 6, True),
+        ((9, 3), 6, False),
     ]
     for parts, m, expected in cases:
         t = Partition(parts)
         assert wreath_member(t, m) == _wreath_one_group_search(t, m) == expected, parts
+
+
+def test_two_block_and_pair_rules_match_one_group_search():
+    # the rules for k = 2 blocks and for blocks of size m = 2, on every
+    # partition of even n <= 30
+    checks = 0
+    for n in range(4, 31, 2):
+        for t in enumerate_partitions(n):
+            for m in {2, n // 2}:
+                assert wreath_member.__wrapped__(t, m) == _wreath_one_group_search(t, m), (t, m)
+                checks += 1
+    assert checks == 31735
+
+
+def test_rule_mask_block_bits_match_wreath_member():
+    # both profiles of a degree read the one per-type block decision
+    for n in range(3, 21):
+        sizes = proper_block_sizes(n)
+        profiles = [TypeProfile(n, sym, None) for sym in (True, False)]
+        for t in enumerate_partitions(n):
+            want = [wreath_member.__wrapped__(t, m) for m in sizes]
+            for profile in profiles:
+                bits = profile.rule_mask(t.parts) >> profile.block_shift
+                assert [bool(bits >> i & 1) for i in range(len(sizes))] == want, (t, profile.sym)
+                assert bits >> len(sizes) == 0, t
 
 
 def test_wreath_oracle_small_degrees():
