@@ -26,7 +26,12 @@ product of wreath products ``C_k wr S_m``), the elements of K that sift
 through the chain form ``C_H(x)``, and the class has ``|H| / |C_H(x)|``
 members.  Listing K costs ``|K|`` sifts, fewer than the at least
 ``|H| / |K|`` conjugations a walk would take.  The other classes, whose
-centralizer in S_n is large, are small, and are walked.
+centralizer in S_n is large, are small, and are walked by
+``conjugacy_class``: the top level under the given generators, each level
+below under those of the level beneath it and the transversal elements
+their orbit of the base point misses (``_level_generators``), so the walk
+builds no chain of its own.  Over the 62 catalog groups the walk reads
+852 chain products, visits 10,203 elements and makes 32,560 conjugations.
 ``symmetric_group_generators`` and ``alternating_group_generators`` are the
 generating sets the edge oracle walks its classes with, and
 ``normalizer_generators`` spans the normalizer of <x> whose orbits it
@@ -39,7 +44,6 @@ for ``scripts/find_curated_generators.py``.
 from __future__ import annotations
 
 import math
-import random
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -443,53 +447,34 @@ def _centralizer_order(lengths: Iterable[int]) -> int:
     return math.prod(k**m * math.factorial(m) for k, m in Counter(lengths).items())
 
 
-# Seeded pairs of chain products tried by ``_generating_pair`` per chain
-# level.  Over the catalog groups and the wreath products at n <= 10, 120
-# levels have more than two generators: 114 find a pair within six tries
-# (59 at the first), and 6, of orders 36 to 720, keep all their generators.
-_PAIR_TRIES = 8
+def _level_generators(deeper: list[bytes], transversal: dict[int, bytes]) -> list[bytes]:
+    """Generators of a chain level's group ``H_j``, from those of ``H_{j+1}``.
 
-
-def _generating_pair(
-    chain: Sequence[dict[int, bytes]], generators: list[bytes], degree: int, order: int
-) -> list[bytes]:
-    """Two chain products that generate the group, else ``generators``.
-
-    A product of one seeded random element per transversal is a uniform
-    element of the group.  A pair whose ``stabilizer_chain`` reaches the
-    group order ``order`` generates the whole group, since both lie in it.
-    A pair whose orbit of the first base point is smaller than that
-    point's orbit under the group cannot generate it, so it is dropped
-    before its chain is built.  Two or fewer generators are kept as they
-    are, and so are more when no pair is found within ``_PAIR_TRIES`` tries.
+    ``deeper`` generates ``H_{j+1}`` and ``transversal`` is ``chain[j]``,
+    with base point ``b_j`` and orbit ``O_j``.  Going through the
+    transversal in order, the element ``u_y`` of each point y that the
+    orbit of ``b_j`` under the generators so far does not reach is added;
+    the orbit is a breadth-first walk on points, and no group element is
+    listed.  The group K the result spans lies in ``H_j`` and contains
+    ``H_{j+1}``, the stabilizer of ``b_j`` in ``H_j``, and its orbit of
+    ``b_j`` is all of ``O_j``, so ``|K| >= |O_j| * |H_{j+1}| = |H_j|`` and
+    K is ``H_j``.  The same count shows that the orbit of ``b_j`` under the
+    generators so far has ``|K| / |H_{j+1}|`` points, so each added element
+    at least doubles it, and a level adds at most ``log2 |O_j|`` of them.
     """
-    if len(generators) <= 2:
-        return generators
-    rng = random.Random(0)
-    identity = bytes(range(degree))
-    tail = bytes(range(degree, 256))
-    levels = [list(transversal.values()) for transversal in reversed(chain)]
-    base = next(iter(chain[0]))
-    orbit_size = len({u[base] for u in chain[0].values()})
-
-    def draw() -> bytes:
-        x = identity
-        for level in levels:
-            x = x.translate(rng.choice(level) + tail)  # u * x
-        return x
-
-    for _ in range(_PAIR_TRIES):
-        pair = [draw(), draw()]
-        reached = [base]
-        for point in reached:  # breadth-first; reached grows while it is walked
-            for g in pair:
-                if g[point] not in reached:
-                    reached.append(g[point])
-        if len(reached) < orbit_size:
-            continue
-        if chain_order(stabilizer_chain(pair, degree, order=order)) == order:
-            return pair
-    return generators
+    gens = list(deeper)
+    base = next(iter(transversal))
+    reached = [base]  # H_{j+1} fixes b_j, so its orbit is {b_j}
+    seen = {base}
+    for y, u in transversal.items():
+        if y not in seen:
+            gens.append(u)
+            for point in reached:  # breadth-first; reached grows while it is walked
+                for g in gens:
+                    if g[point] not in seen:
+                        seen.add(g[point])
+                        reached.append(g[point])
+    return gens
 
 
 def _class_levels(
@@ -508,10 +493,15 @@ def _class_levels(
     scale = math.lcm(*range(1, degree + 1)) ** len(chain)
     bases = [next(iter(transversal)) for transversal in chain]
     inverses = [{y: bytes.maketrans(u, identity) for y, u in t.items()} for t in chain]
+    level_gens: list[bytes] = []  # generators of H_{j+1}, then of H_j
     weighted = [(identity, scale)]
     yield weighted
     for j in range(len(chain) - 1, -1, -1):
         transversal = chain[j]
+        if j:
+            level_gens = _level_generators(level_gens, transversal)
+        else:
+            level_gens = [bytes(g) for g in generators]
         orbit = {u[bases[j]] for u in transversal.values()}  # O_j, as images: all below degree
         order = chain_order(chain[j:])
         # each class of H_j with a fixed point in O_j meets H_{j+1}, and
@@ -548,12 +538,13 @@ def _class_levels(
         # C_{S_n}(r)) for each counted representative r
         counted: dict[tuple[int, ...], list[tuple[list[tuple[int, ...]], list[bytes]]]] = {}
         counted_size = 0
-        gens = None
 
         def known(y: bytes) -> bool:
             """Whether y has a fixed point in O_j or lies in a class found before."""
             if y in covered or any(y[z] == z for z in orbit):
                 return True
+            if not counted:
+                return False
             cycles = sorted(_cycles(y), key=len)
             for r_cycles, coset_tables in counted.get(tuple(map(len, cycles)), ()):
                 s = bytes(_aligning(r_cycles, cycles))
@@ -578,13 +569,7 @@ def _class_levels(
                     counted.setdefault(tuple(map(len, cycles)), []).append((cycles, coset_tables))
                     counted_size += size
                 else:
-                    if gens is None:
-                        if j:
-                            level_gens = [u for t in chain[j:] for u in t.values() if u != identity]
-                        else:
-                            level_gens = [bytes(g) for g in generators]
-                        gens = _generating_pair(chain[j:], level_gens, degree, order)
-                    members = conjugacy_class(power, gens, degree)
+                    members = conjugacy_class(power, level_gens, degree)
                     size = len(members)
                     if order % size or order // size % power_order:
                         raise RuntimeError(
@@ -681,11 +666,14 @@ def class_representatives(
     ``s^-1 * r * s == y``; one c per coset ``C_{H_j}(r) * c`` is tested,
     ``|K : C_{H_j}(r)|`` sifts.  Otherwise ``K`` is large and the class
     small, and its ``conjugacy_class`` is walked and kept, so a later
-    element is found in it by lookup.  A walk runs under a generating pair
-    of ``H_j`` when the level has more generators (``_generating_pair``,
-    drawn only at a level that walks a class): the given generators at the
-    top level, and the transversal elements of ``chain[j:]`` at the levels
-    below it.
+    element is found in it by lookup.  A walk runs under the given
+    generators at the top level, and at a level j below it under the
+    generators of ``H_{j+1}`` and one transversal element of ``chain[j]``
+    for each point of ``O_j`` their orbit of ``b_j`` does not yet reach
+    (``_level_generators``, which shows that they span ``H_j``).  These are
+    read off the chain, so the walk builds no chain: over the 62 catalog
+    groups it reads 852 products, visits 10,203 elements and makes 32,560
+    conjugations, at 1 to 6 generators a level.
 
     Every class of the group then holds one representative or more, and
     the weights of each class sum to its size.  Raises RuntimeError when a

@@ -407,12 +407,10 @@ def test_class_count_checks_each_centralizer_against_the_chain_order(case, messa
         class_representatives(chain, gens, degree)
 
 
-def test_generating_pair_builds_few_chains(monkeypatch):
-    # a drawn pair that does not even move the base point over its whole
-    # orbit is dropped before its chain is built.  The class walks of the
-    # catalog groups and the oracle's wreath products built 304 pair chains
-    # when every class was walked, 296 once counted classes skipped the
-    # pair search at some levels, and 209 with the orbit test as well
+def test_class_walk_builds_no_chains(monkeypatch):
+    # each level walks its classes under generators read off the chain, so
+    # the class walks of the catalog groups and the oracle's wreath products
+    # build no stabilizer chain of their own
     chains = []
     build = permutations.stabilizer_chain
 
@@ -430,7 +428,30 @@ def test_generating_pair_builds_few_chains(monkeypatch):
     monkeypatch.setattr(permutations, "stabilizer_chain", counting)
     for chain, gens, n in prepared:
         class_representatives(chain, gens, n)
-    assert 0 < len(chains) < 250
+    assert len(chains) == 0
+
+
+def test_level_generators_span_each_chain_level():
+    # the generators the class walk reads off the chain for level j >= 1,
+    # those of level j + 1 and the transversal elements their orbit of the
+    # base point misses, span exactly the group of chain[j:].  Each added
+    # element at least doubles that orbit, and every level adds one, so a
+    # level has at most 6 generators unless it has more levels below it:
+    # level 1 of S5wrS2, with 7 levels, has 7
+    groups = [g[:3] for g in _groups_with_known_orders()] + list(_oracle_wreath_products())
+    for name, gens, n in groups:
+        chain = stabilizer_chain(gens, n)
+        level_gens = []
+        for j in range(len(chain) - 1, 0, -1):
+            deeper = len(level_gens)
+            level_gens = permutations._level_generators(level_gens, chain[j])
+            added = len(level_gens) - deeper
+            assert 1 <= added and 2**added <= len(chain[j]), (name, j)
+            assert len(level_gens) <= max(6, len(chain) - j), (name, j)
+            assert chain_order(stabilizer_chain(level_gens, n)) == chain_order(chain[j:]), (
+                name,
+                j,
+            )
 
 
 def test_centralizer_generators_span_the_centralizer():
