@@ -68,8 +68,29 @@ class GF:
         return self._from_vec(prod[: r])
 
     def _build_mul_table(self):
-        q = self.q
-        return [[self._poly_mul(a, b) for b in range(q)] for a in range(q)]
+        """The table of a * b, from r products per row instead of q.
+
+        Multiplying by b is linear over GF(p): for a = sum_i d_i x^i,
+        a * b = sum_i d_i (x^i * b).  Row b is built one digit at a time; the
+        codes with digit i equal to d are d * p^i plus the codes below p^i,
+        so each digit repeats the vectors so far p times, shifted by d times
+        x^i * b.  The table is symmetric, so row b is also column b.
+        """
+        p, r, q = self.p, self.r, self.q
+        if r == 1:
+            return [[a * b % p for b in range(q)] for a in range(q)]
+        table = []
+        for b in range(q):
+            vectors = [[0] * r]
+            for i in range(r):
+                step = self._to_vec(self._poly_mul(p**i, b))
+                vectors = [
+                    [(u + d * v) % p for u, v in zip(vec, step)]
+                    for d in range(p)
+                    for vec in vectors
+                ]
+            table.append([self._from_vec(vec) for vec in vectors])
+        return table
 
     def add(self, a: int, b: int) -> int:
         va, vb = self._to_vec(a), self._to_vec(b)

@@ -37,6 +37,7 @@ from invgraph.permutations import (
     class_labels,
     conjugacy_class,
     cyclic_powers,
+    is_transitive,
     normalizer_generators,
     stabilizer_chain,
     symmetric_group_generators,
@@ -231,9 +232,14 @@ def _class_elements(n: int, group: GroupKind) -> dict[tuple, list[bytes]]:
 def _generates(x: bytes, y: bytes, n: int, order: int) -> bool:
     """Whether <x, y> is all of G, given x and y in G and ``order == |G|``.
 
-    The chain of <x, y> stops as soon as its order reaches ``|G|``, which it
-    can only do when <x, y> = G.
+    G is S_n or A_n, both transitive, so an intransitive pair generates a
+    proper subgroup and needs no chain.  Otherwise the chain of <x, y> stops
+    as soon as its order reaches ``|G|``, which it can only do when
+    <x, y> = G.  Like the rest of the oracle, this consults no rule or
+    catalog.
     """
+    if not is_transitive([Permutation(x), Permutation(y)], n):
+        return False
     return chain_order(stabilizer_chain([x, y], n, order=order)) == order
 
 

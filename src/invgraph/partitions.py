@@ -143,26 +143,23 @@ def power_type(p: Partition, k: int) -> Partition:
     return Partition(out)
 
 
-def enumerate_partitions_with_sums_in(n: int, allowed: Iterable[int]) -> list[Partition]:
+def enumerate_partitions_with_sums_in(n: int, allowed: int) -> list[Partition]:
     """Exactly the partitions of n whose partial sums all lie in ``allowed``.
 
-    ``allowed`` must contain 0 and n and be closed under i -> n - i.
-    Backtracks over weakly decreasing parts, pruning on the incremental
-    subset-sum mask, so tiny allowed sets are resolved without touching the
-    full partition list.
+    ``allowed`` is a bit mask of the permitted sums: bits 0 and n must be
+    set, no bit above n, and it must equal its own bit reversal over 0..n,
+    i.e. be closed under i -> n - i.  Backtracks over weakly decreasing
+    parts, pruning on the incremental subset-sum mask, so tiny allowed sets
+    are resolved without touching the full partition list.
     """
-    a_set = frozenset(allowed)
-    if 0 not in a_set or n not in a_set:
+    if allowed & (1 | 1 << n) != 1 | 1 << n:
         raise ValueError("allowed must contain 0 and n")
-    if any(not 0 <= i <= n for i in a_set):
+    if allowed >> (n + 1):
         raise ValueError("allowed must lie within 0..n")
-    if any(n - i not in a_set for i in a_set):
+    if int(f"{allowed:0{n + 1}b}"[::-1], 2) != allowed:
         raise ValueError("allowed must be closed under complement")
-    a_mask = 0
-    for i in a_set:
-        a_mask |= 1 << i
     out: list[Partition] = []
-    _sums_in_search(n, n, 1, a_mask, [], out)
+    _sums_in_search(n, n, 1, allowed, [], out)
     return out
 
 
@@ -171,13 +168,16 @@ def _sums_in_search(
 ) -> None:
     """Append to ``out`` every completion of the parts ``acc`` (subset-sum
     mask ``mask``) by parts <= ``max_part`` summing to ``remaining`` whose
-    partial sums stay inside ``a_mask``."""
+    partial sums stay inside ``a_mask``.  A part is itself a partial sum, so
+    only the set bits of ``a_mask`` are tried, largest first."""
     if remaining == 0:
         out.append(Partition(acc))
         return
-    for part in range(min(max_part, remaining), 0, -1):
-        if not a_mask >> part & 1:
-            continue
+    # the allowed part sizes 1..min(max_part, remaining)
+    candidates = a_mask & ((2 << min(max_part, remaining)) - 2)
+    while candidates:
+        part = candidates.bit_length() - 1
+        candidates ^= 1 << part
         new_mask = mask | mask << part
         if new_mask & ~a_mask:
             continue

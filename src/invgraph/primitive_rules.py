@@ -52,12 +52,36 @@ def jordan_excludes(t: Partition) -> bool:
     A part l of t becomes gcd(l, k) cycles of length l / gcd(l, k) in t^k, so
     t^k is one nontrivial cycle exactly when one part l does not divide k and
     gcd(l, k) == 1; the other n - l points are then fixed.
+
+    Closed form: such a k (a divisor of lcm(t)) exists exactly when some part
+    l > 1 occurs once, n - l >= 3, and gcd(l, L) == 1 for L the lcm of the
+    other parts.
+
+    * If k works, every other part divides k, so L divides k, and l is prime
+      to k, hence to L; l occurs once, as a second copy would also be moved,
+      and l > 1 because 1 divides k.
+    * Conversely k = L divides lcm(t): the other parts divide it, and l does
+      not, since l > 1 is prime to L.
+
+    One pass over the distinct part values reads L from the lcms of the
+    values before and after l.
     """
-    n = t.n
-    for k in _power_exponents(t):
-        moved = [l for l in t.parts if k % l]
-        if len(moved) == 1 and gcd(moved[0], k) == 1 and n - moved[0] >= 3:
+    n, parts = t.n, t.parts
+    values, once = [], []  # distinct parts (descending), and which occur once
+    for i, l in enumerate(parts):
+        if i and parts[i - 1] == l:
+            once[-1] = False
+        else:
+            values.append(l)
+            once.append(True)
+    suffix = [1] * (len(values) + 1)  # suffix[i]: lcm of values[i:]
+    for i in range(len(values) - 1, -1, -1):
+        suffix[i] = lcm(values[i], suffix[i + 1])
+    prefix = 1  # lcm of values[:i]
+    for i, l in enumerate(values):
+        if once[i] and l > 1 and n - l >= 3 and gcd(l, lcm(prefix, suffix[i + 1])) == 1:
             return True
+        prefix = lcm(prefix, l)
     return False
 
 

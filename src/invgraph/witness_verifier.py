@@ -538,10 +538,14 @@ def verify_witness(claim: WitnessClaim, cache_dir: str | None = None) -> Witness
 
     Every class whose partial sums avoid the witness's must share a proper
     subgroup with it, up to the claim's allowed extras; a class that does not
-    is a counterexample.  No target class may share one; a pair that
-    parity, partial sums and block sizes leave open at a degree without a
-    catalog goes to the Jordan and family-rule predicates, and a family they
-    cannot exclude is ledgered.
+    is a counterexample.  Those classes are the partitions whose partial
+    sums lie in the mask ``(full & ~w_mask) | 1 | 1 << n``, where ``full``
+    has bits 0..n and ``w_mask`` is w's subset-sum mask: the sums w does not
+    realize, plus 0 and n.
+
+    No target class may share one; a pair that parity, partial sums and
+    block sizes leave open at a degree without a catalog goes to the Jordan
+    and family-rule predicates, and a family they cannot exclude is ledgered.
     """
     n, w, group = claim.n, claim.witness, claim.group
     assert w.n == n
@@ -551,8 +555,9 @@ def verify_witness(claim: WitnessClaim, cache_dir: str | None = None) -> Witness
     half_square = Partition([n // 2, n // 2]) if n % 2 == 0 else None
 
     # --- non-adjacency: enumerate only the partitions avoiding w's sums
+    full = (1 << (n + 1)) - 1  # the sums 0..n
     w_mask = partial_sum_mask(w)
-    allowed = {0, n} | {i for i in range(1, n) if not w_mask >> i & 1}
+    allowed = (full & ~w_mask) | 1 | 1 << n
     survivors = enumerate_partitions_with_sums_in(n, allowed)
     target_set = set(claim.targets)
     counterexamples: list[Partition] = []

@@ -150,16 +150,16 @@ def test_minimal_missing_sum_structure():
 def test_constrained_enumeration_examples():
     n = 12
     everything = frozenset(range(n + 1))
-    assert set(enumerate_partitions_with_sums_in(n, everything)) == set(
+    assert set(enumerate_partitions_with_sums_in(n, sums_mask(everything))) == set(
         enumerate_partitions(n)
     )
-    assert enumerate_partitions_with_sums_in(n, {0, n}) == [Partition([n])]
+    assert enumerate_partitions_with_sums_in(n, sums_mask({0, n})) == [Partition([n])]
     allowed = everything - {1, 5, 7, 11}
-    found = set(enumerate_partitions_with_sums_in(n, allowed))
+    found = set(enumerate_partitions_with_sums_in(n, sums_mask(allowed)))
     assert Partition([4, 8]) in found
     assert Partition([2] * 6) in found
     with pytest.raises(ValueError):
-        enumerate_partitions_with_sums_in(6, {0, 2, 6})  # not complement-closed
+        enumerate_partitions_with_sums_in(6, sums_mask({0, 2, 6}))  # not complement-closed
 
 
 def test_constrained_enumeration_matches_filtering():
@@ -175,7 +175,7 @@ def test_constrained_enumeration_matches_filtering():
             for p in enumerate_partitions(n)
             if not partial_sum_mask(p) & ~sums_mask(allowed)
         }
-        assert set(enumerate_partitions_with_sums_in(n, allowed)) == expected
+        assert set(enumerate_partitions_with_sums_in(n, sums_mask(allowed))) == expected
         checked += 1
 
 
@@ -183,7 +183,7 @@ def test_constrained_enumeration_leaves_no_reference_cycles():
     # reference counting alone frees each call's search state, so the
     # cyclic collector finds nothing after a batch of calls
     calls = [
-        (n, {i for i in range(n + 1) if i % k == 0 or (n - i) % k == 0})
+        (n, sums_mask(i for i in range(n + 1) if i % k == 0 or (n - i) % k == 0))
         for n in range(2, 21)
         for k in range(1, 5)
     ]
@@ -195,6 +195,35 @@ def test_constrained_enumeration_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_constrained_enumeration_matches_mask_filter_for_every_witness_mask():
+    # the allowed mask of verify_witness for every partition w of n <= 20:
+    # the output is the partition list filtered by the mask, in its order
+    for n in range(1, 21):
+        full = (1 << (n + 1)) - 1
+        everything = list(enumerate_partitions(n))
+        for w in everything:
+            mask = (full & ~partial_sum_mask(w)) | 1 | 1 << n
+            expected = [q for q in everything if partial_sum_mask(q) & ~mask == 0]
+            assert enumerate_partitions_with_sums_in(n, mask) == expected, (n, w)
+
+
+def test_constrained_enumeration_rejects_malformed_masks():
+    n = 6
+    good = sums_mask({0, 2, 4, 6})
+    assert enumerate_partitions_with_sums_in(n, good) == [
+        Partition([6]), Partition([4, 2]), Partition([2, 2, 2])
+    ]
+    for bad in (
+        good & ~1,  # no bit 0
+        good & ~(1 << n),  # no bit n
+        good | 1 << (n + 1),  # a bit above n
+        good | 1 << 1,  # 1 allowed but not 5
+        -1,
+    ):
+        with pytest.raises(ValueError):
+            enumerate_partitions_with_sums_in(n, bad)
 
 
 def test_even_class_partitions():

@@ -124,6 +124,29 @@ def test_witness_json_is_pinned(cache_dir):
     assert digest.hexdigest() == "77f97c744ee354025354f1610556232860e453a7cb50b652ff3289ab00f0f02b"
 
 
+def test_witness_json_is_pinned_beyond_129(cache_dir):
+    # every admissible claim at n = 130..300, above the degrees the benchmark
+    # runs; the count, ledger and sha256 of the concatenated reports were
+    # computed before the survivors were enumerated from a mask and before
+    # Jordan's test took its closed form
+    digest = hashlib.sha256()
+    claims, ledgered = 0, []
+    for n in range(130, 301):
+        for lemma in LEMMA_IDS[1:]:
+            for group in GroupKind:
+                try:
+                    claim = construct_witness(lemma, n, group)
+                except InadmissibleDegree:
+                    continue
+                report = verify_witness(claim, cache_dir)
+                digest.update(report.to_json().encode())
+                claims += 1
+                if report.ledger:
+                    ledgered.append((lemma, n, group))
+    assert (claims, ledgered) == (800, [])
+    assert digest.hexdigest() == "39ece0c690b35582ba4fe25010ce1f64a5b9fbca5f5ac57019e12ec1b311fbc5"
+
+
 def test_prime_interval_for_general_constructions():
     for n in (55, 65, 77, 91, 115, 119, 121):
         claim = construct_witness("p", n)
@@ -180,7 +203,7 @@ def _reference_verify_witness(claim, cache_dir):
     w_label = _expand_classes(w, group)[0]
     half_square = Partition([n // 2, n // 2]) if n % 2 == 0 else None
     w_mask = partial_sum_mask(w)
-    allowed = {0, n} | {i for i in range(1, n) if not w_mask >> i & 1}
+    allowed = sum(1 << i for i in {0, n} | {i for i in range(1, n) if not w_mask >> i & 1})
     counterexamples, extras = [], []
     w_even = is_even_type(w)
     for q in enumerate_partitions_with_sums_in(n, allowed):
