@@ -14,7 +14,7 @@ from functools import cache
 
 from invgraph.arith import proper_block_sizes
 from invgraph.partitions import enumerate_partitions
-from invgraph.permutations import ClosureCapExceeded, GroupKind
+from invgraph.permutations import GroupKind
 from invgraph.graph_engine import (
     SpecialDiameter,
     adjacency_diff,
@@ -256,7 +256,7 @@ def main(argv=None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (CatalogAbsent, ClosureCapExceeded, InadmissibleDegree, ValueError) as exc:
+    except (CatalogAbsent, InadmissibleDegree, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -7,6 +7,10 @@ cases of primitive groups containing a cycle with k fixed points, resp. an
 element with exactly two cycles; the ``*_excludes`` predicates certify
 non-membership from fixed-point counts of powers.  A negative answer from an
 exclusion predicate never asserts membership.
+
+``theorem_verdict`` decides a pair the parity, partial-sum and block rules
+leave open by Jordan's test, then by each side's families (``families_of``)
+against the other side (``excludes``): an edge or ``Open``, never a non-edge.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass, field
 from math import gcd, isqrt, lcm
 
 from invgraph.arith import divisors, is_prime, prime_power
-from invgraph.partitions import Partition, is_partial_sum, partial_sum_mask
+from invgraph.partitions import Partition, is_even_type, is_partial_sum, partial_sum_mask
 
 
 @dataclass(frozen=True)
@@ -276,3 +280,81 @@ def projective_cardinality_solutions(n: int) -> list[tuple[int, int]]:
                 out.append((q, d))
                 break
     return sorted(out)
+
+
+def families_of(t: Partition) -> list[FamilyTag]:
+    """The classified families that may hold t: Jones's list for one
+    nontrivial cycle, Müller's for two cycles, else one unhandled tag."""
+    nontrivial = [p for p in t.parts if p > 1]
+    if len(nontrivial) <= 1:
+        return jones_families(t.n, t.multiplicity(1))
+    if len(t.parts) == 2:
+        return mueller_families(t.n, min(t.parts))
+    if len(t.parts) <= 4:
+        return [FamilyTag("FEW-ORBITS")]
+    return [FamilyTag("UNCLASSIFIED")]
+
+
+def excludes(tag: FamilyTag, w: Partition) -> bool | None:
+    """True: w lies in no group of the family.  False: the family's predicate
+    admits w.  None: no predicate handles the family."""
+    n = w.n
+    cid = tag.case_id
+    params = dict(tag.parameters)
+    if cid == "J-1a":
+        return affine_excludes(w, n, 1)
+    if cid == "J-2a" or cid in ("M-1a", "M-1b", "M-1c", "M-1d") or cid.startswith("M-1e"):
+        pp = prime_power(n)
+        assert pp is not None
+        return affine_excludes(w, pp[0], pp[1])
+    if cid in ("J-2b", "M-3c"):
+        return projective_line_excludes(w, n - 1, semilinear=False)
+    if cid == "J-3":
+        return projective_line_excludes(w, n - 1, semilinear=True)
+    if cid == "J-1b":
+        if params.get("d") == 2:
+            return projective_line_excludes(w, params["q"], semilinear=True)
+        return None
+    if cid == "M-3d":
+        if params.get("m") == 2:
+            return projective_line_excludes(w, params["q"], semilinear=True)
+        return None
+    if cid in ("M-2a", "M-2b"):
+        return True if product_action_excludes(w) else None
+    if cid == "J-1c" and n == 23 or cid in ("J-2c", "M-3j") and n == 24:
+        # the live groups here are even; an odd witness cannot meet them
+        return True if not is_even_type(w) else None
+    return None
+
+
+@dataclass(frozen=True)
+class Open:
+    """A pair the theorem tier leaves open: one side's families whose
+    predicate admits the other side, and those no predicate handles."""
+
+    admitted: tuple[FamilyTag, ...]
+    unexcluded: tuple[FamilyTag, ...]
+
+
+def _open_families(holder: Partition, other: Partition) -> Open | None:
+    """The families of holder that do not exclude other, or None if all do."""
+    outcomes = [(tag, excludes(tag, other)) for tag in families_of(holder)]
+    admitted = tuple(tag for tag, outcome in outcomes if outcome is False)
+    unexcluded = tuple(tag for tag, outcome in outcomes if outcome is None)
+    return Open(admitted, unexcluded) if admitted or unexcluded else None
+
+
+def theorem_verdict(a: Partition, b: Partition) -> Open | None:
+    """None (an edge) when no proper primitive group can hold both types,
+    else the ``Open`` of b's families against a.
+
+    Sound only for a pair that parity, partial sums and block sizes leave
+    open, so that no alternating, intransitive or imprimitive subgroup holds
+    both.  Both sides are tried, so edge or open does not depend on order.
+    """
+    if jordan_excludes(a) or jordan_excludes(b):
+        return None
+    b_side = _open_families(b, a)
+    if b_side is None or _open_families(a, b) is None:
+        return None
+    return b_side

@@ -26,11 +26,12 @@ Each class gets one feature mask per degree and group kind
 size and two bits per fingerprint, laid out in that order.  Two classes
 share a proper subgroup exactly when their masks meet, and the lowest
 common bit is the ``shares_subgroup`` verdict; ``graph_engine`` builds the
-whole graph from the same masks, and ``witness_verifier`` asks
-``shares_subgroup`` about every witness pair at every degree.  The rule bits
-are filled on a type's first lookup, and the fingerprint bits only once a
-pair's rule bits do not meet, so without a catalog ``CatalogAbsent`` marks
-exactly the pairs the first three families leave open.  A type's block
+whole graph from the same masks.  The rule bits are filled on a type's first
+lookup, and the fingerprint bits only once a pair's rule bits do not meet,
+so without a catalog ``CatalogAbsent`` marks exactly the pairs the first
+three families leave open.  ``verdict``, which ``witness_verifier`` asks,
+hands those to the theorem tier of ``primitive_rules``, which calls a pair
+an edge or leaves it ``Open``.  A type's block
 bits are decided once, by ``_block_bits``, which the S_n and A_n profiles of
 its degree share, through the same decision as ``wreath_member``.  The rule
 bits depend on the class alone, so each ``ClassLabel`` holds its rule mask
@@ -72,9 +73,9 @@ from typing import Callable, Sequence
 from invgraph.arith import divisors, proper_block_sizes
 from invgraph.finite_fields import field
 from invgraph.partitions import Partition, has_distinct_odd_parts, partial_sum_mask
+from invgraph.primitive_rules import Open, theorem_verdict
 from invgraph.permutations import (
     ClassLabel,
-    ClosureCapExceeded,
     GroupKind,
     Permutation,
     Split,
@@ -270,7 +271,9 @@ def _wreath_type_set(n: int, m: int) -> frozenset[tuple[int, ...]]:
     k = n // m
     order = math.factorial(m) ** k * math.factorial(k)
     if order > _WREATH_ORACLE_CAP:
-        raise ClosureCapExceeded(order, _WREATH_ORACLE_CAP)
+        raise ValueError(
+            f"S{m} wr S{k} has order {order}, above the oracle's cap {_WREATH_ORACLE_CAP}"
+        )
     generators = tuple(wreath_product_generators(m, k))
     spec = GroupSpec(f"S{m}wrS{k}", n, Family.OTHER, generators, order)
     return _compute_fingerprint(spec).types_present
@@ -916,3 +919,17 @@ def shares_subgroup(
     if not common:
         return None
     return profile.sharing(common & -common)
+
+
+def verdict(
+    c1: ClassLabel, c2: ClassLabel, cache_dir: str | None = None
+) -> Sharing | Open | None:
+    """A ``Sharing`` (a non-edge), None (an edge) or ``Open``, at any degree.
+
+    ``shares_subgroup`` answers wherever it can, every pair at a cataloged
+    degree, and ``theorem_verdict`` the pairs it leaves to the catalog.
+    """
+    try:
+        return shares_subgroup(c1, c2, cache_dir)
+    except CatalogAbsent:
+        return theorem_verdict(c1.cycle_type, c2.cycle_type)

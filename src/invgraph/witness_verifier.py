@@ -9,14 +9,14 @@ allowance).  Certification has two sides:
   without enumerating all partitions, by generating only the partitions
   whose partial sums avoid the witness's partial sums.
 * target adjacency: no family can contain both.  At cataloged degrees the
-  fingerprints decide this outright; elsewhere the classification-rule
+  fingerprints decide this outright; elsewhere Jordan's test and the rule
   predicates exclude each arithmetically live family, and any family they
   cannot close is recorded in an assumption ledger instead of being claimed.
 
-Both sides ask ``shares_subgroup`` about each pair, so the verifier reads the
-same per-class feature masks as the exact graphs.  Without a catalog it
-raises ``CatalogAbsent`` for exactly the pairs that parity, partial sums and
-block sizes leave open; only those go on to the rule predicates.
+Both sides ask ``verdict`` about each pair, so the verifier reads the same
+per-class feature masks as the exact graphs, and the theorem tier of
+``primitive_rules`` decides only the pairs that parity, partial sums and
+block sizes leave open at a degree without a catalog.
 
 An isolated vertex is a witness with no targets, so ``verify_witness`` also
 certifies the structured family of isolated vertices (``In_family``).
@@ -43,23 +43,9 @@ from invgraph.partitions import (
     is_even_type,
     partial_sum_mask,
 )
-from invgraph.permutations import ClassLabel, GroupKind, type_labels
-from invgraph.primitive_rules import (
-    FamilyTag,
-    jones_families,
-    jordan_excludes,
-    mueller_families,
-    projective_cardinality_solutions,
-    projective_line_excludes,
-    affine_excludes,
-    product_action_excludes,
-)
-from invgraph.subgroup_membership import (
-    EXACT_DEGREES,
-    CatalogAbsent,
-    Sharing,
-    shares_subgroup,
-)
+from invgraph.permutations import GroupKind, type_labels
+from invgraph.primitive_rules import projective_cardinality_solutions
+from invgraph.subgroup_membership import EXACT_DEGREES, Sharing, verdict
 
 
 class InadmissibleDegree(ValueError):
@@ -481,58 +467,6 @@ def construct_witness(lemma_id: str, n: int, group: GroupKind | None = None) -> 
 # ---------------------------------------------------------------------------
 
 
-def _families_for_target(t: Partition, n: int) -> list[FamilyTag]:
-    nontrivial = [p for p in t.parts if p > 1]
-    if len(nontrivial) <= 1:
-        return jones_families(n, t.multiplicity(1))
-    if len(t.parts) == 2:
-        return mueller_families(n, min(t.parts))
-    if len(t.parts) <= 4:
-        return [FamilyTag("FEW-ORBITS")]
-    return [FamilyTag("UNCLASSIFIED")]
-
-
-def _try_exclude(tag: FamilyTag, w: Partition, n: int) -> bool | None:
-    """True: w not in the family.  None: no predicate applies (ledger)."""
-    cid = tag.case_id
-    params = dict(tag.parameters)
-    if cid == "J-1a":
-        return affine_excludes(w, n, 1)
-    if cid == "J-2a" or cid in ("M-1a", "M-1b", "M-1c", "M-1d") or cid.startswith("M-1e"):
-        pp = prime_power(n)
-        assert pp is not None
-        return affine_excludes(w, pp[0], pp[1])
-    if cid in ("J-2b", "M-3c"):
-        return projective_line_excludes(w, n - 1, semilinear=False)
-    if cid == "J-3":
-        return projective_line_excludes(w, n - 1, semilinear=True)
-    if cid == "J-1b":
-        if params.get("d") == 2:
-            return projective_line_excludes(w, params["q"], semilinear=True)
-        return None
-    if cid == "M-3d":
-        if params.get("m") == 2:
-            return projective_line_excludes(w, params["q"], semilinear=True)
-        return None
-    if cid in ("M-2a", "M-2b"):
-        return True if product_action_excludes(w) else None
-    if cid == "J-1c" and n == 23 or cid in ("J-2c", "M-3j") and n == 24:
-        # the live groups here are even; an odd witness cannot meet them
-        return True if not is_even_type(w) else None
-    return None
-
-
-def _verdicts(
-    w: ClassLabel, t: Partition, cache_dir: str | None
-) -> dict[ClassLabel, Sharing | None] | None:
-    """The verdict of w against each class of type t, or None when only the
-    primitive catalog could decide the pair and the degree has none."""
-    try:
-        return {c: shares_subgroup(w, c, cache_dir) for c in type_labels(t, w.group)}
-    except CatalogAbsent:
-        return None
-
-
 def verify_witness(claim: WitnessClaim, cache_dir: str | None = None) -> WitnessReport:
     """Certify the claim's non-adjacency and target-adjacency sides.
 
@@ -543,9 +477,10 @@ def verify_witness(claim: WitnessClaim, cache_dir: str | None = None) -> Witness
     has bits 0..n and ``w_mask`` is w's subset-sum mask: the sums w does not
     realize, plus 0 and n.
 
-    No target class may share one; a pair that parity, partial sums and
-    block sizes leave open at a degree without a catalog goes to the Jordan
-    and family-rule predicates, and a family they cannot exclude is ledgered.
+    No target class may share one.  Where ``verdict`` leaves a target open,
+    each family whose predicate admits the witness is a failure and each
+    family no predicate handles is ledgered, once per type, since the
+    theorem tier answers both split classes of a type alike.
     """
     n, w, group = claim.n, claim.witness, claim.group
     assert w.n == n
@@ -568,8 +503,7 @@ def verify_witness(claim: WitnessClaim, cache_dir: str | None = None) -> Witness
             continue
         if group is GroupKind.ALT and not is_even_type(q):
             continue  # not a vertex
-        verdicts = _verdicts(w_label, q, cache_dir)
-        if verdicts is not None and None not in verdicts.values():
+        if all(isinstance(verdict(w_label, c, cache_dir), Sharing) for c in type_labels(q, group)):
             continue
         if claim.allow_even_extras and all(p % 2 == 0 for p in q.parts) and q != half_square:
             extras.append(q)
@@ -585,20 +519,16 @@ def verify_witness(claim: WitnessClaim, cache_dir: str | None = None) -> Witness
     failures: list[str] = []
     ledger: list[str] = []
     for t in claim.targets:
-        verdicts = _verdicts(w_label, t, cache_dir)
-        if verdicts is not None:
-            failures += [f"{c}: shared {v}" for c, v in verdicts.items() if v is not None]
-            continue
-        if jordan_excludes(w) or jordan_excludes(t):
-            continue
-        for tag in _families_for_target(t, n):
-            outcome = _try_exclude(tag, w, n)
-            if outcome is True:
-                continue
-            if outcome is False:
-                failures.append(f"{t}: predicate admits membership for family {tag}")
-            else:
-                ledger.append(f"{t}: family {tag} not excluded by rule predicates")
+        for c in type_labels(t, group):
+            answer = verdict(w_label, c, cache_dir)
+            if isinstance(answer, Sharing):
+                failures.append(f"{c}: shared {answer}")
+            elif answer is not None:  # an Open, the same for every class of t
+                for tag in answer.admitted:
+                    failures.append(f"{t}: predicate admits membership for family {tag}")
+                for tag in answer.unexcluded:
+                    ledger.append(f"{t}: family {tag} not excluded by rule predicates")
+                break
     adjacency_ok = not failures
     return WitnessReport(
         claim,

@@ -190,4 +190,4 @@ def test_oracle_wreath_past_the_cap_is_a_usage_error(capsys, monkeypatch):
     code = main(["oracle-wreath", "--n", "8"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err == "error: closure exceeded cap 100 (at 384 elements)\n"
+    assert captured.err == "error: S2 wr S4 has order 384, above the oracle's cap 100\n"

@@ -4,16 +4,25 @@ import pytest
 
 from invgraph.arith import divisors, primes
 from invgraph.partitions import Partition, enumerate_partitions, power_type
+from invgraph.permutations import GroupKind
 from invgraph.primitive_rules import (
     affine_excludes,
+    excludes,
+    families_of,
     jones_families,
     jordan_excludes,
     mueller_families,
     product_action_excludes,
     projective_cardinality_solutions,
     projective_line_excludes,
+    theorem_verdict,
 )
-from invgraph.subgroup_membership import degree_fingerprints, primitive_catalog
+from invgraph.subgroup_membership import (
+    EXACT_DEGREES,
+    TypeProfile,
+    degree_fingerprints,
+    primitive_catalog,
+)
 
 
 def case_ids(tags):
@@ -149,13 +158,76 @@ def test_catalog_consistency_with_families(cache_dir):
 def test_jordan_soundness_against_catalog(cache_dir):
     from invgraph.partitions import enumerate_partitions
 
-    for n in range(5, 14):
+    for n in sorted(EXACT_DEGREES):
         realized = set()
         for fp in degree_fingerprints(n, cache_dir):
             realized |= fp.types_present
         for t in enumerate_partitions(n):
             if jordan_excludes(t):
                 assert t.parts not in realized, (n, t)
+
+
+def test_family_predicates_admit_every_catalog_group(cache_dir):
+    # a type h of G with one nontrivial cycle, or two cycles, has G among its
+    # classified families: some tag of h must let every type of G through
+    checked = 0
+    for n in sorted(EXACT_DEGREES):
+        for fp in degree_fingerprints(n, cache_dir):
+            types = [Partition(g) for g in fp.types_present]
+            for h in types:
+                if len(h.parts) != 2 and sum(p > 1 for p in h.parts) != 1:
+                    continue
+                assert any(
+                    all(excludes(tag, g) is not True for g in types) for tag in families_of(h)
+                ), (fp.name, h)
+                checked += 1
+    assert checked == 97
+
+
+# per exact degree, the rule-open vertex pairs, then those the theorem tier
+# calls edges by Jordan's test and by the families, then those it leaves open
+_THEOREM_TIER_PAIRS = {
+    GroupKind.SYM: {
+        3: (1, 0, 0, 1), 4: (1, 0, 0, 1), 5: (4, 3, 0, 1), 6: (2, 0, 0, 2),
+        7: (13, 11, 0, 2), 8: (9, 7, 0, 2), 9: (26, 21, 1, 4), 10: (20, 12, 4, 4),
+        11: (74, 66, 1, 7), 12: (45, 37, 1, 7), 13: (157, 140, 3, 14),
+        17: (564, 506, 50, 8), 19: (1013, 904, 103, 6),
+    },
+    GroupKind.ALT: {
+        3: (1, 0, 0, 1), 4: (2, 0, 0, 2), 5: (5, 0, 0, 5), 6: (4, 0, 2, 2),
+        7: (13, 4, 2, 7), 8: (17, 11, 0, 6), 9: (15, 9, 0, 6), 10: (28, 16, 10, 2),
+        11: (62, 33, 2, 27), 12: (59, 33, 10, 16), 13: (123, 69, 3, 51),
+        17: (418, 269, 106, 43), 19: (719, 476, 232, 11),
+    },
+}
+
+
+def test_theorem_tier_edges_are_exact_edges(graph, cache_dir):
+    # every unordered pair of vertices whose rule masks do not meet: an edge
+    # by Jordan's test or by the families must be an edge of the exact graph
+    for group, expected in _THEOREM_TIER_PAIRS.items():
+        for n in sorted(EXACT_DEGREES):
+            g = graph(n, group)
+            profile = TypeProfile(n, group is GroupKind.SYM, cache_dir)
+            types = [v.cycle_type for v in g.vertices]
+            masks = [profile.rule_mask(t.parts) for t in types]
+            counts = [0, 0, 0, 0]
+            for i, a in enumerate(types):
+                for j in range(i + 1, len(types)):
+                    if masks[i] & masks[j]:
+                        continue
+                    b = types[j]
+                    counts[0] += 1
+                    if jordan_excludes(a) or jordan_excludes(b):
+                        assert theorem_verdict(a, b) is None
+                        counts[1] += 1
+                    elif theorem_verdict(a, b) is None:
+                        counts[2] += 1
+                    else:
+                        counts[3] += 1
+                        continue
+                    assert g.adjacency[i] >> j & 1, (n, group, a, b)
+            assert tuple(counts) == expected[n], (n, group)
 
 
 def test_affine_soundness_against_catalog(cache_dir):

@@ -25,7 +25,6 @@ from invgraph.permutations import (
     GroupKind,
     Permutation,
     Split,
-    ClosureCapExceeded,
     chain_order,
     class_labels,
     closure_images,
@@ -36,6 +35,7 @@ from invgraph.permutations import (
     stabilizer_chain,
     type_labels,
 )
+from invgraph.primitive_rules import Open
 from invgraph.subgroup_membership import (
     EXACT_DEGREES,
     CatalogAbsent,
@@ -437,9 +437,10 @@ def test_stabilizer_chain_orders_of_wreath_products():
 
 def test_wreath_oracle_refuses_a_group_above_the_cap_before_enumerating():
     # S_7 wr S_2 has 50,803,200 elements; the closed-form order rules it out
-    with pytest.raises(ClosureCapExceeded) as info:
+    with pytest.raises(ValueError) as info:
         wreath_member_oracle(Partition([7, 7]), 7)
-    assert info.value.partial_count == math.factorial(7) ** 2 * 2
+    assert type(info.value) is ValueError
+    assert f"order {math.factorial(7) ** 2 * 2}," in str(info.value)
 
 
 def test_compute_fingerprint_rejects_wrong_chain_order():
@@ -711,6 +712,9 @@ def test_shares_subgroup_matches_per_pair_reference(graph, cache_dir):
                     verdict = shares_subgroup(a, b, cache_dir)
                     assert verdict == _reference_shares_subgroup(a, b, cache_dir), (a, b)
                     assert (row >> j & 1) == (i != j and verdict is None), (a, b)
+                    if verdict is None or verdict.family == "primitive":
+                        # a rule-open pair: exact mode never reads the theorem tier
+                        assert subgroup_membership.verdict(a, b, cache_dir) == verdict, (a, b)
 
 
 def test_shares_subgroup_without_catalog(cache_dir):
@@ -735,6 +739,20 @@ def test_shares_subgroup_without_catalog(cache_dir):
         shares_subgroup(plus, other, cache_dir)
 
 
+# rule-open pairs, and those the theorem tier calls edges and leaves open,
+# counted over the unordered pairs and the diagonal
+_THEOREM_TIER_COUNTS = {
+    (14, GroupKind.SYM): (103, 100, 3),
+    (14, GroupKind.ALT): (111, 107, 4),
+    (15, GroupKind.SYM): (199, 198, 1),
+    (15, GroupKind.ALT): (99, 88, 11),
+    (16, GroupKind.SYM): (220, 205, 15),
+    (16, GroupKind.ALT): (242, 220, 22),
+    (18, GroupKind.SYM): (372, 367, 5),
+    (18, GroupKind.ALT): (332, 328, 4),
+}
+
+
 @pytest.mark.parametrize("n", [14, 15, 16, 18])
 def test_rule_verdicts_without_catalog_match_reference(n, cache_dir):
     # every unordered pair and the diagonal: the feature masks give the
@@ -748,10 +766,23 @@ def test_rule_verdicts_without_catalog_match_reference(n, cache_dir):
 
     for group in (GroupKind.SYM, GroupKind.ALT):
         labels = class_labels(n, group)
+        counts = [0, 0, 0]
         for i, a in enumerate(labels):
             for b in labels[i:]:
                 expected = verdict(_reference_shares_subgroup, a, b)
                 assert verdict(shares_subgroup, a, b) == expected, (a, b)
+                # the one verdict: the rules' answer where they decide, and
+                # edge or open alike in either order where they do not
+                answer = subgroup_membership.verdict(a, b, cache_dir)
+                reverse = subgroup_membership.verdict(b, a, cache_dir)
+                if expected is not CatalogAbsent:
+                    assert answer == expected, (a, b)
+                    continue
+                assert (answer is None) == (reverse is None), (a, b)
+                assert answer is None or isinstance(answer, Open), (a, b)
+                counts[0] += 1
+                counts[1 + (answer is not None)] += 1
+        assert tuple(counts) == _THEOREM_TIER_COUNTS[n, group]
 
 
 def _tamper_order(data):

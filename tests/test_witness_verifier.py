@@ -20,7 +20,7 @@ from invgraph.partitions import (
 )
 from invgraph.permutations import ClassLabel, GroupKind, Split
 from invgraph.graph_engine import isolated_vertices
-from invgraph.primitive_rules import jordan_excludes
+from invgraph.primitive_rules import excludes, families_of, jordan_excludes
 from invgraph.subgroup_membership import (
     EXACT_DEGREES,
     TypeProfile,
@@ -32,10 +32,8 @@ from invgraph.witness_verifier import (
     InadmissibleDegree,
     WitnessClaim,
     WitnessReport,
-    _families_for_target,
     _first_disjoint_pair,
     _first_partition_by_mask,
-    _try_exclude,
     build_isolated_family,
     construct_witness,
     table1,
@@ -250,8 +248,8 @@ def _reference_verify_witness(claim, cache_dir):
             continue
         if jordan_excludes(w) or jordan_excludes(t):
             continue
-        for tag in _families_for_target(t, n):
-            outcome = _try_exclude(tag, w, n)
+        for tag in families_of(t):
+            outcome = excludes(tag, w)
             if outcome is False:
                 failures.append(f"{t}: predicate admits membership for family {tag}")
             elif outcome is None:
