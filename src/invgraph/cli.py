@@ -26,7 +26,6 @@ from invgraph.graph_engine import (
     xi_subgraph,
 )
 from invgraph.subgroup_membership import (
-    CatalogAbsent,
     default_cache_dir,
     degree_fingerprints,
     primitive_catalog,
@@ -256,7 +255,7 @@ def main(argv=None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (CatalogAbsent, InadmissibleDegree, ValueError) as exc:
+    except ValueError as exc:  # CatalogAbsent and InadmissibleDegree too
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

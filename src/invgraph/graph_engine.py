@@ -13,9 +13,9 @@ every feature bit it keeps a column: the set of vertices having it.  A
 vertex's non-neighbours are the union of its features' columns, so row i is
 the complement of that union and of i itself, O(V * F) integer operations
 instead of a test per pair.  On the way it keeps each vertex's verdict
-state (its rule mask and the rule names of its degree and group kind)
-on the label, so ``shares_subgroup`` on two vertices of a built graph
-reads no profile unless the rules leave the pair open.
+state (its rule mask and the profile of its degree and group kind) on the
+label, so ``shares_subgroup`` on two vertices of a built graph looks up no
+profile.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from invgraph.permutations import (
     stabilizer_chain,
     symmetric_group_generators,
 )
-from invgraph.subgroup_membership import primitive_catalog, type_profile
+from invgraph.subgroup_membership import degree_fingerprints, type_profile
 
 EXPORT_SCHEMA = 1
 
@@ -80,11 +80,15 @@ def _bit_indices(mask: int) -> list[int]:
 @lru_cache(maxsize=None)
 def build_graph(n: int, group: GroupKind, cache_dir: str | None = None) -> ClassGraph:
     """The exact class graph at degree n; ``CatalogAbsent`` off the catalog."""
-    primitive_catalog(n)  # raises before the classes of a large n are listed
+    # raises before the classes of a large n are listed, and reads or writes
+    # this directory's file even when the profile already holds the bits
+    degree_fingerprints(n, cache_dir)
     labels = tuple(class_labels(n, group))
-    profile = type_profile(n, group is GroupKind.SYM, cache_dir)
+    profile = type_profile(n, group is GroupKind.SYM)
     # verdict_state keeps each vertex's rule mask on its label for shares_subgroup
-    features = [profile.verdict_state(lbl)[0] | profile.primitive_mask(lbl) for lbl in labels]
+    features = [
+        profile.verdict_state(lbl)[0] | profile.primitive_mask(lbl, cache_dir) for lbl in labels
+    ]
     # columns[f]: the vertices having feature bit f
     columns: dict[int, int] = {}
     for i, rest in enumerate(features):

@@ -756,7 +756,7 @@ class ClassLabel:
     cycle_type: Partition
     group: GroupKind
     split: Split = Split.NONE
-    # the verdict state (rule mask, rule names), set by
+    # the verdict state (rule mask, profile), set by
     # subgroup_membership.TypeProfile.verdict_state when build_graph lists the
     # label, or else at its first shares_subgroup verdict; not part of its value
     _rules: tuple | None = field(default=None, init=False, repr=False, compare=False)

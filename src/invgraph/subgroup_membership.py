@@ -31,16 +31,14 @@ lookup, and the fingerprint bits only once a pair's rule bits do not meet,
 so without a catalog ``CatalogAbsent`` marks exactly the pairs the first
 three families leave open.  ``verdict``, which ``witness_verifier`` asks,
 hands those to the theorem tier of ``primitive_rules``, which calls a pair
-an edge or leaves it ``Open``.  A type's block
-bits are decided once, by ``_block_bits``, which the S_n and A_n profiles of
-its degree share, through the same decision as ``wreath_member``.  The rule
-bits depend on the class alone, so each ``ClassLabel`` holds its rule mask
-and the one table naming the rule bits of its degree and group kind: the
-graph build keeps them on every vertex it lists, and any other label gets
-them at its first verdict.  A pair the rules decide is then one identity test of
-the two tables, one AND and one plain-dict lookup, and only the rule-open
-pairs read the profile, whose fingerprint bits depend on the cache
-directory.
+an edge or leaves it ``Open``.  A type's block bits are decided once, by
+``_block_bits``, which the S_n and A_n profiles of its degree share, through
+the same decision as ``wreath_member``.  Each ``ClassLabel`` holds its rule
+mask and its profile: the graph build keeps them on every vertex it lists,
+and any other label gets them at its first verdict.  A pair the rules decide
+is then one identity test of the two profiles, one AND and one plain-dict
+lookup.  The cache directory reaches only the fingerprint read, since every
+directory gives the same fingerprints.
 
 The exact degrees, ``EXACT_DEGREES``, are the keys of the one table
 ``_CATALOG``, whose row for a degree returns its groups in catalog order;
@@ -746,32 +744,6 @@ class Sharing:
         return f"{self.family}({self.witness})"
 
 
-@lru_cache(maxsize=None)
-def _rule_sharing(n: int) -> tuple[dict[int, Sharing], dict[int, Sharing]]:
-    """The tables naming the rule bits of degree n: A_n's, then S_n's.
-
-    Each maps a parity, partial-sum or block bit to its verdict, filled by
-    ``_name_rule_bit`` the first time a pair shares the bit.  Every label of
-    one degree and group kind holds the same table, so two labels hold one
-    table exactly when their degree and group agree.
-    """
-    return {}, {}
-
-
-def _name_rule_bit(names: dict[int, Sharing], n: int, bit: int) -> Sharing:
-    """The verdict of a parity, partial-sum or block bit of degree n, kept in names."""
-    index = bit.bit_length() - 1
-    block_shift = n // 2 + 1
-    if index == 0:
-        verdict = Sharing("alternating", f"A_{n}")
-    elif index < block_shift:
-        verdict = Sharing("intransitive", f"i={index}")
-    else:
-        verdict = Sharing("imprimitive", f"m={proper_block_sizes(n)[index - block_shift]}")
-    names[bit] = verdict
-    return verdict
-
-
 class TypeProfile:
     """Feature masks of the classes of one degree and group kind.
 
@@ -785,29 +757,28 @@ class TypeProfile:
     filled on its first lookup.  The block bits come from ``_block_bits``,
     one cache entry per type for both profiles of a degree, which decides
     two blocks and blocks of size two by rule and searches only the other
-    block sizes.  The rule bits depend on the degree and group kind alone,
-    so ``verdict_state`` keeps a class's rule mask on its label, with
-    ``names``, the degree and group kind's one table naming the rule bits.
-    ``primitive[parts]`` holds the fingerprint bits (PLUS or unsplit class,
-    MINUS class) read from this profile's cache directory, filled only for
-    pairs the rules leave open, so degrees without a catalog answer every
+    block sizes.  ``verdict_state`` keeps a class's rule mask and its
+    profile on its label, and ``name`` fills ``names``, the verdict of each
+    bit a pair has shared.  ``primitive[parts]`` holds the fingerprint bits
+    (PLUS or unsplit class, MINUS class), read from the cache directory of
+    the first call that needs them: any file ``_load_fingerprints`` accepts
+    carries the catalog's digest, names and orders.  They are filled only
+    for pairs the rules leave open, so degrees without a catalog answer every
     pair the rules decide and raise ``CatalogAbsent`` on the rest.  The first
     such raise is remembered in ``absent``, and later ones repeat its message
     without asking the catalog again.
     """
 
-    def __init__(self, n: int, sym: bool, cache_dir: str | None):
+    def __init__(self, n: int, sym: bool):
         self.n = n
         self.sym = sym
-        self.cache_dir = cache_dir
-        self.names = _rule_sharing(n)[sym]
         self.block_sizes = proper_block_sizes(n)
         self.block_shift = n // 2 + 1
         self.primitive_shift = self.block_shift + len(self.block_sizes)
+        self.names: dict[int, Sharing] = {}
         self.rules: dict[tuple[int, ...], int] = {}
         self.primitive: dict[tuple[int, ...], tuple[int, int]] = {}
         self.absent: str | None = None
-        self._sharing: dict[int, Sharing] = {}
 
     def rule_mask(self, parts: tuple[int, ...]) -> int:
         """The parity, partial-sum and block bits of a type."""
@@ -825,7 +796,7 @@ class TypeProfile:
         self.rules[parts] = mask
         return mask
 
-    def primitive_mask(self, label: ClassLabel) -> int:
+    def primitive_mask(self, label: ClassLabel, cache_dir: str | None) -> int:
         """The fingerprint bits of a class; CatalogAbsent without a catalog."""
         parts = label.cycle_type.parts
         masks = self.primitive.get(parts)
@@ -833,7 +804,7 @@ class TypeProfile:
             if self.absent is not None:
                 raise CatalogAbsent(self.absent)
             try:
-                fingerprints = degree_fingerprints(self.n, self.cache_dir)
+                fingerprints = degree_fingerprints(self.n, cache_dir)
             except CatalogAbsent as exc:
                 self.absent = str(exc)
                 raise
@@ -856,32 +827,41 @@ class TypeProfile:
             masks = self.primitive[parts] = (plus, minus if split else plus)
         return masks[label.split is Split.MINUS]
 
-    def verdict_state(self, label: ClassLabel) -> tuple[int, dict[int, Sharing]]:
-        """A class's rule mask and the rule names, kept on its label."""
-        state = (self.rule_mask(label.cycle_type.parts), self.names)
+    def verdict_state(self, label: ClassLabel) -> tuple[int, TypeProfile]:
+        """A class's rule mask and this profile, kept on its label."""
+        state = (self.rule_mask(label.cycle_type.parts), self)
         object.__setattr__(label, "_rules", state)
         return state
 
-    def sharing(self, bit: int) -> Sharing:
-        """The verdict named by a single fingerprint bit."""
-        verdict = self._sharing.get(bit)
-        if verdict is None:
-            k, mirror = divmod(bit.bit_length() - 1 - self.primitive_shift, 2)
-            fp = degree_fingerprints(self.n, self.cache_dir)[k]
-            verdict = self._sharing[bit] = Sharing("primitive", fp.name + "'" * mirror)
+    def name(self, bit: int) -> Sharing:
+        """The verdict a single feature bit names, kept in ``names``.
+
+        A fingerprint bit is named from the catalog, so naming reads no file.
+        """
+        index = bit.bit_length() - 1
+        if index == 0:
+            verdict = Sharing("alternating", f"A_{self.n}")
+        elif index < self.block_shift:
+            verdict = Sharing("intransitive", f"i={index}")
+        elif index < self.primitive_shift:
+            verdict = Sharing("imprimitive", f"m={self.block_sizes[index - self.block_shift]}")
+        else:
+            k, mirror = divmod(index - self.primitive_shift, 2)
+            group = primitive_catalog(self.n).groups[k]
+            verdict = Sharing("primitive", group.name + "'" * mirror)
+        self.names[bit] = verdict
         return verdict
 
 
 @lru_cache(maxsize=None)
-def type_profile(n: int, sym: bool, cache_dir: str | None = None) -> TypeProfile:
+def type_profile(n: int, sym: bool) -> TypeProfile:
     """The shared feature masks of degree n in S_n (sym) or A_n."""
-    return TypeProfile(n, sym, cache_dir)
+    return TypeProfile(n, sym)
 
 
-def _label_rules(label: ClassLabel, cache_dir: str | None) -> tuple[int, dict[int, Sharing]]:
+def _label_rules(label: ClassLabel) -> tuple[int, TypeProfile]:
     """The verdict state of a label no graph build has seen."""
-    profile = type_profile(label.degree, label.group is GroupKind.SYM, cache_dir)
-    return profile.verdict_state(label)
+    return type_profile(label.degree, label.group is GroupKind.SYM).verdict_state(label)
 
 
 def shares_subgroup(
@@ -895,30 +875,28 @@ def shares_subgroup(
     bit the two classes' masks share: the smallest partial sum, the smallest
     block size, the first fingerprint in catalog order before its mirror.
 
-    Each label holds its verdict state: its rule mask and the table naming
-    the rule bits of its degree and group kind.  ``build_graph`` keeps it on
-    every vertex it lists, and any other label gets it on its first verdict.
-    The tables are one per degree and group kind, so one identity test
-    checks that the pair is comparable, and a pair the rules decide costs one
-    AND and one lookup.  Only a pair whose rule masks do not meet reads the
-    fingerprint bits, from the profile of ``cache_dir``.
+    Each label holds its verdict state: its rule mask and the profile of its
+    degree and group kind.  ``build_graph`` keeps it on every vertex it
+    lists, and any other label gets it on its first verdict.  The profiles
+    are one per degree and group kind, so one identity test checks that the
+    pair is comparable, and a pair the rules decide costs one AND and one
+    lookup.  Only a pair whose rule masks do not meet reads the fingerprint
+    bits of its profile, which ``cache_dir`` fills if they are not there yet.
     """
-    mask1, names = c1._rules or _label_rules(c1, cache_dir)
-    mask2, names2 = c2._rules or _label_rules(c2, cache_dir)
-    if names is not names2:
+    mask1, profile = c1._rules or _label_rules(c1)
+    mask2, profile2 = c2._rules or _label_rules(c2)
+    if profile is not profile2:
         raise ValueError("degree mismatch" if c1.degree != c2.degree else "group mismatch")
     common = mask1 & mask2
-    if common:
-        bit = common & -common
-        try:
-            return names[bit]
-        except KeyError:
-            return _name_rule_bit(names, c1.degree, bit)
-    profile = type_profile(c1.degree, c1.group is GroupKind.SYM, cache_dir)
-    common = profile.primitive_mask(c1) & profile.primitive_mask(c2)
     if not common:
-        return None
-    return profile.sharing(common & -common)
+        common = profile.primitive_mask(c1, cache_dir) & profile.primitive_mask(c2, cache_dir)
+        if not common:
+            return None
+    bit = common & -common
+    try:
+        return profile.names[bit]
+    except KeyError:
+        return profile.name(bit)
 
 
 def verdict(

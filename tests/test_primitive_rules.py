@@ -208,7 +208,7 @@ def test_theorem_tier_edges_are_exact_edges(graph, cache_dir):
     for group, expected in _THEOREM_TIER_PAIRS.items():
         for n in sorted(EXACT_DEGREES):
             g = graph(n, group)
-            profile = TypeProfile(n, group is GroupKind.SYM, cache_dir)
+            profile = TypeProfile(n, group is GroupKind.SYM)
             types = [v.cycle_type for v in g.vertices]
             masks = [profile.rule_mask(t.parts) for t in types]
             counts = [0, 0, 0, 0]

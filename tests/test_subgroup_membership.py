@@ -4,6 +4,9 @@ import hashlib
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -229,7 +232,7 @@ def test_rule_mask_block_bits_match_wreath_member():
     # both profiles of a degree read the one per-type block decision
     for n in range(3, 21):
         sizes = proper_block_sizes(n)
-        profiles = [TypeProfile(n, sym, None) for sym in (True, False)]
+        profiles = [TypeProfile(n, sym) for sym in (True, False)]
         for t in enumerate_partitions(n):
             want = [wreath_member.__wrapped__(t, m) for m in sizes]
             for profile in profiles:
@@ -556,24 +559,49 @@ def test_verdict_state_keeps_no_label_alive(cache_dir):
     assert [ref() for ref in refs] == [None] * 3
 
 
-def test_fingerprint_bits_come_from_the_calls_cache_dir(tmp_path, monkeypatch):
-    # the same labels, asked under two cache directories, name the group
-    # from each call's own fingerprints
-    real = subgroup_membership.degree_fingerprints
-    renamed_dir = str(tmp_path / "renamed")
+# Builds S_7 and A_7 under each directory named on the command line, in
+# that order and in one process, and prints per directory the adjacency
+# rows and every pair's verdict.
+_BUILDS_UNDER_EACH_DIRECTORY = """
+import json, sys
+from invgraph.graph_engine import build_graph
+from invgraph.permutations import GroupKind
+from invgraph.subgroup_membership import shares_subgroup
+runs = []
+for cache in sys.argv[1:]:
+    graphs = [build_graph(7, group, cache) for group in GroupKind]
+    verdicts = []
+    for g in graphs:
+        for i, a in enumerate(g.vertices):
+            for b in g.vertices[i:]:
+                v = shares_subgroup(a, b, cache)
+                verdicts.append(None if v is None else [v.family, v.witness])
+    runs.append({"adjacency": [list(g.adjacency) for g in graphs], "verdicts": verdicts})
+print(json.dumps(runs))
+"""
 
-    def fingerprints(n, cache_dir=None):
-        fps = real(n, cache_dir)
-        if cache_dir == renamed_dir:
-            fps = tuple(dataclasses.replace(fp, name=fp.name + "@renamed") for fp in fps)
-        return fps
 
-    monkeypatch.setattr(subgroup_membership, "degree_fingerprints", fingerprints)
-    plus, minus = type_labels(Partition([7]), GroupKind.ALT)
-    plain_dir = str(tmp_path / "plain")
-    assert shares_subgroup(plus, minus, plain_dir) == Sharing("primitive", "C7")
-    assert shares_subgroup(plus, minus, renamed_dir) == Sharing("primitive", "C7@renamed")
-    assert shares_subgroup(minus, plus, plain_dir) == Sharing("primitive", "C7")
+def test_builds_under_two_cache_dirs_write_and_answer_alike(tmp_path):
+    # the profiles are one per degree and group kind for the whole process,
+    # yet each build reads or writes its own directory's file, and both
+    # directories give the same graphs and the same verdicts
+    first, second = tmp_path / "a", tmp_path / "b"
+    first.mkdir()
+    second.mkdir()
+    src = os.path.dirname(os.path.dirname(subgroup_membership.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", _BUILDS_UNDER_EACH_DIRECTORY, str(first), str(second)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    under_first, under_second = json.loads(done.stdout)
+    cache_file = "fingerprints-deg7.json"
+    assert (first / cache_file).read_bytes() == (second / cache_file).read_bytes()
+    assert under_first == under_second
+    names = {spec.name for spec in primitive_catalog(7).groups}
+    witnesses = {v[1] for v in under_first["verdicts"] if v and v[0] == "primitive"}
+    assert witnesses
+    assert all(w in names or w.endswith("'") and w[:-1] in names for w in witnesses), witnesses
 
 
 # degrees and groups whose graphs the verdict-state tests build afresh: each
@@ -648,9 +676,13 @@ def test_rule_decided_verdicts_on_graph_vertices_read_no_profile(tmp_path, monke
 
 def test_absent_catalog_is_asked_once_per_profile(tmp_path):
     # every pair the rules leave open at degree 14 raises the catalog's own
-    # message, and only the first one asks primitive_catalog
+    # message, and only the first one asks primitive_catalog; the labels
+    # carry a profile made here, which no earlier test can have filled
     cache_dir = str(tmp_path)
+    profile = TypeProfile(14, True)
     labels = class_labels(14, GroupKind.SYM)
+    for label in labels:
+        profile.verdict_state(label)
     misses = primitive_catalog.cache_info().misses
     messages, open_types = set(), set()
     for i, a in enumerate(labels):

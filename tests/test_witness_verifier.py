@@ -487,7 +487,7 @@ def test_witness_with_no_targets_is_isolated_in_exact_graphs(graph, cache_dir):
 
 
 def test_isolated_family_certified_without_catalog(monkeypatch):
-    def no_catalog(self, label):
+    def no_catalog(self, label, cache_dir):
         raise AssertionError(f"catalog read for {label}")
 
     monkeypatch.setattr(TypeProfile, "primitive_mask", no_catalog)
@@ -552,9 +552,7 @@ for lemma in wv.LEMMA_IDS[1:]:
                 continue
             wv.verify_witness(claim, sys.argv[1])
             claims += 1
-caches = (
-    sm.type_profile, sm.wreath_member, sm.primitive_catalog, sm._rule_sharing, sm._block_bits
-)
+caches = (sm.type_profile, sm.wreath_member, sm.primitive_catalog, sm._block_bits)
 print(json.dumps([claims, *(f.cache_info().currsize for f in caches)]))
 """
 
@@ -568,15 +566,14 @@ def test_witness_claims_leave_bounded_caches(tmp_path):
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    claims, profiles, wreath, catalogs, rule_tables, block_bits = json.loads(done.stdout)
+    claims, profiles, wreath, catalogs, block_bits = json.loads(done.stdout)
     assert claims == 514
     # the counts when this test was written: a profile per degree and group
-    # claimed, a rule table per degree 11..129, a catalog per exact degree
-    # from 11 up, the block memberships of the types the claims name (none
-    # since the profiles read ``_block_bits``), and one block-bit entry per
-    # type, shared by its degree's two profiles
+    # claimed, a catalog per exact degree from 11 up, the block memberships
+    # of the types the claims name (none since the profiles read
+    # ``_block_bits``), and one block-bit entry per type, shared by its
+    # degree's two profiles
     assert profiles <= 207
     assert wreath <= 4190
     assert catalogs <= 5
-    assert rule_tables <= 119
     assert block_bits <= 932
