@@ -18,8 +18,16 @@ elements that meet every class, sizing at each chain level only the classes
 with no fixed point in its base orbit.  A class whose representative has a
 small centralizer in S_n is counted by sifting that centralizer through the
 chain, and only the other, small classes are walked by conjugation.  Any
-representative gives its class's cycle type and split label.  When the group has an odd element,
-every split type it meets is met in both A_n classes.
+representative gives its class's cycle type and split label.  When the
+group has an odd element, every split type it meets is met in both A_n
+classes.  ``degree_fingerprints`` takes a row from its largest group down,
+and a group that is a normal subgroup of a larger group of its row whose
+walk has run (every C_p:C_d in AGL(1,p), and PSL(2,q) up to PGammaL(2,q))
+is read off that group's walk instead of its own.  This is exact because a
+normal subgroup is a union of classes of its overgroup: the overgroup's
+representatives that sift into its chain meet each of its classes, and
+their weights must add up to its order (``_row_fingerprints``).  Only 23
+of the 62 catalog groups run the walk.
 
 Each class gets one feature mask per degree and group kind
 (``type_profile``): its parity, its partial sums up to n/2, a bit per block
@@ -66,7 +74,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from invgraph.arith import divisors, proper_block_sizes
 from invgraph.finite_fields import field
@@ -77,6 +85,8 @@ from invgraph.permutations import (
     GroupKind,
     Permutation,
     Split,
+    _class_levels,
+    chain_member,
     chain_order,
     class_representatives,
     cycle_type_of_images,
@@ -599,25 +609,36 @@ def _catalog_digest(groups: Sequence[GroupSpec]) -> str:
     return h.hexdigest()
 
 
-def _compute_fingerprint(spec: GroupSpec) -> Fingerprint:
-    gens = [g.images for g in spec.generators]
-    chain = stabilizer_chain(gens, spec.degree)
+def _checked_chain(spec: GroupSpec) -> list[dict[int, bytes]]:
+    """The group's ``stabilizer_chain``; RuntimeError unless its order is the
+    catalog's."""
+    chain = stabilizer_chain([g.images for g in spec.generators], spec.degree)
     order = chain_order(chain)
     if order != spec.expected_order:
         raise RuntimeError(
             f"{spec.name}: chain order {order} != expected {spec.expected_order}"
         )
-    # Every class holds a representative, and cycle type and split label
-    # are class invariants, so the representatives decide both; a class may
-    # hold several of them, which adds nothing new.  For a group inside A_n
-    # conjugation keeps the split label, which is asked only while the type
-    # lacks one of its two; an odd element of the group swaps the two A_n
-    # classes of a split type, so then every split type present meets both.
-    odd = any(not g.is_even for g in spec.generators)
+    return chain
+
+
+def _has_odd(spec: GroupSpec) -> bool:
+    return any(not g.is_even for g in spec.generators)
+
+
+def _fingerprint(spec: GroupSpec, reps: Iterable[bytes], odd: bool) -> Fingerprint:
+    """The fingerprint of a group from elements that meet all of its classes.
+
+    Cycle type and split label are class invariants, so the representatives
+    decide both; a class may hold several of them, which adds nothing new.
+    For a group inside A_n conjugation keeps the split label, which is asked
+    only while the type lacks one of its two.  ``odd`` says that an odd
+    permutation maps the group onto itself by conjugation: it swaps the two
+    A_n classes of a split type, so then every split type present meets both.
+    """
     types: set[tuple[int, ...]] = set()
     incidence: dict[tuple[int, ...], set[Split]] = {}
     identity = (1,) * spec.degree
-    for rep in class_representatives(chain, gens, spec.degree):
+    for rep in reps:
         t = cycle_type_of_images(rep)
         types.add(t)
         if t != identity and has_distinct_odd_parts(Partition(t)):
@@ -636,6 +657,101 @@ def _compute_fingerprint(spec: GroupSpec) -> Fingerprint:
             sorted((k, frozenset(v)) for k, v in incidence.items())
         ),
     )
+
+
+def _compute_fingerprint(spec: GroupSpec) -> Fingerprint:
+    """The fingerprint of one group, from its own class walk."""
+    chain = _checked_chain(spec)
+    reps = class_representatives(chain, [g.images for g in spec.generators], spec.degree)
+    return _fingerprint(spec, reps, _has_odd(spec))
+
+
+@dataclass(frozen=True)
+class _Walked:
+    """A group whose class walk ran: its membership test, the weighted
+    representatives of its top level, each class C weighing ``|C| * scale``,
+    and whether it has an odd element."""
+
+    spec: GroupSpec
+    member: Callable[[bytes], bool]
+    weighted: list[tuple[bytes, int]]
+    scale: int
+    odd: bool
+
+
+def _row_fingerprints(groups: Sequence[GroupSpec]) -> tuple[Fingerprint, ...]:
+    """The fingerprints of one catalog row, in catalog order.
+
+    The groups are taken from the largest order down.  A group H that is a
+    normal subgroup of a group G of the row whose class walk has run
+    (``_is_normal_in``) is read off G's walk, and only the other groups run
+    their own.
+
+    This is exact.  A normal subgroup is a union of classes of its
+    overgroup: each class C of G lies in H or misses it.  The walk's
+    representatives meet every class of G, so those that sift into H meet
+    every class of G inside H, and H's cycle types are theirs.  The weights
+    of each class C of G sum to ``|C| * scale`` (``_class_levels``), so the
+    weights inside H sum to ``|H| * scale``; a RuntimeError is raised when
+    they do not, the class equation of this route.  The split labels: when
+    H or G has an odd element g, g conjugates any x of H into H and into
+    the other A_n class of a split type, so H meets both classes of every
+    split type it holds.  Otherwise G lies in A_n, each class of G lies in
+    one A_n class, and the split label of each representative decides.
+    Only walked groups stand as G, since a derived group's representatives
+    meet G's classes, not all of its own.
+    """
+    fingerprints: list[Fingerprint | None] = [None] * len(groups)
+    walked: list[_Walked] = []
+    for k in sorted(range(len(groups)), key=lambda k: -groups[k].expected_order):
+        spec = groups[k]
+        n = spec.degree
+        chain = _checked_chain(spec)
+        member = chain_member(chain, n)
+        over = next((w for w in walked if _is_normal_in(spec, member, w)), None)
+        if over is None:
+            *_, weighted = _class_levels(chain, [g.images for g in spec.generators], n)
+            scale = math.lcm(*range(1, n + 1)) ** len(chain)  # as ``_class_levels`` weighs
+            odd = _has_odd(spec)
+            walked.append(_Walked(spec, member, weighted, scale, odd))
+            reps = [r for r, _ in weighted]
+        else:
+            inside = [(r, w) for r, w in over.weighted if member(r)]
+            counted = sum(w for _, w in inside)
+            if counted != spec.expected_order * over.scale:
+                raise RuntimeError(
+                    f"{spec.name}: the classes of {over.spec.name} inside it count "
+                    f"{counted / over.scale:g} elements, not {spec.expected_order}"
+                )
+            reps = [r for r, _ in inside]
+            odd = over.odd or _has_odd(spec)
+        fingerprints[k] = _fingerprint(spec, reps, odd)
+    return tuple(fingerprints)
+
+
+def _is_normal_in(spec: GroupSpec, member: Callable[[bytes], bool], over: _Walked) -> bool:
+    """Is the group ``spec``, of membership test ``member``, a normal
+    subgroup of the walked group?
+
+    It is when its generators sift through the walked group's chain, and
+    each conjugate ``g^-1 * h * g`` of one of its generators h by one of the
+    walked group's generators g sifts through its own: conjugation by each
+    g then maps the group into itself, so onto itself, and so does
+    conjugation by every element of the walked group.
+    """
+    if over.spec.expected_order % spec.expected_order:
+        return False
+    hs = [bytes(h.images) for h in spec.generators]
+    if not all(map(over.member, hs)):
+        return False
+    identity = bytes(range(spec.degree))
+    tail = bytes(range(spec.degree, 256))
+    for g in (bytes(x.images) for x in over.spec.generators):
+        inverse = bytes.maketrans(g, identity)
+        # g^-1 * h * g, with the tables of the ``permutations`` docstring
+        if not all(member(g.translate(h.translate(inverse) + tail)) for h in hs):
+            return False
+    return True
 
 
 def _fingerprint_to_json(fp: Fingerprint) -> dict:
@@ -698,8 +814,9 @@ def _load_fingerprints(
 def degree_fingerprints(n: int, cache_dir: str | None = None) -> tuple[Fingerprint, ...]:
     """Fingerprints of every cataloged group of degree n, disk-cached.
 
-    A cache file that is missing, stale or unsound is recomputed and
-    replaced atomically (temporary file in the same directory, then rename).
+    A cache file that is missing, stale or unsound is recomputed, by
+    ``_row_fingerprints``, and replaced atomically (temporary file in the
+    same directory, then rename).
     """
     catalog = primitive_catalog(n)
     if not catalog.groups:
@@ -711,7 +828,7 @@ def degree_fingerprints(n: int, cache_dir: str | None = None) -> tuple[Fingerpri
         fps = _load_fingerprints(cache_file, n, digest, catalog.groups)
         if fps is not None:
             return fps
-    fps = tuple(_compute_fingerprint(spec) for spec in catalog.groups)
+    fps = _row_fingerprints(catalog.groups)
     cache_path.mkdir(parents=True, exist_ok=True)
     payload = {
         "schema": 1,

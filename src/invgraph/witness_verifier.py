@@ -481,11 +481,18 @@ def verify_witness(claim: WitnessClaim, cache_dir: str | None = None) -> Witness
     each family whose predicate admits the witness is a failure and each
     family no predicate handles is ledgered, once per type, since the
     theorem tier answers both split classes of a type alike.
+
+    Raises ValueError when the witness is odd in A_n, and, naming the
+    claim, when its degree is not the claim's n or its class splits in A_n,
+    where one report would check only one of its two classes.
     """
     n, w, group = claim.n, claim.witness, claim.group
-    assert w.n == n
+    name = f"claim {claim.lemma_id} at n={n} ({group.value})"
+    if w.n != n:
+        raise ValueError(f"{name}: witness {w} has degree {w.n}")
     w_labels = type_labels(w, group)  # ValueError for an odd witness in A_n
-    assert len(w_labels) == 1, "witness types never split"
+    if len(w_labels) != 1:
+        raise ValueError(f"{name}: witness {w} splits into two A_{n} classes")
     w_label = w_labels[0]
     half_square = Partition([n // 2, n // 2]) if n % 2 == 0 else None
 

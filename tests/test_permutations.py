@@ -18,6 +18,7 @@ from invgraph.permutations import (
     Split,
     alternating_group_generators,
     canonical_of_type,
+    chain_member,
     chain_order,
     class_labels,
     class_representatives,
@@ -452,6 +453,15 @@ def test_level_generators_span_each_chain_level():
                 name,
                 j,
             )
+
+
+def test_chain_member_accepts_exactly_the_group():
+    # of the 5,040 elements of S_7, the 168 of PSL(3,2) and no other sift
+    # to the identity through its chain
+    gens = [g.images for g in _catalog_generators(7, "PSL(3,2)")]
+    member = chain_member(stabilizer_chain(gens, 7), 7)
+    every = closure_images([g.images for g in symmetric_group_generators(7)], 7)
+    assert {x for x in every if member(x)} == closure_images(gens, 7)
 
 
 def test_centralizer_generators_span_the_centralizer():

@@ -413,6 +413,47 @@ def test_compute_fingerprint_matches_per_element_reference(reference_closure):
         assert got == expected, spec.name
 
 
+def test_cold_fingerprints_read_normal_subgroups_off_their_overgroups(
+    tmp_path, monkeypatch, reference_closure
+):
+    # a group normalized by a larger walked group of its row takes its
+    # fingerprint from that group's classes; a group contained in a larger
+    # one without being normal in it runs its own walk
+    names = {tuple(bytes(g.images) for g in s.generators): s.name for s in _all_catalog_groups()}
+    walked = []
+    walk = subgroup_membership._class_levels
+
+    def counted(chain, generators, degree):
+        walked.append(names[tuple(map(bytes, generators))])
+        return walk(chain, generators, degree)
+
+    monkeypatch.setattr(subgroup_membership, "_class_levels", counted)
+    where = str(tmp_path / "cache")
+    for n in sorted(EXACT_DEGREES):
+        for spec, fp in zip(primitive_catalog(n).groups, degree_fingerprints(n, where)):
+            elements = reference_closure([g.images for g in spec.generators], spec.degree)
+            got = (fp.degree, fp.name, fp.order, fp.types_present, fp.split_incidence)
+            assert got == _reference_fingerprint(spec, elements), spec.name
+    assert len(walked) == 23
+    assert {"AGammaL(1,8)", "AGammaL(1,9)", "PSL(2,11)@11", "M11@12"} <= set(walked)
+
+
+def test_derived_fingerprints_check_the_class_equation(tmp_path, monkeypatch):
+    # without the identity among AGL(1,7)'s representatives, its classes
+    # inside its normal subgroup 7:3 count one element short
+    walk = subgroup_membership._class_levels
+
+    def dropping(chain, generators, degree):
+        *levels, top = walk(chain, generators, degree)
+        return iter(levels + [top[1:]])
+
+    monkeypatch.setattr(subgroup_membership, "_class_levels", dropping)
+    message = r"^7:3: the classes of AGL\(1,7\) inside it count 20 elements, not 21$"
+    with pytest.raises(RuntimeError, match=message):
+        degree_fingerprints(7, str(tmp_path / "cache"))
+    assert not (tmp_path / "cache" / "fingerprints-deg7.json").exists()
+
+
 def test_stabilizer_chain_matches_reference_closure_on_catalog(reference_closure):
     # each transversal maps its base point to every orbit point with an
     # element of the group that fixes the earlier base points

@@ -293,6 +293,21 @@ def test_shared_target_fails(cache_dir, n, group, witness, target, verdict, clas
         assert failure.endswith(f": shared {verdict}"), failure
 
 
+def test_split_witness_is_rejected_naming_the_claim(cache_dir):
+    # the 7-cycle's A_7 class splits: a report from the PLUS class alone
+    # would leave half the witness unchecked
+    claim = WitnessClaim("x", 7, GroupKind.ALT, Partition([7]), ())
+    with pytest.raises(ValueError, match=r"^claim x at n=7 \(alt\): witness 7 splits"):
+        verify_witness(claim, cache_dir)
+
+
+def test_witness_of_another_degree_is_rejected_naming_the_claim(cache_dir):
+    claim = WitnessClaim("x", 12, GroupKind.SYM, Partition([5, 3, 2, 1]), (Partition([12]),))
+    message = r"^claim x at n=12 \(sym\): witness 5,3,2,1 has degree 11$"
+    with pytest.raises(ValueError, match=message):
+        verify_witness(claim, cache_dir)
+
+
 def test_odd_witness_in_alternating_group_is_rejected(cache_dir):
     claim = _shared_target_claim(12, GroupKind.ALT, (12,), (11, 1))
     with pytest.raises(ValueError):
