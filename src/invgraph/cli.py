@@ -173,15 +173,13 @@ def cmd_oracle_wreath(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    catalog = primitive_catalog(args.n)
-    fps = {fp.name: fp for fp in degree_fingerprints(args.n, _cache_dir(args))}
+    fps = degree_fingerprints(args.n, _cache_dir(args))
     lines = []
-    for spec in catalog.groups:
-        fp = fps[spec.name]
-        split = sum(1 for _, inc in fp.split_incidence if inc)
+    for spec, fp in zip(primitive_catalog(args.n).groups, fps):
+        split = sum(1 for inc in fp.types.values() if inc)
         lines.append(
             f"{spec.name}: order {spec.expected_order}, family {spec.family.value}, "
-            f"{len(fp.types_present)} cycle types, {split} split types"
+            f"{len(fp.types)} cycle types, {split} split types"
         )
     _emit("\n".join(lines) + "\n" if lines else "(empty catalog)\n", args.out)
     return 0

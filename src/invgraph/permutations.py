@@ -15,25 +15,22 @@ its elements.  Given the order of a group known to contain the generated
 one, it stops as soon as its order reaches that bound, which decides
 generation.  ``chain_member`` decides membership by sifting an element
 through a chain.  ``conjugacy_class`` walks one class by conjugating with
-the generators.  ``class_representatives`` finds elements that meet every
-class by climbing the chain from its deepest level up: an element with a
-fixed point in a level's base orbit is conjugate into the next level's
-group, so each level re-weights the representatives found below it and
-sizes only the classes with no fixed point in its orbit, until the weights
-add up to the level's order.  A class whose representative x has a small
-centralizer ``K`` in S_n, ``|K|^2 < |H|`` for the level's group H, is
-counted instead of walked: ``centralizer_generators`` spans ``K`` (a
-product of wreath products ``C_k wr S_m``), the elements of K that sift
-through the chain form ``C_H(x)``, and the class has ``|H| / |C_H(x)|``
-members.  Listing K costs ``|K|`` sifts, fewer than the at least
-``|H| / |K|`` conjugations a walk would take.  The other classes, whose
-centralizer in S_n is large, are small, and are walked by
-``conjugacy_class``: the top level under the given generators, each level
-below under those of the level beneath it and the transversal elements
-their orbit of the base point misses (``_level_generators``), so the walk
-builds no chain of its own.  Over the 23 catalog groups whose cold
-fingerprints run it, the walk reads 513 chain products, visits 6,696
-elements and makes 20,608 conjugations (852, 10,203 and 32,560 over all 62).
+the generators.  ``_class_levels`` finds elements that meet every class by
+climbing the chain from its deepest level up: an element with a fixed point
+in a level's base orbit is conjugate into the next level's group, so each
+level re-weights the representatives found below it and sizes only the
+classes with no fixed point in its orbit, until the weights add up to the
+level's order.  A class whose representative x has a small centralizer
+``K`` in S_n, ``|K|^2 < |H|`` for the level's group H, is counted instead
+of walked: ``centralizer_generators`` spans ``K`` (a product of wreath
+products ``C_k wr S_m``), the elements of K that sift through the chain
+form ``C_H(x)``, and the class has ``|H| / |C_H(x)|`` members.  Listing K
+costs ``|K|`` sifts, fewer than the at least ``|H| / |K|`` conjugations a
+walk would take.  The other classes, whose centralizer in S_n is large, are
+small, and are walked by ``conjugacy_class``: the top level under the given
+generators, each level below under those of the level beneath it and the
+transversal elements their orbit of the base point misses
+(``_level_generators``), so the walk builds no chain of its own.
 ``symmetric_group_generators`` and ``alternating_group_generators`` are the
 generating sets the edge oracle walks its classes with, and
 ``normalizer_generators`` spans the normalizer of <x> whose orbits it
@@ -479,20 +476,82 @@ def _level_generators(deeper: list[bytes], transversal: dict[int, bytes]) -> lis
     return gens
 
 
+def _walk_scale(chain: Sequence[dict[int, bytes]], degree: int) -> int:
+    """The factor by which ``_class_levels`` scales its weights:
+    ``lcm(1..degree)`` per chain level."""
+    return math.lcm(*range(1, degree + 1)) ** len(chain)
+
+
 def _class_levels(
     chain: Sequence[dict[int, bytes]], generators: Iterable[Sequence[int]], degree: int
 ) -> Iterator[list[tuple[bytes, int]]]:
     """Weighted class representatives of each chain level, deepest first.
 
-    ``H_j`` is the group of ``chain[j:]`` and ``O_j`` the orbit of its base
-    point.  For j = len(chain) down to 0 this yields pairs (r, w) of
-    elements of ``H_j`` and weights, such that the weights of the pairs in
-    each class C of ``H_j`` sum to ``|C| * scale``, with ``scale =
-    lcm(1..degree) ** len(chain)``; so the weights sum to ``|H_j| * scale``.
-    ``class_representatives`` documents the step from one level to the next.
+    ``chain`` is the ``stabilizer_chain`` of the group ``generators`` span;
+    ``H_j`` is the group of ``chain[j:]``, so ``H_0`` is the whole group,
+    and ``O_j`` is the orbit of the base point of ``chain[j]``.  For j =
+    len(chain) down to 0 this yields pairs (r, w) of elements of ``H_j``
+    and weights, such that every class C of ``H_j`` holds one r or more
+    and their weights sum to ``|C| * scale``, with ``scale`` from
+    ``_walk_scale``; so the weights sum to ``|H_j| * scale``, and the
+    elements of the last list meet every class of the group.
+
+    The walk runs from the trivial group ``H_len(chain)`` up to ``H_0`` and
+    rests on two facts.  An element of ``H_j`` that fixes a point
+    ``u(b_j)`` of ``O_j`` is conjugate by u into ``H_{j+1}``.  Counting the
+    pairs (element, fixed point in ``O_j``) shows that the elements with a
+    fixed point in ``O_j`` number ``|O_j|`` times the sum of ``1 / fix(h)``
+    over h in ``H_{j+1}``, where ``fix`` counts the fixed points in
+    ``O_j``, a class function of ``H_j``.
+
+    So each level re-weights the representatives of ``H_{j+1}`` by
+    ``|O_j| / fix(r)``, which makes them count the classes of ``H_j`` with a
+    fixed point in ``O_j``, and sizes only the classes with none: for each
+    product x of transversal elements in no class found so far and with no
+    fixed point in ``O_j``, the powers ``x, x^2, ...`` without one are taken
+    in turn, and each one in no class found so far is a new representative
+    (Handbook of Computational Group Theory, 4.6).  Small classes are powers
+    of large ones, so they turn up long before the products run out.  The
+    level is done once these classes cover ``|H_j|`` minus the re-weighted
+    count.  The weights are integers scaled by ``lcm(1..degree)`` per
+    level, since ``fix(r) <= degree`` divides that.
+
+    A new representative r is sized in one of two ways, by comparing two
+    costs read from the input.  ``K = C_{S_n}(r)`` is the product of
+    ``C_k wr S_m`` over r's cycle lengths k, each with m cycles, of order
+    ``prod k^m * m!``.  When ``|K|^2 < |H_j|`` the class is counted: K is
+    listed from ``centralizer_generators`` and each element sifted through
+    ``chain[j:]`` (``_count_class``); those that sift to the identity form
+    ``C_{H_j}(r)``, and the class has ``|H_j| / |C_{H_j}(r)|`` members.
+    That takes ``|K|`` sifts, where a walk would take at least
+    ``|H_j| / |K|`` conjugations.  A later element y of r's cycle type is
+    in r's class exactly when some ``c * s`` lies in ``H_j``, for c in K and
+    s the permutation that aligns r's cycles with y's, so
+    ``s^-1 * r * s == y``; one c per coset ``C_{H_j}(r) * c`` is tested,
+    ``|K : C_{H_j}(r)|`` sifts.  Otherwise ``K`` is large and the class
+    small, and its ``conjugacy_class`` is walked and kept, so a later
+    element is found in it by lookup.  A walk runs under the given
+    generators at the top level, and at a level j below it under the
+    generators of ``H_{j+1}`` and one transversal element of ``chain[j]``
+    for each point of ``O_j`` their orbit of ``b_j`` does not yet reach
+    (``_level_generators``, which shows that they span ``H_j``).  These are
+    read off the chain, so the walk builds no chain of its own.
+
+    Raises RuntimeError when a representative from the level below fixes no
+    point of ``O_j`` (a transversal holds an element of another level),
+    when a class fails the class equation (a walked class's size divides
+    ``|H_j|``, and so does its size times the order of its elements,
+    because ``<x>`` lies in the centralizer of x; a counted
+    ``|C_{H_j}(r)|`` divides ``|H_j|`` and is a multiple of r's order),
+    when the count with a fixed point is no integer below ``|H_j|`` (a
+    group transitive on two points or more has an element that fixes none,
+    by Jordan's theorem), or when the walked and counted classes do not
+    cover the rest exactly.  A chain that misses elements can still pass,
+    so callers check the chain order against an independently known order
+    first.
     """
     identity = bytes(range(degree))
-    scale = math.lcm(*range(1, degree + 1)) ** len(chain)
+    scale = _walk_scale(chain, degree)
     bases = [next(iter(transversal)) for transversal in chain]
     inverses = [{y: bytes.maketrans(u, identity) for y, u in t.items()} for t in chain]
     level_gens: list[bytes] = []  # generators of H_{j+1}, then of H_j
@@ -642,75 +701,6 @@ def _count_class(
             coset_tables.append(c + tail)
             marked.update(c.translate(z) for z in inside)  # z * c
     return order // len(inside), coset_tables
-
-
-def class_representatives(
-    chain: Sequence[dict[int, bytes]], generators: Iterable[Sequence[int]], degree: int
-) -> list[bytes]:
-    """Elements that meet every conjugacy class of the group ``generators`` span.
-
-    ``chain`` is the group's ``stabilizer_chain``; ``H_j`` is the group of
-    ``chain[j:]``, so ``H_0`` is the whole group, and ``O_j`` is the orbit of
-    the base point of ``chain[j]``.  The walk runs from the trivial group
-    ``H_len(chain)`` up to ``H_0`` and rests on two facts.  An element of
-    ``H_j`` that fixes a point ``u(b_j)`` of ``O_j`` is conjugate by u into
-    ``H_{j+1}``.  Counting the pairs (element, fixed point in ``O_j``) shows
-    that the elements with a fixed point in ``O_j`` number ``|O_j|`` times
-    the sum of ``1 / fix(h)`` over h in ``H_{j+1}``, where ``fix`` counts
-    the fixed points in ``O_j``, a class function of ``H_j``.
-
-    So each level re-weights the representatives of ``H_{j+1}`` by
-    ``|O_j| / fix(r)``, which makes them count the classes of ``H_j`` with a
-    fixed point in ``O_j``, and sizes only the classes with none: for each
-    product x of transversal elements in no class found so far and with no
-    fixed point in ``O_j``, the powers ``x, x^2, ...`` without one are taken
-    in turn, and each one in no class found so far is a new representative
-    (Handbook of Computational Group Theory, 4.6).  Small classes are powers
-    of large ones, so they turn up long before the products run out.  The
-    level is done once these classes cover ``|H_j|`` minus the re-weighted
-    count.  The weights are integers scaled by ``lcm(1..degree)`` per
-    level, since ``fix(r) <= degree`` divides that.
-
-    A new representative r is sized in one of two ways, by comparing two
-    costs read from the input.  ``K = C_{S_n}(r)`` is the product of
-    ``C_k wr S_m`` over r's cycle lengths k, each with m cycles, of order
-    ``prod k^m * m!``.  When ``|K|^2 < |H_j|`` the class is counted: K is
-    listed from ``centralizer_generators`` and each element sifted through
-    ``chain[j:]`` (``_count_class``); those that sift to the identity form
-    ``C_{H_j}(r)``, and the class has ``|H_j| / |C_{H_j}(r)|`` members.
-    That takes ``|K|`` sifts, where a walk would take at least
-    ``|H_j| / |K|`` conjugations.  A later element y of r's cycle type is
-    in r's class exactly when some ``c * s`` lies in ``H_j``, for c in K and
-    s the permutation that aligns r's cycles with y's, so
-    ``s^-1 * r * s == y``; one c per coset ``C_{H_j}(r) * c`` is tested,
-    ``|K : C_{H_j}(r)|`` sifts.  Otherwise ``K`` is large and the class
-    small, and its ``conjugacy_class`` is walked and kept, so a later
-    element is found in it by lookup.  A walk runs under the given
-    generators at the top level, and at a level j below it under the
-    generators of ``H_{j+1}`` and one transversal element of ``chain[j]``
-    for each point of ``O_j`` their orbit of ``b_j`` does not yet reach
-    (``_level_generators``, which shows that they span ``H_j``).  These are
-    read off the chain, so the walk builds no chain: over the 23 catalog
-    groups whose cold fingerprints run it, it reads 513 products, visits
-    6,696 elements and makes 20,608 conjugations (852, 10,203 and 32,560
-    over all 62), at 1 to 6 generators a level.
-
-    Every class of the group then holds one representative or more, and
-    the weights of each class sum to its size.  Raises RuntimeError when a
-    representative from the level below fixes no point of ``O_j`` (a
-    transversal holds an element of another level), when a class fails the
-    class equation (a walked class's size divides ``|H_j|``, and so does
-    its size times the order of its elements, because ``<x>`` lies in the
-    centralizer of x; a counted ``|C_{H_j}(r)|`` divides ``|H_j|`` and is
-    a multiple of r's order), when the count with a fixed point is no
-    integer below ``|H_j|`` (a group transitive on two points or more has
-    an element that fixes none, by Jordan's theorem), or when the walked
-    and counted classes do not cover the rest exactly.  A chain that
-    misses elements can still pass, so callers check the chain order
-    against an independently known order first.
-    """
-    *_, weighted = _class_levels(chain, generators, degree)
-    return [rep for rep, _ in weighted]
 
 
 def conjugator(x: Permutation, y: Permutation) -> Permutation | None:

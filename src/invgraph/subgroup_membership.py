@@ -8,25 +8,27 @@ Four families decide every edge question at the supported degrees:
   blocks (a partial sum n/2, or only even parts) and for blocks of size two
   (every odd part an even number of times), and at every other block size
   by a memoized grouping search over the part multiset;
-* primitive groups, decided against fingerprints (the realized cycle types,
-  with per-split-class incidence) of a complete per-degree catalog.
+* primitive groups, decided against fingerprints (each cycle type a group
+  meets, with the A_n classes of that type it meets) of a complete
+  per-degree catalog.
 
 A fingerprint is computed from class representatives of the group, not per
 element, and without listing the group first: ``stabilizer_chain`` gives the
-order, checked against the catalog's, and ``class_representatives`` returns
-elements that meet every class, sizing at each chain level only the classes
-with no fixed point in its base orbit.  A class whose representative has a
-small centralizer in S_n is counted by sifting that centralizer through the
-chain, and only the other, small classes are walked by conjugation.  Any
+order, checked against the catalog's, and ``_class_levels`` yields elements
+that meet every class, sizing at each chain level only the classes with no
+fixed point in its base orbit.  A class whose representative has a small
+centralizer in S_n is counted by sifting that centralizer through the chain,
+and only the other, small classes are walked by conjugation.  Any
 representative gives its class's cycle type and split label.  When the
 group has an odd element, every split type it meets is met in both A_n
-classes.  ``degree_fingerprints`` takes a row from its largest group down,
-and a group that is a normal subgroup of a larger group of its row whose
-walk has run (every C_p:C_d in AGL(1,p), and PSL(2,q) up to PGammaL(2,q))
-is read off that group's walk instead of its own.  This is exact because a
-normal subgroup is a union of classes of its overgroup: the overgroup's
-representatives that sift into its chain meet each of its classes, and
-their weights must add up to its order (``_row_fingerprints``).  Only 23
+classes.  ``_row_fingerprints`` is the one route to a fingerprint, for a
+catalog row and for the wreath oracle's row of one group.  It takes a row
+from its largest group down, and a group that is a normal subgroup of a
+larger group of its row whose walk has run (every C_p:C_d in AGL(1,p), and
+PSL(2,q) up to PGammaL(2,q)) is read off that group's walk instead of its
+own.  This is exact because a normal subgroup is a union of classes of its
+overgroup: the overgroup's representatives that sift into its chain meet
+each of its classes, and their weights must add up to its order.  Only 23
 of the 62 catalog groups run the walk.
 
 Each class gets one feature mask per degree and group kind
@@ -74,7 +76,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Sequence
 
 from invgraph.arith import divisors, proper_block_sizes
 from invgraph.finite_fields import field
@@ -86,9 +89,9 @@ from invgraph.permutations import (
     Permutation,
     Split,
     _class_levels,
+    _walk_scale,
     chain_member,
     chain_order,
-    class_representatives,
     cycle_type_of_images,
     parse_cycles,
     split_label,
@@ -275,7 +278,7 @@ def wreath_product_generators(m: int, k: int) -> list[Permutation]:
 
 
 @lru_cache(maxsize=None)
-def _wreath_type_set(n: int, m: int) -> frozenset[tuple[int, ...]]:
+def _wreath_type_set(n: int, m: int) -> Mapping[tuple[int, ...], frozenset[Split]]:
     k = n // m
     order = math.factorial(m) ** k * math.factorial(k)
     if order > _WREATH_ORACLE_CAP:
@@ -284,7 +287,7 @@ def _wreath_type_set(n: int, m: int) -> frozenset[tuple[int, ...]]:
         )
     generators = tuple(wreath_product_generators(m, k))
     spec = GroupSpec(f"S{m}wrS{k}", n, Family.OTHER, generators, order)
-    return _compute_fingerprint(spec).types_present
+    return _row_fingerprints((spec,))[0].types
 
 
 def wreath_member_oracle(t: Partition, m: int) -> bool:
@@ -313,19 +316,14 @@ class GroupSpec:
 
 @dataclass(frozen=True)
 class Fingerprint:
-    """Realized cycle types of a subgroup, with split-class incidence."""
+    """The cycle types a subgroup meets, each with the A_n classes of that
+    type it meets: PLUS, MINUS or both, and none when the type does not
+    split.  The package builds ``types`` read-only, since
+    ``degree_fingerprints`` hands the same fingerprints to every caller."""
 
-    degree: int
     name: str
     order: int
-    types_present: frozenset[tuple[int, ...]]
-    split_incidence: tuple[tuple[tuple[int, ...], frozenset[Split]], ...]
-
-    def incidence(self, parts: tuple[int, ...]) -> frozenset[Split]:
-        for key, inc in self.split_incidence:
-            if key == parts:
-                return inc
-        return frozenset()
+    types: Mapping[tuple[int, ...], frozenset[Split]]
 
 
 @dataclass(frozen=True)
@@ -635,35 +633,21 @@ def _fingerprint(spec: GroupSpec, reps: Iterable[bytes], odd: bool) -> Fingerpri
     permutation maps the group onto itself by conjugation: it swaps the two
     A_n classes of a split type, so then every split type present meets both.
     """
-    types: set[tuple[int, ...]] = set()
-    incidence: dict[tuple[int, ...], set[Split]] = {}
+    types: dict[tuple[int, ...], set[Split]] = {}
     identity = (1,) * spec.degree
     for rep in reps:
         t = cycle_type_of_images(rep)
-        types.add(t)
-        if t != identity and has_distinct_odd_parts(Partition(t)):
+        splits = types.setdefault(t, set())
+        if len(splits) < 2 and t != identity and has_distinct_odd_parts(Partition(t)):
             if odd:
-                incidence[t] = {Split.PLUS, Split.MINUS}
+                splits.update((Split.PLUS, Split.MINUS))
             else:
-                splits = incidence.setdefault(t, set())
-                if len(splits) < 2:
-                    splits.add(split_label(Permutation(rep)))
+                splits.add(split_label(Permutation(rep)))
     return Fingerprint(
-        degree=spec.degree,
-        name=spec.name,
-        order=spec.expected_order,
-        types_present=frozenset(types),
-        split_incidence=tuple(
-            sorted((k, frozenset(v)) for k, v in incidence.items())
-        ),
+        spec.name,
+        spec.expected_order,
+        MappingProxyType({t: frozenset(v) for t, v in types.items()}),
     )
-
-
-def _compute_fingerprint(spec: GroupSpec) -> Fingerprint:
-    """The fingerprint of one group, from its own class walk."""
-    chain = _checked_chain(spec)
-    reps = class_representatives(chain, [g.images for g in spec.generators], spec.degree)
-    return _fingerprint(spec, reps, _has_odd(spec))
 
 
 @dataclass(frozen=True)
@@ -711,7 +695,7 @@ def _row_fingerprints(groups: Sequence[GroupSpec]) -> tuple[Fingerprint, ...]:
         over = next((w for w in walked if _is_normal_in(spec, member, w)), None)
         if over is None:
             *_, weighted = _class_levels(chain, [g.images for g in spec.generators], n)
-            scale = math.lcm(*range(1, n + 1)) ** len(chain)  # as ``_class_levels`` weighs
+            scale = _walk_scale(chain, n)
             odd = _has_odd(spec)
             walked.append(_Walked(spec, member, weighted, scale, odd))
             reps = [r for r, _ in weighted]
@@ -755,29 +739,29 @@ def _is_normal_in(spec: GroupSpec, member: Callable[[bytes], bool], over: _Walke
 
 
 def _fingerprint_to_json(fp: Fingerprint) -> dict:
+    """The cache entry of a fingerprint: every type it meets under "types",
+    and the marks of the A_n classes it meets under "split", for the types
+    that split."""
+    key = lambda t: ",".join(map(str, t))
     return {
         "name": fp.name,
         "order": fp.order,
-        "types": sorted(",".join(map(str, t)) for t in fp.types_present),
+        "types": sorted(map(key, fp.types)),
         "split": {
-            ",".join(map(str, t)): "".join(sorted(s.value for s in inc))
-            for t, inc in fp.split_incidence
+            key(t): "".join(sorted(s.value for s in inc)) for t, inc in fp.types.items() if inc
         },
     }
 
 
-def _fingerprint_from_json(degree: int, data: dict) -> Fingerprint:
-    types = frozenset(tuple(int(x) for x in t.split(",")) for t in data["types"])
-    split = tuple(
-        sorted(
-            (
-                tuple(int(x) for x in t.split(",")),
-                frozenset(Split(ch) for ch in marks),
-            )
-            for t, marks in data["split"].items()
-        )
-    )
-    return Fingerprint(degree, data["name"], data["order"], types, split)
+def _fingerprint_from_json(data: dict) -> Fingerprint:
+    """The fingerprint of a cache entry; ValueError when a "split" key is
+    not among its "types" or has no marks."""
+    parse = lambda t: tuple(int(x) for x in t.split(","))
+    types = {parse(t): frozenset() for t in data["types"]}
+    split = {parse(t): frozenset(map(Split, marks)) for t, marks in data["split"].items()}
+    if not split.keys() <= types.keys() or not all(split.values()):
+        raise ValueError("split marks must be on a listed type")
+    return Fingerprint(data["name"], data["order"], MappingProxyType(types | split))
 
 
 def _load_fingerprints(
@@ -786,26 +770,23 @@ def _load_fingerprints(
     """The cached fingerprints, or None unless the file is sound.
 
     Beyond the digest, the names and orders must match the catalog, every
-    type must be a partition of n, and split marks may only sit on present
-    types with distinct odd parts.
+    type must be a partition of n, and split marks must sit on the types
+    with distinct odd parts, and only on types that the group meets.
     """
     try:
         data = json.loads(cache_file.read_text())
         if data.get("schema") != 1 or data.get("digest") != digest:
             return None
-        fps = tuple(_fingerprint_from_json(n, entry) for entry in data["groups"])
+        fps = tuple(map(_fingerprint_from_json, data["groups"]))
     except (OSError, ValueError, KeyError, TypeError, AttributeError):
         return None
     if [(fp.name, fp.order) for fp in fps] != [(g.name, g.expected_order) for g in groups]:
         return None
     for fp in fps:
-        for t in fp.types_present:
+        for t, marks in fp.types.items():
             if sum(t) != n or min(t) < 1 or list(t) != sorted(t, reverse=True):
                 return None
-        for t, marks in fp.split_incidence:
-            if not marks or t not in fp.types_present:
-                return None
-            if t == (1,) * n or not has_distinct_odd_parts(Partition(t)):
+            if bool(marks) != (t != (1,) * n and has_distinct_odd_parts(Partition(t))):
                 return None
     return fps
 
@@ -928,13 +909,13 @@ class TypeProfile:
             split = not self.sym and has_distinct_odd_parts(Partition(parts))
             plus = minus = 0
             for k, fp in enumerate(fingerprints):
-                if parts not in fp.types_present:
+                incidence = fp.types.get(parts)
+                if incidence is None:
                     continue
                 bit = 1 << (self.primitive_shift + 2 * k)
                 if not split:
                     plus |= 3 * bit
                     continue
-                incidence = fp.incidence(parts)
                 if Split.PLUS in incidence:
                     plus |= bit
                     minus |= bit << 1

@@ -266,7 +266,7 @@ def test_asymmetric_split_incidence_exists(cache_dir):
     asym = {
         fp.name
         for fp in degree_fingerprints(9, cache_dir)
-        if any(len(inc) == 1 for _, inc in fp.split_incidence)
+        if any(len(inc) == 1 for inc in fp.types.values())
     }
     assert asym == {"PSL(2,8)", "PGammaL(2,8)"}
 

@@ -21,7 +21,6 @@ from invgraph.permutations import (
     chain_member,
     chain_order,
     class_labels,
-    class_representatives,
     closure_images,
     conjugacy_class,
     conjugator,
@@ -129,6 +128,12 @@ CLASS_COUNTS = [
 ]
 
 
+def _class_representatives(chain, gens, degree):
+    """Elements that meet every class: the top level of the class walk."""
+    *_, top = permutations._class_levels(chain, gens, degree)
+    return [rep for rep, _ in top]
+
+
 def _class_count(reps, gens, degree):
     """The number of classes of the group ``gens`` span that ``reps`` meet."""
     covered = set()
@@ -147,7 +152,7 @@ def test_class_representatives_match_published_class_counts(name, generators, de
     # the walk may return several elements of one class; walking each one's
     # class under the group's generators merges them
     gens = [g.images for g in generators()]
-    reps = class_representatives(stabilizer_chain(gens, degree), gens, degree)
+    reps = _class_representatives(stabilizer_chain(gens, degree), gens, degree)
     assert _class_count(reps, gens, degree) == classes
 
 
@@ -169,7 +174,7 @@ def test_class_walk_rejects_a_chain_of_the_wrong_order(name):
         broken.append(more)
     for wrong in broken:
         with pytest.raises(RuntimeError, match="class walk"):
-            class_representatives(wrong, gens, degree)
+            _class_representatives(wrong, gens, degree)
 
 
 def _translations_and_a_rotation():
@@ -242,7 +247,7 @@ def test_class_walk_checks_each_class_against_the_chain_order(case, message):
     # divides by a fixed-point count of 0
     chain, gens, degree = case()
     with pytest.raises(RuntimeError, match=re.escape("class walk " + message)):
-        class_representatives(chain, gens, degree)
+        _class_representatives(chain, gens, degree)
 
 
 def test_class_walk_of_m12_walks_few_elements(monkeypatch):
@@ -260,7 +265,7 @@ def test_class_walk_of_m12_walks_few_elements(monkeypatch):
     gens = [g.images for g in _catalog_generators(12, "M12")]
     chain = stabilizer_chain(gens, 12)
     assert chain_order(chain) == 95040
-    reps = class_representatives(chain, gens, 12)
+    reps = _class_representatives(chain, gens, 12)
     assert 0 < sum(walked) <= 40000
     monkeypatch.undo()
     assert _class_count(reps, gens, 12) == 15
@@ -293,8 +298,8 @@ def test_stabilizer_chain_stopped_at_the_known_order_is_complete():
         early = stabilizer_chain(gens, n, order=order)
         assert chain_order(full) == order, name
         assert chain_order(early) == chain_order(full), name
-        assert _class_count(class_representatives(early, gens, n), gens, n) == _class_count(
-            class_representatives(full, gens, n), gens, n
+        assert _class_count(_class_representatives(early, gens, n), gens, n) == _class_count(
+            _class_representatives(full, gens, n), gens, n
         ), name
 
 
@@ -352,7 +357,7 @@ def test_counted_class_sizes_match_the_walked_classes(monkeypatch, degree, name)
         return size, coset_tables
 
     monkeypatch.setattr(permutations, "_count_class", recording)
-    class_representatives(chain, gens, degree)
+    _class_representatives(chain, gens, degree)
     monkeypatch.undo()
     assert counted, name
     level_of = {chain_order(chain[j:]): j for j in range(len(chain))}
@@ -374,7 +379,7 @@ def test_class_walk_of_m12_counts_its_large_classes(monkeypatch):
 
     monkeypatch.setattr(permutations, "conjugacy_class", walking)
     gens = [g.images for g in _catalog_generators(12, "M12")]
-    reps = class_representatives(stabilizer_chain(gens, 12), gens, 12)
+    reps = _class_representatives(stabilizer_chain(gens, 12), gens, 12)
     assert 0 < sum(walked) <= 5000
     monkeypatch.undo()
     assert _class_count(reps, gens, 12) == 15
@@ -405,7 +410,7 @@ def test_class_walk_of_m12_counts_its_large_classes(monkeypatch):
 def test_class_count_checks_each_centralizer_against_the_chain_order(case, message):
     chain, gens, degree = case()
     with pytest.raises(RuntimeError, match=re.escape("class walk " + message)):
-        class_representatives(chain, gens, degree)
+        _class_representatives(chain, gens, degree)
 
 
 def test_class_walk_builds_no_chains(monkeypatch):
@@ -428,7 +433,7 @@ def test_class_walk_builds_no_chains(monkeypatch):
     prepared = [(stabilizer_chain(gens, n), gens, n) for gens, n in groups]
     monkeypatch.setattr(permutations, "stabilizer_chain", counting)
     for chain, gens, n in prepared:
-        class_representatives(chain, gens, n)
+        _class_representatives(chain, gens, n)
     assert len(chains) == 0
 
 
@@ -508,7 +513,7 @@ def test_stabilizer_chain_of_the_identity():
         identity = tuple(range(n))
         assert stabilizer_chain([identity], n) == []
         assert chain_order([]) == 1
-        assert class_representatives([], [identity], n) == [bytes(identity)]
+        assert _class_representatives([], [identity], n) == [bytes(identity)]
 
 
 def test_split_label_examples():

@@ -142,7 +142,7 @@ def test_catalog_consistency_with_families(cache_dir):
     # predicted by the classification lists
     for n in range(5, 14):
         for fp in degree_fingerprints(n, cache_dir):
-            for t in fp.types_present:
+            for t in fp.types:
                 part = Partition(t)
                 if part.parts == (1,) * n:
                     continue
@@ -161,7 +161,7 @@ def test_jordan_soundness_against_catalog(cache_dir):
     for n in sorted(EXACT_DEGREES):
         realized = set()
         for fp in degree_fingerprints(n, cache_dir):
-            realized |= fp.types_present
+            realized.update(fp.types)
         for t in enumerate_partitions(n):
             if jordan_excludes(t):
                 assert t.parts not in realized, (n, t)
@@ -173,7 +173,7 @@ def test_family_predicates_admit_every_catalog_group(cache_dir):
     checked = 0
     for n in sorted(EXACT_DEGREES):
         for fp in degree_fingerprints(n, cache_dir):
-            types = [Partition(g) for g in fp.types_present]
+            types = [Partition(g) for g in fp.types]
             for h in types:
                 if len(h.parts) != 2 and sum(p > 1 for p in h.parts) != 1:
                     continue
@@ -238,7 +238,7 @@ def test_affine_soundness_against_catalog(cache_dir):
         fp = next(f for f in degree_fingerprints(n, cache_dir) if f.name == name)
         for t in enumerate_partitions(n):
             if affine_excludes(t, p, m):
-                assert t.parts not in fp.types_present, (n, t)
+                assert t.parts not in fp.types, (n, t)
 
 
 def test_projective_line_soundness_against_catalog(cache_dir):
@@ -250,13 +250,13 @@ def test_projective_line_soundness_against_catalog(cache_dir):
         )
         for t in enumerate_partitions(n):
             if projective_line_excludes(t, q, semilinear=True):
-                assert t.parts not in fp.types_present, (q, t)
+                assert t.parts not in fp.types, (q, t)
             if projective_line_excludes(t, q, semilinear=False):
                 pgl_name = "PGL(2,9)" if q == 9 else "PSL(2,8)"
                 pgl = next(
                     f for f in degree_fingerprints(n, cache_dir) if f.name == pgl_name
                 )
-                assert t.parts not in pgl.types_present, (q, t)
+                assert t.parts not in pgl.types, (q, t)
 
 
 def test_odd_cycle_count_parity_in_semilinear_group(cache_dir):

@@ -42,9 +42,10 @@ from invgraph.primitive_rules import Open
 from invgraph.subgroup_membership import (
     EXACT_DEGREES,
     CatalogAbsent,
+    Fingerprint,
     Sharing,
     TypeProfile,
-    _compute_fingerprint,
+    _row_fingerprints,
     degree_fingerprints,
     primitive_catalog,
     shares_subgroup,
@@ -302,7 +303,7 @@ def test_catalog_groups_differ_in_order_or_fingerprint(cache_dir):
     for n in sorted(EXACT_DEGREES):
         seen = {}
         for fp in degree_fingerprints(n, cache_dir):
-            key = (fp.order, fp.types_present, fp.split_incidence)
+            key = (fp.order, frozenset(fp.types.items()))
             assert key not in seen, (n, seen.get(key), fp.name)
             seen[key] = fp.name
 
@@ -328,13 +329,13 @@ def test_catalog_groups_are_primitive_and_proper(cache_dir):
 def test_fingerprint_examples(cache_dir):
     fps5 = {fp.name: fp for fp in degree_fingerprints(5, cache_dir)}
     agl = fps5["AGL(1,5)"]
-    assert agl.types_present == {
+    assert agl.types.keys() == {
         (1, 1, 1, 1, 1), (2, 2, 1), (4, 1), (5,),
     }
     c5 = fps5["C5"]
-    assert c5.incidence((5,)) == {Split.PLUS, Split.MINUS}
+    assert c5.types[(5,)] == {Split.PLUS, Split.MINUS}
     fps11 = {fp.name: fp for fp in degree_fingerprints(11, cache_dir)}
-    assert (2, 2, 2, 2, 1, 1, 1) in fps11["M11"].types_present
+    assert (2, 2, 2, 2, 1, 1, 1) in fps11["M11"].types
 
 
 def test_fingerprint_split_symmetry_for_groups_with_odd_elements(cache_dir):
@@ -350,7 +351,7 @@ def test_fingerprint_split_symmetry_for_groups_with_odd_elements(cache_dir):
             )
             if not has_odd:
                 continue
-            for _, inc in fingerprints[spec.name].split_incidence:
+            for inc in fingerprints[spec.name].types.values():
                 assert inc in (frozenset(), {Split.PLUS, Split.MINUS}), spec.name
 
 
@@ -386,31 +387,23 @@ def test_closure_images_matches_reference_on_catalog(reference_closure):
 
 def _reference_fingerprint(spec, elements):
     # one cycle-type classification and split test per element
-    types = set()
-    incidence = {}
+    types = {}
     for images in elements:
         t = tuple(sorted((len(c) for c in _cycles(images)), reverse=True))
-        types.add(t)
+        inc = types.setdefault(t, set())
         if has_distinct_odd_parts(Partition(t)) and t != (1,) * spec.degree:
-            inc = incidence.setdefault(t, set())
             if len(inc) < 2:
                 inc.add(split_label(Permutation(images)))
-    return (
-        spec.degree,
-        spec.name,
-        len(elements),
-        frozenset(types),
-        tuple(sorted((t, frozenset(inc)) for t, inc in incidence.items())),
+    return Fingerprint(
+        spec.name, len(elements), {t: frozenset(inc) for t, inc in types.items()}
     )
 
 
 def test_compute_fingerprint_matches_per_element_reference(reference_closure):
     for spec in _all_catalog_groups():
         elements = reference_closure([g.images for g in spec.generators], spec.degree)
-        fp = _compute_fingerprint(spec)
-        expected = _reference_fingerprint(spec, elements)
-        got = (fp.degree, fp.name, fp.order, fp.types_present, fp.split_incidence)
-        assert got == expected, spec.name
+        (fp,) = _row_fingerprints((spec,))
+        assert fp == _reference_fingerprint(spec, elements), spec.name
 
 
 def test_cold_fingerprints_read_normal_subgroups_off_their_overgroups(
@@ -432,8 +425,7 @@ def test_cold_fingerprints_read_normal_subgroups_off_their_overgroups(
     for n in sorted(EXACT_DEGREES):
         for spec, fp in zip(primitive_catalog(n).groups, degree_fingerprints(n, where)):
             elements = reference_closure([g.images for g in spec.generators], spec.degree)
-            got = (fp.degree, fp.name, fp.order, fp.types_present, fp.split_incidence)
-            assert got == _reference_fingerprint(spec, elements), spec.name
+            assert fp == _reference_fingerprint(spec, elements), spec.name
     assert len(walked) == 23
     assert {"AGammaL(1,8)", "AGammaL(1,9)", "PSL(2,11)@11", "M11@12"} <= set(walked)
 
@@ -490,7 +482,7 @@ def test_wreath_oracle_refuses_a_group_above_the_cap_before_enumerating():
 def test_compute_fingerprint_rejects_wrong_chain_order():
     (spec,) = [g for g in primitive_catalog(7).groups if g.name == "PSL(3,2)"]
     with pytest.raises(RuntimeError, match="chain order 168 != expected 167"):
-        _compute_fingerprint(dataclasses.replace(spec, expected_order=167))
+        _row_fingerprints((dataclasses.replace(spec, expected_order=167),))
 
 
 def test_fingerprint_cache_bytes_are_pinned(tmp_path):
@@ -741,15 +733,15 @@ def test_absent_catalog_is_asked_once_per_profile(tmp_path):
 
 
 def _reference_contains(fp, label, mirrored):
-    parts = label.cycle_type.parts
-    if parts not in fp.types_present:
+    incidence = fp.types.get(label.cycle_type.parts)
+    if incidence is None:
         return False
     if label.split is Split.NONE:
         return True
     side = label.split
     if mirrored:
         side = Split.MINUS if side is Split.PLUS else Split.PLUS
-    return side in fp.incidence(parts)
+    return side in incidence
 
 
 def _reference_shares_subgroup(c1, c2, cache_dir):
@@ -871,18 +863,40 @@ def _tamper_split_mark(data):
     data["groups"][-1]["split"]["2,2,1,1,1"] = "+"
 
 
-@pytest.mark.parametrize("tamper", [_tamper_order, _tamper_type_sum, _tamper_split_mark])
-def test_fingerprint_cache_rejects_unsound_data(tmp_path, tamper):
+def _tamper_unlisted_split(data):
+    # AGL(1,8) has order 56, so no element of order 15, and no group of
+    # degree 8 meets the type (5,3): a mark on it names an unlisted type
+    (agl,) = [group for group in data["groups"] if group["name"] == "AGL(1,8)"]
+    agl["split"]["5,3"] = "+"
+
+
+def _tamper_dropped_split(data):
+    # C7 meets the split type (7) in both A_7 classes; without its marks the
+    # file would say it meets neither
+    del data["groups"][0]["split"]["7"]
+
+
+_TAMPERS = [
+    (7, _tamper_order),
+    (7, _tamper_type_sum),
+    (7, _tamper_split_mark),
+    (8, _tamper_unlisted_split),
+    (7, _tamper_dropped_split),
+]
+
+
+@pytest.mark.parametrize("n,tamper", _TAMPERS, ids=[tamper.__name__ for _, tamper in _TAMPERS])
+def test_fingerprint_cache_rejects_unsound_data(tmp_path, n, tamper):
     where = str(tmp_path / "cache")
-    first = degree_fingerprints(7, where)
-    path = tmp_path / "cache" / "fingerprints-deg7.json"
+    first = degree_fingerprints(n, where)
+    path = tmp_path / "cache" / f"fingerprints-deg{n}.json"
     sound = path.read_text()
     data = json.loads(sound)
     tamper(data)
     path.write_text(json.dumps(data))
     degree_fingerprints.cache_clear()
     # the digest still matches, so only the content checks can catch it
-    assert degree_fingerprints(7, where) == first
+    assert degree_fingerprints(n, where) == first
     assert path.read_text() == sound
 
 
