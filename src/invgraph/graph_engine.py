@@ -21,10 +21,10 @@ profile.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import factorial, gcd
+from typing import NamedTuple
 
 from invgraph.permutations import (
     ClassLabel,
@@ -52,8 +52,7 @@ class SpecialDiameter(Enum):
     DISCONNECTED = "disconnected"
 
 
-@dataclass(frozen=True)
-class ClassGraph:
+class ClassGraph(NamedTuple):
     degree: int
     group: GroupKind
     vertices: tuple[ClassLabel, ...]

@@ -14,8 +14,10 @@ tail)`` is ``g^-1 * x * g`` (translating ``g`` by a table of ``x`` composes
 its elements.  Given the order of a group known to contain the generated
 one, it stops as soon as its order reaches that bound, which decides
 generation.  ``chain_member`` decides membership by sifting an element
-through a chain.  ``conjugacy_class`` walks one class by conjugating with
-the generators.  ``_class_levels`` finds elements that meet every class by
+through a chain; a ``SiftedChain`` keeps the tables a sift reads, so the
+membership test and the class walk of one chain build them once.
+``conjugacy_class`` walks one class by conjugating with the generators.
+``_class_levels`` finds elements that meet every class by
 climbing the chain from its deepest level up: an element with a fixed point
 in a level's base orbit is conjugate into the next level's group, so each
 level re-weights the representatives found below it and sizes only the
@@ -44,7 +46,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -487,7 +488,8 @@ def _class_levels(
 ) -> Iterator[list[tuple[bytes, int]]]:
     """Weighted class representatives of each chain level, deepest first.
 
-    ``chain`` is the ``stabilizer_chain`` of the group ``generators`` span;
+    ``chain`` is the ``stabilizer_chain`` of the group ``generators`` span,
+    or its ``SiftedChain``, whose tables the walk's sifts then read;
     ``H_j`` is the group of ``chain[j:]``, so ``H_0`` is the whole group,
     and ``O_j`` is the orbit of the base point of ``chain[j]``.  For j =
     len(chain) down to 0 this yields pairs (r, w) of elements of ``H_j``
@@ -552,8 +554,7 @@ def _class_levels(
     """
     identity = bytes(range(degree))
     scale = _walk_scale(chain, degree)
-    bases = [next(iter(transversal)) for transversal in chain]
-    inverses = [{y: bytes.maketrans(u, identity) for y, u in t.items()} for t in chain]
+    sifts = _chain_sifts(chain, degree)
     level_gens: list[bytes] = []  # generators of H_{j+1}, then of H_j
     weighted = [(identity, scale)]
     yield weighted
@@ -563,7 +564,7 @@ def _class_levels(
             level_gens = _level_generators(level_gens, transversal)
         else:
             level_gens = [bytes(g) for g in generators]
-        orbit = {u[bases[j]] for u in transversal.values()}  # O_j, as images: all below degree
+        orbit = {u[sifts[j][0]] for u in transversal.values()}  # O_j, as images: all below degree
         order = chain_order(chain[j:])
         # each class of H_j with a fixed point in O_j meets H_{j+1}, and
         # counting its pairs (element, fixed point in O_j) gives
@@ -583,7 +584,7 @@ def _class_levels(
                 f"with a fixed point in an orbit of {len(transversal)} points"
             )
         need = order - with_fixed // scale
-        in_level = _sifter(list(zip(bases[j:], inverses[j:])), identity)
+        in_level = _sifter(sifts[j:], identity)
         covered: set[bytes] = set()  # the members of the walked classes
         # cycle type -> (cycles of r, a table of c per coset of C_{H_j}(r) in
         # C_{S_n}(r)) for each counted representative r
@@ -658,13 +659,32 @@ def _sifter(
     return member
 
 
+class SiftedChain(list):
+    """A ``stabilizer_chain`` with what a sift through it reads: per level,
+    its base point and the table of ``u^-1`` for each transversal element
+    u, by orbit point.  The tables are built once, for ``chain_member`` and
+    ``_class_levels`` alike, so the levels must not change afterwards."""
+
+    def __init__(self, chain: Sequence[dict[int, bytes]], degree: int):
+        super().__init__(chain)
+        identity = bytes(range(degree))
+        self.sifts = [
+            (next(iter(t)), {y: bytes.maketrans(u, identity) for y, u in t.items()}) for t in chain
+        ]
+
+
+def _chain_sifts(
+    chain: Sequence[dict[int, bytes]], degree: int
+) -> list[tuple[int, dict[int, bytes]]]:
+    """The sifts of a chain: those a ``SiftedChain`` keeps, else built."""
+    if isinstance(chain, SiftedChain):
+        return chain.sifts
+    return SiftedChain(chain, degree).sifts
+
+
 def chain_member(chain: Sequence[dict[int, bytes]], degree: int) -> Callable[[bytes], bool]:
     """Whether an element lies in the group a ``stabilizer_chain`` describes."""
-    identity = bytes(range(degree))
-    sifts = [
-        (next(iter(t)), {y: bytes.maketrans(u, identity) for y, u in t.items()}) for t in chain
-    ]
-    return _sifter(sifts, identity)
+    return _sifter(_chain_sifts(chain, degree), bytes(range(degree)))
 
 
 def _count_class(
@@ -759,27 +779,50 @@ def split_label(g: Permutation) -> Split:
     return Split.PLUS if s.is_even else Split.MINUS
 
 
-@dataclass(frozen=True)
 class ClassLabel:
-    """A vertex: cycle type plus group tag, with a split tag for A_n."""
+    """A vertex: cycle type plus group tag, with a split tag for A_n.
 
-    cycle_type: Partition
-    group: GroupKind
-    split: Split = Split.NONE
-    # the verdict state (rule mask, profile), set by
-    # subgroup_membership.TypeProfile.verdict_state when build_graph lists the
-    # label, or else at its first shares_subgroup verdict; not part of its value
-    _rules: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    Immutable, and equal and hashed by its three fields.  ``_rules`` holds
+    the verdict state (rule mask, profile), set by
+    subgroup_membership.TypeProfile.verdict_state when build_graph lists the
+    label, or else at its first shares_subgroup verdict; it is not part of
+    the label's value.
+    """
 
-    def __post_init__(self):
-        t = self.cycle_type
+    __slots__ = ("cycle_type", "group", "split", "_rules", "__weakref__")
+
+    def __init__(self, cycle_type: Partition, group: GroupKind, split: Split = Split.NONE):
+        t = cycle_type
         if t.parts == (1,) * t.n:
             raise ValueError("the identity class is not a vertex")
-        if self.group is GroupKind.ALT and not is_even_type(t):
+        if group is GroupKind.ALT and not is_even_type(t):
             raise ValueError(f"odd type {t} has no class in the alternating group")
-        should_split = self.group is GroupKind.ALT and has_distinct_odd_parts(t)
-        if should_split != (self.split is not Split.NONE):
-            raise ValueError(f"bad split tag {self.split} for {t} in {self.group}")
+        should_split = group is GroupKind.ALT and has_distinct_odd_parts(t)
+        if should_split != (split is not Split.NONE):
+            raise ValueError(f"bad split tag {split} for {t} in {group}")
+        object.__setattr__(self, "cycle_type", cycle_type)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "split", split)
+        object.__setattr__(self, "_rules", None)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a ClassLabel")
+
+    def __eq__(self, other):
+        if other.__class__ is not ClassLabel:
+            return NotImplemented
+        return (self.cycle_type, self.group, self.split) == (
+            other.cycle_type, other.group, other.split
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.cycle_type, self.group, self.split))
+
+    def __repr__(self) -> str:
+        return (
+            f"ClassLabel(cycle_type={self.cycle_type!r}, group={self.group!r},"
+            f" split={self.split!r})"
+        )
 
     @property
     def degree(self) -> int:

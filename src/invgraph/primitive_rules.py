@@ -15,19 +15,18 @@ against the other side (``excludes``): an edge or ``Open``, never a non-edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd, isqrt, lcm
+from typing import NamedTuple
 
 from invgraph.arith import divisors, is_prime, prime_power
 from invgraph.partitions import Partition, is_even_type, is_partial_sum, partial_sum_mask
 
 
-@dataclass(frozen=True)
-class FamilyTag:
+class FamilyTag(NamedTuple):
     """One classified case, e.g. J-2a with its arithmetic parameters."""
 
     case_id: str
-    parameters: tuple[tuple[str, int], ...] = field(default_factory=tuple)
+    parameters: tuple[tuple[str, int], ...] = ()
 
     def __str__(self) -> str:
         inner = ",".join(f"{k}={v}" for k, v in self.parameters)
@@ -327,8 +326,7 @@ def excludes(tag: FamilyTag, w: Partition) -> bool | None:
     return None
 
 
-@dataclass(frozen=True)
-class Open:
+class Open(NamedTuple):
     """A pair the theorem tier leaves open: one side's families whose
     predicate admits the other side, and those no predicate handles."""
 

@@ -72,12 +72,11 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from invgraph.arith import divisors, proper_block_sizes
 from invgraph.finite_fields import field
@@ -87,6 +86,7 @@ from invgraph.permutations import (
     ClassLabel,
     GroupKind,
     Permutation,
+    SiftedChain,
     Split,
     _class_levels,
     _walk_scale,
@@ -303,8 +303,7 @@ def wreath_member_oracle(t: Partition, m: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(NamedTuple):
     """A permutation group given by generators, with its expected order."""
 
     name: str
@@ -314,8 +313,7 @@ class GroupSpec:
     expected_order: int
 
 
-@dataclass(frozen=True)
-class Fingerprint:
+class Fingerprint(NamedTuple):
     """The cycle types a subgroup meets, each with the A_n classes of that
     type it meets: PLUS, MINUS or both, and none when the type does not
     split.  The package builds ``types`` read-only, since
@@ -326,8 +324,7 @@ class Fingerprint:
     types: Mapping[tuple[int, ...], frozenset[Split]]
 
 
-@dataclass(frozen=True)
-class CatalogResult:
+class CatalogResult(NamedTuple):
     groups: tuple[GroupSpec, ...]
 
 
@@ -557,7 +554,7 @@ _CATALOG: dict[int, Callable[[], list[GroupSpec]]] = {
         ]
     ),
     12: lambda: (
-        [replace(s, name=s.name + "@12") for s in _projective_line_specs(11, 1)]
+        [s._replace(name=s.name + "@12") for s in _projective_line_specs(11, 1)]
         + [
             _listed(
                 "M11@12", 12, Family.MATHIEU, 7920,
@@ -607,16 +604,16 @@ def _catalog_digest(groups: Sequence[GroupSpec]) -> str:
     return h.hexdigest()
 
 
-def _checked_chain(spec: GroupSpec) -> list[dict[int, bytes]]:
-    """The group's ``stabilizer_chain``; RuntimeError unless its order is the
-    catalog's."""
+def _checked_chain(spec: GroupSpec) -> SiftedChain:
+    """The group's ``stabilizer_chain``, with its sifts; RuntimeError unless
+    its order is the catalog's."""
     chain = stabilizer_chain([g.images for g in spec.generators], spec.degree)
     order = chain_order(chain)
     if order != spec.expected_order:
         raise RuntimeError(
             f"{spec.name}: chain order {order} != expected {spec.expected_order}"
         )
-    return chain
+    return SiftedChain(chain, spec.degree)
 
 
 def _has_odd(spec: GroupSpec) -> bool:
@@ -650,8 +647,7 @@ def _fingerprint(spec: GroupSpec, reps: Iterable[bytes], odd: bool) -> Fingerpri
     )
 
 
-@dataclass(frozen=True)
-class _Walked:
+class _Walked(NamedTuple):
     """A group whose class walk ran: its membership test, the weighted
     representatives of its top level, each class C weighing ``|C| * scale``,
     and whether it has an odd element."""
@@ -683,7 +679,8 @@ def _row_fingerprints(groups: Sequence[GroupSpec]) -> tuple[Fingerprint, ...]:
     split type it holds.  Otherwise G lies in A_n, each class of G lies in
     one A_n class, and the split label of each representative decides.
     Only walked groups stand as G, since a derived group's representatives
-    meet G's classes, not all of its own.
+    meet G's classes, not all of its own.  Each group's membership test and
+    walk read the one set of sift tables of its ``SiftedChain``.
     """
     fingerprints: list[Fingerprint | None] = [None] * len(groups)
     walked: list[_Walked] = []
@@ -831,12 +828,30 @@ def degree_fingerprints(n: int, cache_dir: str | None = None) -> tuple[Fingerpri
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Sharing:
-    """A common proper subgroup witnessing that a pair is not an edge."""
+    """A common proper subgroup witnessing that a pair is not an edge: its
+    ``family`` (alternating, intransitive, imprimitive or primitive) and
+    ``witness``.  Immutable, and equal and hashed by those two fields."""
 
-    family: str  # alternating | intransitive | imprimitive | primitive
-    witness: str
+    __slots__ = ("family", "witness")
+
+    def __init__(self, family: str, witness: str):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "witness", witness)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a Sharing")
+
+    def __eq__(self, other):
+        if other.__class__ is not Sharing:
+            return NotImplemented
+        return (self.family, self.witness) == (other.family, other.witness)
+
+    def __hash__(self) -> int:
+        return hash((self.family, self.witness))
+
+    def __repr__(self) -> str:
+        return f"Sharing(family={self.family!r}, witness={self.witness!r})"
 
     def __str__(self) -> str:
         return f"{self.family}({self.witness})"

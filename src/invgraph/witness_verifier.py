@@ -25,8 +25,7 @@ certifies the structured family of isolated vertices (``In_family``).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from invgraph.arith import is_prime, prime_power, smallest_prime_factor
 from invgraph.graph_engine import (
@@ -52,8 +51,7 @@ class InadmissibleDegree(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class WitnessClaim:
+class WitnessClaim(NamedTuple):
     lemma_id: str
     n: int
     group: GroupKind
@@ -64,8 +62,7 @@ class WitnessClaim:
     notes: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     claim: WitnessClaim
     nonadjacency_ok: bool
     counterexamples: tuple[Partition, ...]

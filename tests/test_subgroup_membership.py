@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import hashlib
 import importlib.util
@@ -38,7 +37,7 @@ from invgraph.permutations import (
     stabilizer_chain,
     type_labels,
 )
-from invgraph.primitive_rules import Open
+from invgraph.primitive_rules import FamilyTag, Open
 from invgraph.subgroup_membership import (
     EXACT_DEGREES,
     CatalogAbsent,
@@ -482,7 +481,7 @@ def test_wreath_oracle_refuses_a_group_above_the_cap_before_enumerating():
 def test_compute_fingerprint_rejects_wrong_chain_order():
     (spec,) = [g for g in primitive_catalog(7).groups if g.name == "PSL(3,2)"]
     with pytest.raises(RuntimeError, match="chain order 168 != expected 167"):
-        _row_fingerprints((dataclasses.replace(spec, expected_order=167),))
+        _row_fingerprints((spec._replace(expected_order=167),))
 
 
 def test_fingerprint_cache_bytes_are_pinned(tmp_path):
@@ -590,6 +589,79 @@ def test_verdict_state_keeps_no_label_alive(cache_dir):
     del labels, sym
     gc.collect()
     assert [ref() for ref in refs] == [None] * 3
+
+
+def test_value_types_keep_their_values(cache_dir):
+    # reprs recorded from the frozen dataclasses these types were: the
+    # verdict digest pin hashes the repr of each Sharing
+    sym = ClassLabel(Partition([3, 2, 2]), GroupKind.SYM)
+    assert repr(sym) == (
+        "ClassLabel(cycle_type=Partition('3,2,2'), group=<GroupKind.SYM: 'sym'>,"
+        " split=<Split.NONE: ''>)"
+    )
+    minus = ClassLabel(Partition([7]), GroupKind.ALT, Split.MINUS)
+    assert repr(minus) == (
+        "ClassLabel(cycle_type=Partition('7'), group=<GroupKind.ALT: 'alt'>,"
+        " split=<Split.MINUS: '-'>)"
+    )
+    sharings = [
+        Sharing("alternating", "A_7"),
+        Sharing("intransitive", "i=3"),
+        Sharing("imprimitive", "m=2"),
+        Sharing("primitive", "PSL(3,2)'"),
+    ]
+    assert list(map(repr, sharings)) == [
+        "Sharing(family='alternating', witness='A_7')",
+        "Sharing(family='intransitive', witness='i=3')",
+        "Sharing(family='imprimitive', witness='m=2')",
+        "Sharing(family='primitive', witness=\"PSL(3,2)'\")",
+    ]
+    assert str(sharings[3]) == "primitive(PSL(3,2)')"
+    assert sharings[1] == Sharing("intransitive", "i=3") != sharings[2]
+    assert hash(sharings[1]) == hash(Sharing("intransitive", "i=3"))
+    tag = FamilyTag("J-2a", (("q", 7),))
+    assert repr(tag) == "FamilyTag(case_id='J-2a', parameters=(('q', 7),))"
+    assert repr(Open((tag,), (FamilyTag("M-2a"),))) == (
+        "Open(admitted=(FamilyTag(case_id='J-2a', parameters=(('q', 7),)),),"
+        " unexcluded=(FamilyTag(case_id='M-2a', parameters=()),))"
+    )
+    spec = primitive_catalog(12).groups[0]
+    assert spec.name == "PSL(2,11)@12"
+    # the verdict state a label carries is not part of its value
+    fresh = ClassLabel(Partition([7]), GroupKind.ALT, Split.MINUS)
+    before = hash(minus)
+    assert shares_subgroup(minus, minus, cache_dir) == Sharing("primitive", "C7")
+    assert minus._rules is not None and fresh._rules is None
+    assert minus == fresh and hash(minus) == hash(fresh) == before
+    assert minus != ClassLabel(Partition([7]), GroupKind.ALT, Split.PLUS)
+    assert minus != (Partition([7]), GroupKind.ALT, Split.MINUS)
+    for value, name in ((sym, "group"), (sym, "_rules"), (sharings[0], "family"), (spec, "name")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+
+
+# Prints the modules that importing the package and its command line adds.
+_MODULES_THE_IMPORT_ADDS = """
+import sys
+before = set(sys.modules)
+import invgraph, invgraph.cli
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_package_import_loads_neither_dataclasses_nor_inspect():
+    # every result is one short process, so what the import loads is paid
+    # on each one: dataclasses generates code for its types at import and
+    # pulls in inspect
+    src = os.path.dirname(os.path.dirname(subgroup_membership.__file__))
+    done = subprocess.run(
+        [sys.executable, "-s", "-c", _MODULES_THE_IMPORT_ADDS],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    added = set(done.stdout.split())
+    assert "invgraph.cli" in added
+    assert sorted(added & {"dataclasses", "inspect"}) == []
 
 
 # Builds S_7 and A_7 under each directory named on the command line, in
