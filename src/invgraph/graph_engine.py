@@ -8,14 +8,15 @@ rows are bit masks: the isolated vertices are the empty rows, and
 round, for as many rounds as the diameter.
 
 ``build_graph`` reads each class's feature mask, the one whose lowest bit
-shared with another class's mask is the ``shares_subgroup`` verdict.  For
-every feature bit it keeps a column: the set of vertices having it.  A
-vertex's non-neighbours are the union of its features' columns, so row i is
-the complement of that union and of i itself, O(V * F) integer operations
-instead of a test per pair.  On the way it keeps each vertex's verdict
-state (its rule mask and the profile of its degree and group kind) on the
-label, so ``shares_subgroup`` on two vertices of a built graph looks up no
-profile.
+shared with another class's mask is the ``shares_subgroup`` verdict.
+Classes with one feature mask are twins, and the build works on the
+distinct masks: for every feature bit it keeps a column, the set of
+vertices having it, and for every distinct mask one row, the complement of
+the union of its features' columns.  So a graph of V vertices and M
+distinct masks costs O(V + M * F) integer operations instead of a test per
+pair.  On the way it keeps each vertex's verdict state (its rule mask and
+the profile of its degree and group kind) on the label, so
+``shares_subgroup`` on two vertices of a built graph looks up no profile.
 """
 
 from __future__ import annotations
@@ -78,34 +79,45 @@ def _bit_indices(mask: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def build_graph(n: int, group: GroupKind, cache_dir: str | None = None) -> ClassGraph:
-    """The exact class graph at degree n; ``CatalogAbsent`` off the catalog."""
+    """The exact class graph at degree n; ``CatalogAbsent`` off the catalog.
+
+    Twin classes, those with one feature mask, share one row object.  A
+    nonzero mask meets itself, so twins share a proper subgroup and are not
+    adjacent, and a vertex's neighbours depend on its mask alone, so twins
+    have the same neighbours: the row of a mask is every vertex whose mask
+    it does not meet.  A vertex with mask 0 (the classes of A_3) meets
+    nothing, so its row is every other vertex.  ``ClassGraph`` holds one
+    row per vertex, so its readers see no twins.
+    """
     # raises before the classes of a large n are listed, and reads or writes
     # this directory's file even when the profile already holds the bits
     degree_fingerprints(n, cache_dir)
     labels = tuple(class_labels(n, group))
-    profile = type_profile(n, group is GroupKind.SYM)
-    # verdict_state keeps each vertex's rule mask on its label for shares_subgroup
-    features = [
-        profile.verdict_state(lbl)[0] | profile.primitive_mask(lbl, cache_dir) for lbl in labels
-    ]
+    features = type_profile(n, group is GroupKind.SYM).features(labels, cache_dir)
+    # twins[mask]: the vertices with that feature mask
+    twins: dict[int, int] = {}
+    for i, mask in enumerate(features):
+        twins[mask] = twins.get(mask, 0) | 1 << i
     # columns[f]: the vertices having feature bit f
     columns: dict[int, int] = {}
-    for i, rest in enumerate(features):
-        vertex = 1 << i
+    for mask, vertices in twins.items():
+        rest = mask
         while rest:
             low = rest & -rest
-            columns[low] = columns.get(low, 0) | vertex
+            columns[low] = columns.get(low, 0) | vertices
             rest ^= low
     full = (1 << len(labels)) - 1
-    rows = []
-    for i, rest in enumerate(features):
-        blocked = 1 << i
+    rows = {}
+    for mask in twins:
+        blocked = 0
+        rest = mask
         while rest:
             low = rest & -rest
             blocked |= columns[low]
             rest ^= low
-        rows.append(full & ~blocked)
-    return ClassGraph(n, group, labels, tuple(rows))
+        rows[mask] = full & ~blocked
+    adjacency = tuple(rows[mask] if mask else full ^ 1 << i for i, mask in enumerate(features))
+    return ClassGraph(n, group, labels, adjacency)
 
 
 def isolated_vertices(g: ClassGraph) -> list[ClassLabel]:

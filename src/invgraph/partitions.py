@@ -129,7 +129,8 @@ def is_even_type(p: Partition) -> bool:
 
 def has_distinct_odd_parts(p: Partition) -> bool:
     """True when the class splits in the alternating group."""
-    return all(part % 2 == 1 for part in p.parts) and len(set(p.parts)) == len(p.parts)
+    parts = p.parts
+    return len(set(parts)) == len(parts) and all(part % 2 == 1 for part in parts)
 
 
 def power_type(p: Partition, k: int) -> Partition:

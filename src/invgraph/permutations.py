@@ -47,9 +47,15 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
-from invgraph.partitions import Partition, has_distinct_odd_parts, is_even_type
+from invgraph.partitions import (
+    Partition,
+    enumerate_partitions,
+    has_distinct_odd_parts,
+    is_even_type,
+)
 
 DEFAULT_CLOSURE_CAP = 10**6
 
@@ -784,20 +790,23 @@ class ClassLabel:
 
     Immutable, and equal and hashed by its three fields.  ``_rules`` holds
     the verdict state (rule mask, profile), set by
-    subgroup_membership.TypeProfile.verdict_state when build_graph lists the
-    label, or else at its first shares_subgroup verdict; it is not part of
-    the label's value.
+    subgroup_membership.TypeProfile.features when build_graph lists the
+    label, or else by TypeProfile.verdict_state at its first
+    shares_subgroup verdict; it is not part of the label's value.
     """
 
     __slots__ = ("cycle_type", "group", "split", "_rules", "__weakref__")
 
     def __init__(self, cycle_type: Partition, group: GroupKind, split: Split = Split.NONE):
         t = cycle_type
-        if t.parts == (1,) * t.n:
+        n, count = sum(t.parts), len(t.parts)
+        if count == n:  # every part is 1
             raise ValueError("the identity class is not a vertex")
-        if group is GroupKind.ALT and not is_even_type(t):
-            raise ValueError(f"odd type {t} has no class in the alternating group")
-        should_split = group is GroupKind.ALT and has_distinct_odd_parts(t)
+        should_split = False
+        if group is GroupKind.ALT:
+            if (n - count) % 2:
+                raise ValueError(f"odd type {t} has no class in the alternating group")
+            should_split = has_distinct_odd_parts(t)
         if should_split != (split is not Split.NONE):
             raise ValueError(f"bad split tag {split} for {t} in {group}")
         object.__setattr__(self, "cycle_type", cycle_type)
@@ -835,18 +844,35 @@ class ClassLabel:
         return self.text()
 
 
+@lru_cache(maxsize=None)
+def _degree_types(n: int) -> tuple[tuple[Partition, bool, bool], ...]:
+    """The cycle types of degree n other than the identity's, in enumeration
+    order, each with whether it is even and whether its A_n class splits.
+
+    One list per degree: the S_n and A_n labels of a degree hold its
+    ``Partition`` objects, built once.
+    """
+    return tuple(
+        (p, is_even_type(p), has_distinct_odd_parts(p))
+        for p in enumerate_partitions(n)
+        if p.parts[0] > 1
+    )
+
+
 def class_labels(n: int, group: GroupKind) -> list[ClassLabel]:
     """All vertices at degree n, in enumeration order (split: PLUS then MINUS)."""
     if n < 3:
         raise ValueError("need n >= 3")
-    from invgraph.partitions import enumerate_partitions
-
+    if group is GroupKind.SYM:
+        return [ClassLabel(p, group) for p, _, _ in _degree_types(n)]
     out: list[ClassLabel] = []
-    one_n = (1,) * n
-    for p in enumerate_partitions(n):
-        if p.parts == one_n or group is GroupKind.ALT and not is_even_type(p):
+    for p, even, splits in _degree_types(n):
+        if not even:
             continue
-        out.extend(type_labels(p, group))
+        if splits:
+            out += (ClassLabel(p, group, Split.PLUS), ClassLabel(p, group, Split.MINUS))
+        else:
+            out.append(ClassLabel(p, group))
     return out
 
 

@@ -37,18 +37,21 @@ size and two bits per fingerprint, laid out in that order.  Two classes
 share a proper subgroup exactly when their masks meet, and the lowest
 common bit is the ``shares_subgroup`` verdict; ``graph_engine`` builds the
 whole graph from the same masks.  The rule bits are filled on a type's first
-lookup, and the fingerprint bits only once a pair's rule bits do not meet,
-so without a catalog ``CatalogAbsent`` marks exactly the pairs the first
-three families leave open.  ``verdict``, which ``witness_verifier`` asks,
-hands those to the theorem tier of ``primitive_rules``, which calls a pair
-an edge or leaves it ``Open``.  A type's block bits are decided once, by
-``_block_bits``, which the S_n and A_n profiles of its degree share, through
-the same decision as ``wreath_member``.  Each ``ClassLabel`` holds its rule
-mask and its profile: the graph build keeps them on every vertex it lists,
-and any other label gets them at its first verdict.  A pair the rules decide
-is then one identity test of the two profiles, one AND and one plain-dict
-lookup.  The cache directory reaches only the fingerprint read, since every
-directory gives the same fingerprints.
+lookup, and the fingerprint bits, for the whole degree, only once a pair's
+rule bits do not meet, so without a catalog ``CatalogAbsent`` marks exactly
+the pairs the first three families leave open.  ``verdict``, which
+``witness_verifier`` asks about the targets, hands those to the theorem tier
+of ``primitive_rules``, which calls a pair an edge or leaves it ``Open``.
+The rule bits are decided once per type and degree: the S_n profile
+computes them, with the block bits from ``_block_bits`` (the same decision
+as ``wreath_member``), and the A_n profile reads the S_n mask without its
+parity bit.  Each ``ClassLabel`` holds its rule mask and its profile: the
+graph build keeps them on every vertex it lists (``TypeProfile.features``,
+one lookup per type), and any other label gets them at its first verdict.
+A pair the rules decide is then one identity test of the two profiles, one
+AND and one plain-dict lookup keyed by the whole common mask.  The cache
+directory reaches only the fingerprint read, since every directory gives
+the same fingerprints.
 
 The exact degrees, ``EXACT_DEGREES``, are the keys of the one table
 ``_CATALOG``, whose row for a degree returns its groups in catalog order;
@@ -867,19 +870,24 @@ class TypeProfile:
     meet, and the lowest common bit names the first witness in check order.
 
     ``rules[parts]`` holds the parity, partial-sum and block bits of a type,
-    filled on its first lookup.  The block bits come from ``_block_bits``,
-    one cache entry per type for both profiles of a degree, which decides
-    two blocks and blocks of size two by rule and searches only the other
-    block sizes.  ``verdict_state`` keeps a class's rule mask and its
-    profile on its label, and ``name`` fills ``names``, the verdict of each
-    bit a pair has shared.  ``primitive[parts]`` holds the fingerprint bits
-    (PLUS or unsplit class, MINUS class), read from the cache directory of
-    the first call that needs them: any file ``_load_fingerprints`` accepts
-    carries the catalog's digest, names and orders.  They are filled only
-    for pairs the rules leave open, so degrees without a catalog answer every
-    pair the rules decide and raise ``CatalogAbsent`` on the rest.  The first
-    such raise is remembered in ``absent``, and later ones repeat its message
-    without asking the catalog again.
+    filled on its first lookup.  An S_n profile computes them, the block
+    bits from ``_block_bits``, one cache entry per type, which decides two
+    blocks and blocks of size two by rule and searches only the other block
+    sizes.  An A_n profile reads the S_n profile of its degree and drops bit
+    0, the parity bit, which is all the two masks of a type differ in.
+    ``verdict_state`` keeps a class's rule mask and its profile on its label,
+    and ``features`` does so for a listed graph, one lookup per type.
+    ``names`` maps each common mask a pair has met to its verdict, which
+    ``name`` reads off the lowest bit, so a verdict is one lookup.
+    ``primitive[parts]`` holds the fingerprint bits (PLUS or unsplit class,
+    MINUS class), read for every type of the degree at once from the cache
+    directory of the first call that needs them: any file
+    ``_load_fingerprints`` accepts carries the catalog's digest, names and
+    orders.  A type no fingerprint meets has none.  They are read only for
+    pairs the rules leave open, so degrees without a catalog answer every
+    pair the rules decide and raise ``CatalogAbsent`` on the rest.  The
+    first such raise is remembered in ``absent``, and later ones repeat its
+    message without asking the catalog again.
     """
 
     def __init__(self, n: int, sym: bool):
@@ -890,7 +898,7 @@ class TypeProfile:
         self.primitive_shift = self.block_shift + len(self.block_sizes)
         self.names: dict[int, Sharing] = {}
         self.rules: dict[tuple[int, ...], int] = {}
-        self.primitive: dict[tuple[int, ...], tuple[int, int]] = {}
+        self.primitive: dict[tuple[int, ...], tuple[int, int]] | None = None
         self.absent: str | None = None
 
     def rule_mask(self, parts: tuple[int, ...]) -> int:
@@ -899,21 +907,30 @@ class TypeProfile:
         if mask is not None:
             return mask
         n = self.n
+        if not self.sym:
+            # the S_n mask of the type without its parity bit
+            mask = self.rules[parts] = type_profile(n, True).rule_mask(parts) & ~1
+            return mask
         if sum(parts) != n:
             raise ValueError("degree mismatch")
         mask = partial_sum_mask(Partition(parts)) & ((1 << self.block_shift) - 2)
-        if self.sym and (n - len(parts)) % 2 == 0:
+        if (n - len(parts)) % 2 == 0:
             mask |= 1
         if self.block_sizes:
             mask |= _block_bits(parts) << self.block_shift
         self.rules[parts] = mask
         return mask
 
-    def primitive_mask(self, label: ClassLabel, cache_dir: str | None) -> int:
-        """The fingerprint bits of a class; CatalogAbsent without a catalog."""
-        parts = label.cycle_type.parts
-        masks = self.primitive.get(parts)
-        if masks is None:
+    def primitive_masks(self, parts: tuple[int, ...], cache_dir: str | None) -> tuple[int, int]:
+        """The fingerprint bits of a type's PLUS (or unsplit) class and of its
+        MINUS class; CatalogAbsent without a catalog.
+
+        The first call fills ``primitive`` in one pass over the types each
+        fingerprint meets.  A type with split marks splits in A_n; in S_n,
+        and for a type without marks, a class meets a group and its mirror.
+        """
+        table = self.primitive
+        if table is None:
             if self.absent is not None:
                 raise CatalogAbsent(self.absent)
             try:
@@ -921,24 +938,28 @@ class TypeProfile:
             except CatalogAbsent as exc:
                 self.absent = str(exc)
                 raise
-            split = not self.sym and has_distinct_odd_parts(Partition(parts))
-            plus = minus = 0
+            table = {}
             for k, fp in enumerate(fingerprints):
-                incidence = fp.types.get(parts)
-                if incidence is None:
-                    continue
                 bit = 1 << (self.primitive_shift + 2 * k)
-                if not split:
-                    plus |= 3 * bit
-                    continue
-                if Split.PLUS in incidence:
-                    plus |= bit
-                    minus |= bit << 1
-                if Split.MINUS in incidence:
-                    minus |= bit
-                    plus |= bit << 1
-            masks = self.primitive[parts] = (plus, minus if split else plus)
-        return masks[label.split is Split.MINUS]
+                for t, incidence in fp.types.items():
+                    if self.sym or not incidence:
+                        plus = minus = 3 * bit
+                    else:
+                        plus = minus = 0
+                        if Split.PLUS in incidence:
+                            plus |= bit
+                            minus |= bit << 1
+                        if Split.MINUS in incidence:
+                            minus |= bit
+                            plus |= bit << 1
+                    had_plus, had_minus = table.get(t, (0, 0))
+                    table[t] = (had_plus | plus, had_minus | minus)
+            self.primitive = table
+        return table.get(parts, (0, 0))
+
+    def primitive_mask(self, label: ClassLabel, cache_dir: str | None) -> int:
+        """The fingerprint bits of a class; CatalogAbsent without a catalog."""
+        return self.primitive_masks(label.cycle_type.parts, cache_dir)[label.split is Split.MINUS]
 
     def verdict_state(self, label: ClassLabel) -> tuple[int, TypeProfile]:
         """A class's rule mask and this profile, kept on its label."""
@@ -946,12 +967,32 @@ class TypeProfile:
         object.__setattr__(label, "_rules", state)
         return state
 
-    def name(self, bit: int) -> Sharing:
-        """The verdict a single feature bit names, kept in ``names``.
+    def features(self, labels: Sequence[ClassLabel], cache_dir: str | None) -> list[int]:
+        """The feature mask of each label, each label keeping its verdict state.
+
+        Adjacent labels that hold one ``Partition``, the two classes of a
+        split type as ``class_labels`` lists them, share one lookup of the
+        type's rule state and fingerprint bits.
+        """
+        out = []
+        t = None
+        for label in labels:
+            if label.cycle_type is not t:
+                t = label.cycle_type
+                state = (self.rule_mask(t.parts), self)
+                plus, minus = self.primitive_masks(t.parts, cache_dir)
+                masks = (state[0] | plus, state[0] | minus)
+            object.__setattr__(label, "_rules", state)
+            out.append(masks[label.split is Split.MINUS])
+        return out
+
+    def name(self, common: int) -> Sharing:
+        """The verdict of two classes whose masks share ``common``, kept in
+        ``names``: the one its lowest bit names.
 
         A fingerprint bit is named from the catalog, so naming reads no file.
         """
-        index = bit.bit_length() - 1
+        index = (common & -common).bit_length() - 1
         if index == 0:
             verdict = Sharing("alternating", f"A_{self.n}")
         elif index < self.block_shift:
@@ -962,7 +1003,7 @@ class TypeProfile:
             k, mirror = divmod(index - self.primitive_shift, 2)
             group = primitive_catalog(self.n).groups[k]
             verdict = Sharing("primitive", group.name + "'" * mirror)
-        self.names[bit] = verdict
+        self.names[common] = verdict
         return verdict
 
 
@@ -993,8 +1034,10 @@ def shares_subgroup(
     lists, and any other label gets it on its first verdict.  The profiles
     are one per degree and group kind, so one identity test checks that the
     pair is comparable, and a pair the rules decide costs one AND and one
-    lookup.  Only a pair whose rule masks do not meet reads the fingerprint
-    bits of its profile, which ``cache_dir`` fills if they are not there yet.
+    lookup of the common mask in the profile's ``names``, which the first
+    pair with that common mask fills.  Only a pair whose rule masks do not
+    meet reads the fingerprint bits of its profile, which ``cache_dir``
+    fills if they are not there yet.
     """
     mask1, profile = c1._rules or _label_rules(c1)
     mask2, profile2 = c2._rules or _label_rules(c2)
@@ -1005,11 +1048,10 @@ def shares_subgroup(
         common = profile.primitive_mask(c1, cache_dir) & profile.primitive_mask(c2, cache_dir)
         if not common:
             return None
-    bit = common & -common
     try:
-        return profile.names[bit]
+        return profile.names[common]
     except KeyError:
-        return profile.name(bit)
+        return profile.name(common)
 
 
 def verdict(

@@ -13,10 +13,12 @@ allowance).  Certification has two sides:
   predicates exclude each arithmetically live family, and any family they
   cannot close is recorded in an assumption ledger instead of being claimed.
 
-Both sides ask ``verdict`` about each pair, so the verifier reads the same
-per-class feature masks as the exact graphs, and the theorem tier of
-``primitive_rules`` decides only the pairs that parity, partial sums and
-block sizes leave open at a degree without a catalog.
+Both sides read the same per-class feature masks as the exact graphs.  The
+targets ask ``verdict``, whose theorem tier (``primitive_rules``) decides the
+pairs that parity, partial sums and block sizes leave open at a degree
+without a catalog.  The non-adjacency side needs only a ``Sharing``, which
+the theorem tier never returns, so it asks ``shares_subgroup`` and counts a
+pair left to the catalog as not shared.
 
 An isolated vertex is a witness with no targets, so ``verify_witness`` also
 certifies the structured family of isolated vertices (``In_family``).
@@ -42,9 +44,15 @@ from invgraph.partitions import (
     is_even_type,
     partial_sum_mask,
 )
-from invgraph.permutations import GroupKind, type_labels
+from invgraph.permutations import ClassLabel, GroupKind, type_labels
 from invgraph.primitive_rules import projective_cardinality_solutions
-from invgraph.subgroup_membership import EXACT_DEGREES, Sharing, verdict
+from invgraph.subgroup_membership import (
+    EXACT_DEGREES,
+    CatalogAbsent,
+    Sharing,
+    shares_subgroup,
+    verdict,
+)
 
 
 class InadmissibleDegree(ValueError):
@@ -464,6 +472,16 @@ def construct_witness(lemma_id: str, n: int, group: GroupKind | None = None) -> 
 # ---------------------------------------------------------------------------
 
 
+def _shared(a: ClassLabel, b: ClassLabel, cache_dir: str | None) -> bool:
+    """Whether the two classes share a proper subgroup that the rules or the
+    catalog show; a pair left to an absent catalog is not shared, since the
+    theorem tier would call it an edge or ``Open``, never a ``Sharing``."""
+    try:
+        return shares_subgroup(a, b, cache_dir) is not None
+    except CatalogAbsent:
+        return False
+
+
 def verify_witness(claim: WitnessClaim, cache_dir: str | None = None) -> WitnessReport:
     """Certify the claim's non-adjacency and target-adjacency sides.
 
@@ -507,7 +525,7 @@ def verify_witness(claim: WitnessClaim, cache_dir: str | None = None) -> Witness
             continue
         if group is GroupKind.ALT and not is_even_type(q):
             continue  # not a vertex
-        if all(isinstance(verdict(w_label, c, cache_dir), Sharing) for c in type_labels(q, group)):
+        if all(_shared(w_label, c, cache_dir) for c in type_labels(q, group)):
             continue
         if claim.allow_even_extras and all(p % 2 == 0 for p in q.parts) and q != half_square:
             extras.append(q)

@@ -1,14 +1,16 @@
+import collections
 import hashlib
 import itertools
 import json
+from functools import lru_cache
 from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invgraph import graph_engine
-from invgraph.partitions import Partition, has_distinct_odd_parts
+from invgraph import graph_engine, permutations
+from invgraph.partitions import Partition, enumerate_partitions, has_distinct_odd_parts
 from invgraph.permutations import (
     ClassLabel,
     GroupKind,
@@ -31,7 +33,13 @@ from invgraph.graph_engine import (
     oracle_adjacency,
     xi_subgraph,
 )
-from invgraph.subgroup_membership import EXACT_DEGREES, CatalogAbsent, shares_subgroup
+from invgraph.subgroup_membership import (
+    EXACT_DEGREES,
+    CatalogAbsent,
+    TypeProfile,
+    shares_subgroup,
+    type_profile,
+)
 
 
 def test_smallest_graphs(graph):
@@ -467,3 +475,91 @@ def test_verdict_and_export_digests_are_pinned(graph, cache_dir):
     assert exports.hexdigest() == (
         "358e71178207f74978c6c798a3777dd60d12669b1166371922e4797c81a35dbd"
     )
+
+
+def _reference_rows(features):
+    """Adjacency rows by the per-vertex column loop: a vertex's non-neighbours
+    are itself and every vertex having one of its feature bits."""
+    columns = {}
+    for i, rest in enumerate(features):
+        while rest:
+            low = rest & -rest
+            columns[low] = columns.get(low, 0) | 1 << i
+            rest ^= low
+    full = (1 << len(features)) - 1
+    rows = []
+    for i, rest in enumerate(features):
+        blocked = 1 << i
+        while rest:
+            low = rest & -rest
+            blocked |= columns[low]
+            rest ^= low
+        rows.append(full & ~blocked)
+    return rows
+
+
+def _check_twin_rows(g, features):
+    """Every row is the reference row, and vertices with one nonzero
+    feature mask hold one row object; returns the number of distinct masks."""
+    assert list(g.adjacency) == _reference_rows(features)
+    first = {}
+    for i, mask in enumerate(features):
+        if mask:
+            assert g.adjacency[i] is g.adjacency[first.setdefault(mask, i)], g.vertices[i]
+    return len(set(features))
+
+
+def test_twin_classes_share_one_row(graph, cache_dir):
+    # only A_3's two classes have mask 0: degree 3 has no block size and no
+    # catalog group, and (3) has no partial sum in 1..1
+    masks = classes = 0
+    for n in sorted(EXACT_DEGREES):
+        for group in GroupKind:
+            g = graph(n, group)
+            profile = type_profile(n, group is GroupKind.SYM)
+            features = [v._rules[0] | profile.primitive_mask(v, cache_dir) for v in g.vertices]
+            masks += _check_twin_rows(g, features)
+            classes += len(g.vertices)
+    assert (masks, classes) == (704, 1753)
+
+
+def test_vertices_with_mask_zero_get_their_own_rows(cache_dir, monkeypatch):
+    # no class of S_7 has mask 0, so two of its vertices are patched to it:
+    # each is adjacent to every vertex but itself, the other one included
+    features = TypeProfile.features
+
+    def patched(self, labels, cache_dir):
+        out = features(self, labels, cache_dir)
+        out[0] = out[3] = 0
+        return out
+
+    monkeypatch.setattr(TypeProfile, "features", patched)
+    g = build_graph.__wrapped__(7, GroupKind.SYM, cache_dir)
+    _check_twin_rows(g, patched(type_profile(7, True), g.vertices, cache_dir))
+    full = (1 << len(g.vertices)) - 1
+    assert g.adjacency[0] == full ^ 1 and g.adjacency[3] == full ^ 1 << 3
+
+
+def test_both_groups_of_a_degree_enumerate_its_types_once(graph, cache_dir, monkeypatch):
+    # with the profiles warm, building S_n and A_n afresh constructs at most
+    # p(n) Partitions: the one enumeration the two groups share
+    for n in EXACT_DEGREES:
+        for group in GroupKind:
+            graph(n, group)
+    p = {n: sum(1 for _ in enumerate_partitions(n)) for n in EXACT_DEGREES}
+    fresh = lru_cache(maxsize=None)(permutations._degree_types.__wrapped__)
+    monkeypatch.setattr(permutations, "_degree_types", fresh)
+    made = collections.Counter()
+    init = Partition.__init__
+
+    def counting(self, parts):
+        init(self, parts)
+        made[sum(self.parts)] += 1
+
+    monkeypatch.setattr(Partition, "__init__", counting)
+    for n in sorted(EXACT_DEGREES):
+        for group in GroupKind:
+            build_graph.__wrapped__(n, group, cache_dir)
+    assert all(made[n] <= p[n] for n in EXACT_DEGREES), made
+    assert sum(made.values()) == sum(p.values())
+

@@ -559,6 +559,31 @@ def test_class_labels_counts():
     assert [l.text() for l in a4] == ["3,1+", "3,1-", "2,2"]
 
 
+def _reference_class_labels(n, group):
+    """The vertices listed label by label from a fresh enumeration, as
+    ``class_labels`` did before the per-degree type list."""
+    out = []
+    for p in enumerate_partitions(n):
+        if p.parts == (1,) * n or group is GroupKind.ALT and (n - len(p)) % 2:
+            continue
+        if group is GroupKind.ALT and has_distinct_odd_parts(p):
+            out += [ClassLabel(p, group, Split.PLUS), ClassLabel(p, group, Split.MINUS)]
+        else:
+            out.append(ClassLabel(p, group))
+    return out
+
+
+def test_class_labels_match_per_label_listing():
+    # the same labels (type, group and split tag) in the same order, and the
+    # S_n and A_n lists of one degree hold the same Partition objects
+    for n in range(3, 25):
+        sym, alt = class_labels(n, GroupKind.SYM), class_labels(n, GroupKind.ALT)
+        assert sym == _reference_class_labels(n, GroupKind.SYM), n
+        assert alt == _reference_class_labels(n, GroupKind.ALT), n
+        shared = {id(label.cycle_type) for label in sym}
+        assert all(id(label.cycle_type) in shared for label in alt), n
+
+
 def test_class_label_validation():
     with pytest.raises(ValueError):
         ClassLabel(Partition([1, 1, 1]), GroupKind.SYM)  # identity

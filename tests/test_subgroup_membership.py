@@ -17,6 +17,7 @@ from invgraph.arith import divisors, proper_block_sizes
 from invgraph.partitions import (
     Partition,
     enumerate_partitions,
+    even_class_partitions,
     has_distinct_odd_parts,
     is_even_type,
     is_partial_sum,
@@ -239,6 +240,19 @@ def test_rule_mask_block_bits_match_wreath_member():
                 bits = profile.rule_mask(t.parts) >> profile.block_shift
                 assert [bool(bits >> i & 1) for i in range(len(sizes))] == want, (t, profile.sym)
                 assert bits >> len(sizes) == 0, t
+
+
+def test_alternating_rule_mask_is_the_symmetric_mask_without_parity():
+    # an A_n profile reads the rule bits of its degree's S_n profile and drops
+    # bit 0, the parity bit; its partial-sum bits are the type's own
+    for n in sorted(EXACT_DEGREES | {14, 15, 16, 21}):
+        sym, alt = TypeProfile(n, True), TypeProfile(n, False)
+        sums = (1 << sym.block_shift) - 2
+        for t in even_class_partitions(n):
+            want = sym.rule_mask(t.parts)
+            assert want & 1, t
+            assert alt.rule_mask(t.parts) == want & ~1, t
+            assert alt.rule_mask(t.parts) & (sums | 1) == partial_sum_mask(t) & sums, t
 
 
 def test_wreath_oracle_small_degrees():
@@ -852,6 +866,34 @@ def test_shares_subgroup_matches_per_pair_reference(graph, cache_dir):
                     if verdict is None or verdict.family == "primitive":
                         # a rule-open pair: exact mode never reads the theorem tier
                         assert subgroup_membership.verdict(a, b, cache_dir) == verdict, (a, b)
+
+
+_SWEEP_THEN_NAME_COUNT = """
+import sys
+from invgraph.graph_engine import build_graph
+from invgraph.permutations import GroupKind
+from invgraph.subgroup_membership import EXACT_DEGREES, shares_subgroup, type_profile
+for n in sorted(EXACT_DEGREES):
+    for group in GroupKind:
+        vertices = build_graph(n, group, sys.argv[1]).vertices
+        for i, a in enumerate(vertices):
+            for b in vertices[i + 1:]:
+                shares_subgroup(a, b, sys.argv[1])
+print(sum(len(type_profile(n, sym).names) for n in EXACT_DEGREES for sym in (True, False)))
+"""
+
+
+def test_verdict_names_stay_bounded_after_the_full_sweep(cache_dir):
+    # every unordered pair of all 26 exact graphs, in a fresh process so the
+    # profiles start empty: ``names`` holds one verdict per common mask met,
+    # 2,355 when this test was written (199 when it was keyed by lowest bit)
+    src = os.path.dirname(os.path.dirname(subgroup_membership.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", _SWEEP_THEN_NAME_COUNT, cache_dir],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) <= 2355
 
 
 def test_shares_subgroup_without_catalog(cache_dir):
