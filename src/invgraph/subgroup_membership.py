@@ -83,7 +83,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from invgraph.arith import divisors, proper_block_sizes
 from invgraph.finite_fields import field
-from invgraph.partitions import Partition, has_distinct_odd_parts, partial_sum_mask
+from invgraph.partitions import Partition, has_distinct_odd_parts, is_partial_sum
 from invgraph.primitive_rules import Open, theorem_verdict
 from invgraph.permutations import (
     ClassLabel,
@@ -138,22 +138,22 @@ def wreath_member(t: Partition, m: int) -> bool:
     n = t.n
     if not (1 < m < n) or n % m:
         raise ValueError(f"m={m} is not a proper divisor of n={n}")
-    return _in_blocks(t, _part_counts(t.parts), m, n // m)
+    return _in_blocks(_part_counts(t.parts), m, n // m, n == 2 * m and is_partial_sum(t, m))
 
 
 @lru_cache(maxsize=None)
-def _block_bits(parts: tuple[int, ...]) -> int:
+def _block_bits(parts: tuple[int, ...], sums: int) -> int:
     """A type's block bits: bit i when it lies in S_m wr S_{n/m} for the
-    i-th proper block size m of its degree.
+    i-th proper block size m of its degree; ``sums`` is the subset-sum mask
+    of its parts.
 
     One entry per type, which the S_n and A_n profiles of its degree share.
     """
-    t = Partition(parts)
-    n = t.n
+    n = sum(parts)
     counts = _part_counts(parts)
     bits = 0
     for i, m in enumerate(proper_block_sizes(n)):
-        if _in_blocks(t, counts, m, n // m):
+        if _in_blocks(counts, m, n // m, bool(sums >> m & 1)):
             bits |= 1 << i
     return bits
 
@@ -163,12 +163,13 @@ def _part_counts(parts: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     return tuple((v, len(list(run))) for v, run in itertools.groupby(parts))
 
 
-def _in_blocks(t: Partition, counts: tuple, m: int, k: int) -> bool:
-    """Does the type t, with part counts ``counts``, fill k blocks of size m?
+def _in_blocks(counts: tuple, m: int, k: int, m_is_sum: bool) -> bool:
+    """Does the type with part counts ``counts`` fill k blocks of size m?
+    ``m_is_sum`` says whether some of its cycles sum to m; only k = 2 reads it.
 
     * k = 2: an element keeping two blocks fixes both, so its cycles split
-      into two sets summing to m (bit m of ``partial_sum_mask``), or swaps
-      them, so every cycle is even.
+      into two sets summing to m (``m_is_sum``), or swaps them, so every
+      cycle is even.
     * m = 2: a block cycle of length d over pairs carries one 2d-cycle or
       two d-cycles, so every odd part must occur an even number of times.
     * Otherwise ``_wreath_solve`` searches for the grouping.
@@ -177,7 +178,7 @@ def _in_blocks(t: Partition, counts: tuple, m: int, k: int) -> bool:
     blocks of size 6, while (9,3) does not fill two.
     """
     if k == 2:
-        return all(v % 2 == 0 for v, _ in counts) or bool(partial_sum_mask(t) >> m & 1)
+        return m_is_sum or all(v % 2 == 0 for v, _ in counts)
     if m == 2:
         return all(v % 2 == 0 or c % 2 == 0 for v, c in counts)
     return _wreath_solve(counts, k, m, {})
@@ -878,7 +879,8 @@ class TypeProfile:
     ``verdict_state`` keeps a class's rule mask and its profile on its label,
     and ``features`` does so for a listed graph, one lookup per type.
     ``names`` maps each common mask a pair has met to its verdict, which
-    ``name`` reads off the lowest bit, so a verdict is one lookup.
+    ``name`` reads off the lowest bit, so a verdict is one lookup; the
+    masks with one lowest bit share its one ``Sharing`` in ``bit_names``.
     ``primitive[parts]`` holds the fingerprint bits (PLUS or unsplit class,
     MINUS class), read for every type of the degree at once from the cache
     directory of the first call that needs them: any file
@@ -897,6 +899,7 @@ class TypeProfile:
         self.block_shift = n // 2 + 1
         self.primitive_shift = self.block_shift + len(self.block_sizes)
         self.names: dict[int, Sharing] = {}
+        self.bit_names: dict[int, Sharing] = {}
         self.rules: dict[tuple[int, ...], int] = {}
         self.primitive: dict[tuple[int, ...], tuple[int, int]] | None = None
         self.absent: str | None = None
@@ -913,11 +916,14 @@ class TypeProfile:
             return mask
         if sum(parts) != n:
             raise ValueError("degree mismatch")
-        mask = partial_sum_mask(Partition(parts)) & ((1 << self.block_shift) - 2)
+        sums = 1  # the subset-sum mask of the parts
+        for part in parts:
+            sums |= sums << part
+        mask = sums & ((1 << self.block_shift) - 2)
         if (n - len(parts)) % 2 == 0:
             mask |= 1
         if self.block_sizes:
-            mask |= _block_bits(parts) << self.block_shift
+            mask |= _block_bits(parts, sums) << self.block_shift
         self.rules[parts] = mask
         return mask
 
@@ -990,19 +996,25 @@ class TypeProfile:
         """The verdict of two classes whose masks share ``common``, kept in
         ``names``: the one its lowest bit names.
 
-        A fingerprint bit is named from the catalog, so naming reads no file.
+        Each lowest bit is named once, in ``bit_names``, and every common
+        mask it is lowest in shares that one object.  A fingerprint bit is
+        named from the catalog, so naming reads no file.
         """
-        index = (common & -common).bit_length() - 1
-        if index == 0:
-            verdict = Sharing("alternating", f"A_{self.n}")
-        elif index < self.block_shift:
-            verdict = Sharing("intransitive", f"i={index}")
-        elif index < self.primitive_shift:
-            verdict = Sharing("imprimitive", f"m={self.block_sizes[index - self.block_shift]}")
-        else:
-            k, mirror = divmod(index - self.primitive_shift, 2)
-            group = primitive_catalog(self.n).groups[k]
-            verdict = Sharing("primitive", group.name + "'" * mirror)
+        lowest = common & -common
+        verdict = self.bit_names.get(lowest)
+        if verdict is None:
+            index = lowest.bit_length() - 1
+            if index == 0:
+                verdict = Sharing("alternating", f"A_{self.n}")
+            elif index < self.block_shift:
+                verdict = Sharing("intransitive", f"i={index}")
+            elif index < self.primitive_shift:
+                verdict = Sharing("imprimitive", f"m={self.block_sizes[index - self.block_shift]}")
+            else:
+                k, mirror = divmod(index - self.primitive_shift, 2)
+                group = primitive_catalog(self.n).groups[k]
+                verdict = Sharing("primitive", group.name + "'" * mirror)
+            self.bit_names[lowest] = verdict
         self.names[common] = verdict
         return verdict
 

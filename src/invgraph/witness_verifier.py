@@ -22,6 +22,12 @@ pair left to the catalog as not shared.
 
 An isolated vertex is a witness with no targets, so ``verify_witness`` also
 certifies the structured family of isolated vertices (``In_family``).
+
+``verify_sper`` checks the disjoint-partial-sum statement the witnesses use
+from degree 23 upward.  It reads only partial-sum masks: the distinct masks
+of n come from a recurrence over the largest allowed part, a per-bit index
+gives each bad mask its disjoint bad partners, and partitions are named only
+for the masks that have one, to report the first pair in enumeration order.
 """
 
 from __future__ import annotations
@@ -625,111 +631,101 @@ def verify_lm(n: int, cache_dir: str | None = None) -> tuple[bool, list[Partitio
     return sorted(predicted) == actual, predicted
 
 
-def _first_partition_by_mask(n: int) -> dict[int, tuple[int, ...]]:
-    """Map each partial-sum mask of a partition of n to its first partition.
-
-    A depth-first walk over the partitions of n in descending lexicographic
-    order, carrying the subset-sum mask of the parts taken so far.  A state
-    (remaining, largest allowed part, mask) it has seen before is skipped;
-    see ``verify_sper`` for why that is exact.  The dict's insertion order is
-    first-partition order.
-
-    The parts taken are a chain of ``(earlier, part)`` pairs ending in
-    ``()``, so a step shares its prefix instead of copying it; only the
-    chains of the returned partitions are unlinked into tuples.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    first: dict[int, tuple] = {}
-    seen: set[tuple[int, int, int]] = set()
-    # (remaining, largest allowed part, mask, parts taken); the largest next
-    # part is pushed last, so it is walked first.  A stack rather than a
-    # recursive closure, whose self-reference would keep ``seen`` alive
-    # until the next cyclic garbage collection.
-    stack = [(n, n, 1, ())]
-    while stack:
-        remaining, largest, mask, taken = stack.pop()
-        if not remaining:
-            first.setdefault(mask, taken)
-            continue
-        state = (remaining, largest, mask)
-        if state in seen:
-            continue
-        seen.add(state)
-        for part in range(1, largest + 1):
-            rest = remaining - part
-            stack.append((rest, part if part < rest else rest, mask | mask << part, (taken, part)))
-    return {mask: _unlink(taken) for mask, taken in first.items()}
-
-
-def _unlink(taken: tuple) -> tuple[int, ...]:
-    """The parts of an ``(earlier, part)`` chain, in the order they were taken."""
-    parts = []
-    while taken:
-        taken, part = taken
-        parts.append(part)
-    return tuple(reversed(parts))
-
-
 def verify_sper(n: int) -> tuple[bool, tuple[Partition, Partition] | None]:
     """Exhaustive check: partitions with disjoint small partial sums always
     leave i and 2i unreached, for some i in {2,3,5,7}, in one of the two.
 
     Both sides of the pair test read only the partial-sum mask, so the
-    search runs over distinct masks, each standing for its first partition
-    in enumeration order.  Disjointness is symmetric, so the first bad mask
-    with a bad disjoint partner (itself allowed) and that partner's first
-    partition form the pair a scan over all partitions a <= b meets first.
+    search runs over the distinct masks of n (``_sum_masks``).  They come
+    from a recurrence over the largest allowed part p: ``masks[r]`` starts
+    as the one mask of 1^r, bits 0..r, and the step to p adds
+    ``m | m << p`` for each m in ``masks[r - p]``, for r from p upwards.
+    That is exact because a partition of r into parts of at most p either
+    has no part p, or it is a partition of r - p into such parts plus one
+    part p, and the part p turns that partition's mask m into
+    ``m | m << p``; r runs upwards, so ``masks[r - p]`` already allows
+    further parts p.
 
-    The masks come from ``_first_partition_by_mask``, a walk that skips
-    every (remaining, largest allowed part, mask) state it has met before.
-    That skip is exact: the masks a state can still reach depend only on
-    the state, and the earlier visit reached all of them (or skipped states
-    met earlier still), so each one already has an earlier partition.  The
-    walk runs in enumeration order, so every mask keeps its first partition.
-    The seen states live only for the call: no cache outlives it, and the
-    ``partial_sum_mask`` cache, which would keep every partition of every n
-    alive, is not touched.  Only the returned pair becomes ``Partition``s.
-
-    The pair scan (``_first_disjoint_pair``) reads a per-bit index over the
-    bad masks, so each one costs at most n/2 big-integer ORs instead of a
-    pass over all of them.
+    A mask is bad when it reaches i or 2i for each of the four i, and the
+    check fails exactly when some bad mask has a bad partner, itself
+    allowed, with no common bit in 1..n/2 (``_disjoint_partners``).  That
+    needs no partition, so a degree without a pair, every one from 18 to
+    42, builds none.  Only a failing check names its pair: the one a scan
+    over all partitions a <= b in enumeration order meets first, where a
+    is the first partition with a bad disjoint partner and b its first
+    partner.  Disjointness is symmetric, so a partnered mask's partners are
+    partnered too, and the first partitions of the partnered masks
+    (``_first_partition``) are all the pair needs: a is the earliest of
+    them, b the earliest among a's partners.  No cache outlives the call,
+    and the ``partial_sum_mask`` cache, which would keep every partition of
+    every n alive, is not touched.
     """
-    first = _first_partition_by_mask(n)
-    # insertion order is first-partition order, so ``bad`` is sorted by it
-    bad = [
-        (parts, m)
-        for m, parts in first.items()
-        if not any(not m >> i & 1 and not m >> (2 * i) & 1 for i in (2, 3, 5, 7))
-    ]
-    found = _first_disjoint_pair([m for _, m in bad], n // 2)
-    if found is None:
+    two, three, five, seven = (1 << i | 1 << 2 * i for i in (2, 3, 5, 7))
+    bad = [m for m in _sum_masks(n) if m & two and m & three and m & five and m & seven]
+    partners = _disjoint_partners(bad, n // 2)
+    first = {a: _first_partition(n, bad[a]) for a, bits in enumerate(partners) if bits}
+    if not first:
         return True, None
-    a, b = found
-    return False, (Partition(bad[a][0]), Partition(bad[b][0]))
+    # enumeration runs in descending lexicographic order, so earliest is largest
+    a = max(first, key=first.get)
+    b = max((i for i in first if partners[a] >> i & 1), key=first.get)
+    return False, (first[a], first[b])
 
 
-def _first_disjoint_pair(masks: Sequence[int], top: int) -> tuple[int, int] | None:
-    """The first index a, and its first partner b, whose masks share no bit 1..top.
+def _sum_masks(n: int) -> set[int]:
+    """The distinct partial-sum masks of the partitions of n, by the
+    recurrence ``verify_sper`` proves.
 
-    b may equal a.  ``holders[i]`` is the set of indices whose mask has bit
-    i, as a bitset; the partners of a are the complement of the union of
-    its bits' sets, and the lowest bit of that complement is the first.
+    Only ``masks[n]`` is the answer, and the steps from p on read
+    ``masks[r]`` only for r <= n - p, so the step to p skips n - p < r < n.
     """
-    holders = {
-        i: int("0" + "".join("1" if m >> i & 1 else "0" for m in reversed(masks)), 2)
+    if n < 1:
+        raise ValueError("need n >= 1")
+    masks = [{(2 << r) - 1} for r in range(n + 1)]
+    for p in range(2, n + 1):
+        for r in [*range(p, n - p + 1), n]:
+            masks[r] |= {m | m << p for m in masks[r - p]}
+    return masks[n]
+
+
+def _disjoint_partners(masks: Sequence[int], top: int) -> list[int]:
+    """For each mask, the bitset of the indices whose masks share no bit
+    1..top with it, its own index included when it has none there.
+
+    ``holders[i]`` is the set of indices whose mask has bit i, as a bitset;
+    the partners of a mask are the complement of the union of its bits' sets.
+    """
+    holders = [
+        int("0" + "".join("1" if m >> i & 1 else "0" for m in reversed(masks)), 2)
         for i in range(1, top + 1)
-    }
+    ]
     everyone = (1 << len(masks)) - 1
-    for a, ma in enumerate(masks):
+    partners = []
+    for m in masks:
         blocked = 0
-        for i, holder in holders.items():
-            if ma >> i & 1:
+        for i, holder in enumerate(holders, 1):
+            if m >> i & 1:
                 blocked |= holder
-        partners = everyone & ~blocked
-        if partners:
-            return a, (partners & -partners).bit_length() - 1
-    return None
+        partners.append(everyone & ~blocked)
+    return partners
+
+
+def _first_partition(n: int, mask: int) -> Partition:
+    """The first partition of n in enumeration order whose partial-sum mask
+    is ``mask``, one of the masks ``_sum_masks(n)`` returns.
+
+    ``enumerate_partitions_with_sums_in`` lists, in enumeration order, the
+    partitions whose sums lie in the mask; the first whose sums fill it is
+    the one.  The sums are computed here, not by the ``partial_sum_mask``
+    cache.
+    """
+    for p in enumerate_partitions_with_sums_in(n, mask):
+        sums = 1
+        for part in p.parts:
+            sums |= sums << part
+        if sums == mask:
+            return p
+    raise ValueError(f"no partition of {n} has the partial-sum mask {mask:b}")
 
 
 def table1(cache_dir: str | None = None) -> list[tuple[int, object, object]]:

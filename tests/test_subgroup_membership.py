@@ -896,6 +896,56 @@ def test_verdict_names_stay_bounded_after_the_full_sweep(cache_dir):
     assert int(done.stdout) <= 2355
 
 
+def test_verdict_names_hold_one_object_per_verdict(graph):
+    # every common mask a sweep meets is named by its lowest bit, so equal
+    # verdicts are one object however many masks name them
+    vertices = graph(12, GroupKind.SYM).vertices
+    for i, a in enumerate(vertices):
+        for b in vertices[i + 1:]:
+            shares_subgroup(a, b)
+    names = vertices[0]._rules[1].names
+    assert len(names) > len(set(names.values()))
+    assert len({id(v) for v in names.values()}) == len(set(names.values()))
+
+
+# Loads the fingerprints of every exact degree from the directory named on
+# the command line, then counts the ``Partition``s built while building all
+# 26 exact graphs.
+_PARTITIONS_BUILT_BY_THE_GRAPHS = """
+import sys
+from invgraph.graph_engine import build_graph
+from invgraph.partitions import Partition
+from invgraph.permutations import GroupKind
+from invgraph.subgroup_membership import EXACT_DEGREES, degree_fingerprints
+for n in EXACT_DEGREES:
+    degree_fingerprints(n, sys.argv[1])
+built = 0
+init = Partition.__init__
+def counting_init(self, parts):
+    global built
+    built += 1
+    init(self, parts)
+Partition.__init__ = counting_init
+for n in sorted(EXACT_DEGREES):
+    for group in GroupKind:
+        build_graph(n, group, sys.argv[1])
+print(built)
+"""
+
+
+def test_graph_builds_make_one_partition_per_type(cache_dir):
+    # the 1,156 types of the exact degrees, each listed once for both groups;
+    # the rule bits build none (2,480 when rule_mask and the block bits each
+    # built one to key the partial-sum cache)
+    src = os.path.dirname(os.path.dirname(subgroup_membership.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", _PARTITIONS_BUILT_BY_THE_GRAPHS, cache_dir],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) == sum(len(list(enumerate_partitions(n))) for n in EXACT_DEGREES)
+
+
 def test_shares_subgroup_without_catalog(cache_dir):
     # degree 14 has no catalog: pairs that parity, partial sums and block
     # sizes decide keep their answers, the rest raise CatalogAbsent

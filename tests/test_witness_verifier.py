@@ -31,8 +31,9 @@ from invgraph.witness_verifier import (
     InadmissibleDegree,
     WitnessClaim,
     WitnessReport,
-    _first_disjoint_pair,
-    _first_partition_by_mask,
+    _disjoint_partners,
+    _first_partition,
+    _sum_masks,
     build_isolated_family,
     construct_witness,
     table1,
@@ -394,37 +395,39 @@ def test_sper_matches_pair_loop():
     assert [p.parts for p in verify_sper(17)[1]] == [(12, 3, 2), (7, 6, 4)]
 
 
-def _disjoint_pair_scan(masks, top):
+def _disjoint_partner_scan(masks, top):
     # the pairwise scan the per-bit index replaced, kept as its reference
     half_mask = (1 << (top + 1)) - 2
-    for a, ma in enumerate(masks):
-        ma &= half_mask
-        b = next((b for b, mb in enumerate(masks) if not ma & mb), None)
-        if b is not None:
-            return a, b
-    return None
+    return [
+        sum(1 << b for b, mb in enumerate(masks) if not ma & half_mask & mb) for ma in masks
+    ]
 
 
 def test_sper_index_matches_the_pairwise_scan():
     for n in range(1, 31):
-        masks = list(_first_partition_by_mask(n))
+        masks = sorted(_sum_masks(n))
         for top in range(n // 2 + 1):
-            assert _first_disjoint_pair(masks, top) == _disjoint_pair_scan(masks, top), (n, top)
+            assert _disjoint_partners(masks, top) == _disjoint_partner_scan(masks, top), (n, top)
     rng = random.Random(5)
     for _ in range(300):
         masks = [rng.getrandbits(12) for _ in range(rng.randrange(1, 40))]
         top = rng.randrange(0, 12)
-        assert _first_disjoint_pair(masks, top) == _disjoint_pair_scan(masks, top), (masks, top)
+        assert _disjoint_partners(masks, top) == _disjoint_partner_scan(masks, top), (masks, top)
 
 
-def test_sper_walk_keeps_each_masks_first_partition():
-    # the pruned walk gives the same table, in the same order, as a pass over
-    # every partition
+def test_sper_mask_set_is_every_partitions_mask():
     for n in range(1, 31):
+        expected = {partial_sum_mask.__wrapped__(p) for p in enumerate_partitions(n)}
+        assert _sum_masks(n) == expected, n
+
+
+def test_sper_first_partition_is_first_in_enumeration_order():
+    for n in range(1, 21):
         first = {}
         for p in enumerate_partitions(n):
-            first.setdefault(partial_sum_mask.__wrapped__(p), p.parts)
-        assert list(_first_partition_by_mask(n).items()) == list(first.items()), n
+            first.setdefault(partial_sum_mask.__wrapped__(p), p)
+        for mask, p in first.items():
+            assert _first_partition(n, mask) == p, (n, p)
 
 
 def test_sper_rejects_a_degree_below_one():
@@ -441,6 +444,11 @@ def test_sper_leaves_mask_cache_alone():
 
 def test_sper_verified_18_to_36():
     for n in range(18, 37):
+        assert verify_sper(n) == (True, None), n
+
+
+def test_sper_verified_37_to_42():
+    for n in range(37, 43):
         assert verify_sper(n) == (True, None), n
 
 
