@@ -125,18 +125,20 @@ def isolated_vertices(g: ClassGraph) -> list[ClassLabel]:
 
 
 def xi_subgraph(g: ClassGraph) -> ClassGraph:
-    """Induced subgraph on the non-isolated vertices; g itself if it has none isolated."""
+    """Induced subgraph on the non-isolated vertices; g itself if it has none isolated.
+
+    Each distinct row is relabelled once, so twins keep sharing one row.
+    """
     if all(g.adjacency):
         return g
     keep = [i for i, row in enumerate(g.adjacency) if row]
     relabel = {old: new for new, old in enumerate(keep)}
-    rows = []
-    for old in keep:
-        row = 0
-        for j in _bit_indices(g.adjacency[old]):
-            row |= 1 << relabel[j]
-        rows.append(row)
-    return ClassGraph(g.degree, g.group, tuple(g.vertices[i] for i in keep), tuple(rows))
+    moved = {
+        row: sum(1 << relabel[j] for j in _bit_indices(row))
+        for row in {g.adjacency[old] for old in keep}
+    }
+    rows = tuple(moved[g.adjacency[old]] for old in keep)
+    return ClassGraph(g.degree, g.group, tuple(g.vertices[i] for i in keep), rows)
 
 
 def diameter(g: ClassGraph) -> int | SpecialDiameter:
@@ -157,7 +159,9 @@ def diameter(g: ClassGraph) -> int | SpecialDiameter:
     if count == 0:
         return SpecialDiameter.EMPTY
     full = (1 << count) - 1
-    neighbours = [_bit_indices(row) for row in g.adjacency]
+    # twins share a row, whose neighbour list is made once
+    listed = {row: _bit_indices(row) for row in set(g.adjacency)}
+    neighbours = [listed[row] for row in g.adjacency]
     balls = [1 << i for i in range(count)]
     rounds = 0
     while any(ball != full for ball in balls):

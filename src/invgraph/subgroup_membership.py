@@ -4,10 +4,12 @@ Four families decide every edge question at the supported degrees:
 
 * the alternating group, in S_n, decided by parity;
 * intransitive subgroups, decided by common partial sums;
-* imprimitive wreath products of block size m, decided by a rule for two
-  blocks (a partial sum n/2, or only even parts) and for blocks of size two
-  (every odd part an even number of times), and at every other block size
-  by a memoized grouping search over the part multiset;
+* imprimitive wreath products of block size m with k = n/m blocks, decided
+  in one pass per type by rules: for two blocks (a partial sum n/2, or only
+  even parts), for blocks of size two (every odd part an even number of
+  times), k or m dividing the gcd of the parts (a member), and at most two
+  parts (otherwise not one); a grouping search over the part multiset, with
+  a memo per search, decides the rest;
 * primitive groups, decided against fingerprints (each cycle type a group
   meets, with the A_n classes of that type it meets) of a complete
   per-degree catalog.
@@ -43,11 +45,12 @@ the pairs the first three families leave open.  ``verdict``, which
 ``witness_verifier`` asks about the targets, hands those to the theorem tier
 of ``primitive_rules``, which calls a pair an edge or leaves it ``Open``.
 The rule bits are decided once per type and degree: the S_n profile
-computes them, with the block bits from ``_block_bits`` (the same decision
-as ``wreath_member``), and the A_n profile reads the S_n mask without its
-parity bit.  Each ``ClassLabel`` holds its rule mask and its profile: the
-graph build keeps them on every vertex it lists (``TypeProfile.features``,
-one lookup per type), and any other label gets them at its first verdict.
+computes them, with the block bits from ``_block_bits``, which
+``wreath_member`` reads back, and the A_n profile reads the S_n mask
+without its parity bit.  Each ``ClassLabel`` holds its rule mask and its
+profile: the graph build keeps them on every vertex it lists
+(``TypeProfile.features``, one lookup per type), and any other label gets
+them at its first verdict.
 A pair the rules decide is then one identity test of the two profiles, one
 AND and one plain-dict lookup keyed by the whole common mask.  The cache
 directory reaches only the fingerprint read, since every directory gives
@@ -83,7 +86,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from invgraph.arith import divisors, proper_block_sizes
 from invgraph.finite_fields import field
-from invgraph.partitions import Partition, has_distinct_odd_parts, is_partial_sum
+from invgraph.partitions import Partition, has_distinct_odd_parts
 from invgraph.primitive_rules import Open, theorem_verdict
 from invgraph.permutations import (
     ClassLabel,
@@ -131,29 +134,65 @@ def wreath_member(t: Partition, m: int) -> bool:
     is realized iff its parts split into groups, each group assigned some d
     dividing all its parts with sum(part/d) == m, the d's summing to n/m.
 
-    ``_in_blocks`` decides it, the one decision ``_block_bits`` also makes
-    for the feature masks: by a rule for two blocks and for blocks of size
-    two, and by the grouping search at every other block size.
+    The answer is the type's bit for m in its ``S_n`` rule mask, which
+    ``_block_bits`` decides, so this and the feature masks make one block
+    decision.
     """
     n = t.n
     if not (1 < m < n) or n % m:
         raise ValueError(f"m={m} is not a proper divisor of n={n}")
-    return _in_blocks(_part_counts(t.parts), m, n // m, n == 2 * m and is_partial_sum(t, m))
+    profile = type_profile(n, True)
+    shift = profile.block_shift + profile.block_sizes.index(m)
+    return bool(profile.rule_mask(t.parts) >> shift & 1)
 
 
-@lru_cache(maxsize=None)
-def _block_bits(parts: tuple[int, ...], sums: int) -> int:
-    """A type's block bits: bit i when it lies in S_m wr S_{n/m} for the
-    i-th proper block size m of its degree; ``sums`` is the subset-sum mask
-    of its parts.
+def _block_bits(parts: tuple[int, ...], sums: int, sizes: tuple[int, ...]) -> int:
+    """A type's block bits: bit i when it lies in S_m wr S_k, k = n/m, for
+    m = ``sizes[i]``, the proper block sizes of its degree; ``sums`` is the
+    subset-sum mask of its parts.
 
-    One entry per type, which the S_n and A_n profiles of its degree share.
+    The facts the rules read are found once per type, and each block size
+    takes the first rule that applies, in this order:
+
+    * k = 2: an element keeping two blocks fixes both, so its cycles split
+      into two sets summing to m, or swaps them, so every cycle is even.
+    * m = 2: a block cycle of length d over pairs carries one 2d-cycle or
+      two d-cycles, so every odd part must occur an even number of times.
+    * k divides g, the gcd of the parts: a member.  All the parts make one
+      group over a single cycle of all k blocks, since each part is
+      divisible by k and their quotients by k sum to n/k = m.
+    * m divides g: a member.  Each part p is a group of its own over a cycle
+      of p/m blocks, carrying p/(p/m) = m points per block, and these cycle
+      lengths sum to n/m = k.
+    * At most two parts, counting repeats: not a member.  One part is
+      divisible by k, so it is decided above.  Two parts a, b group either
+      together, over a cycle of length d with a/d + b/d = m, so d = k
+      divides both, or apart, each over a cycle of length a/m or b/m, so m
+      divides both; the two cases above cover both.
+    * Otherwise ``_wreath_solve`` searches for the grouping.
+
+    Parts divisible by m cannot be set aside first: (9,6,3) fills three
+    blocks of size 6, while (9,3) does not fill two.
     """
     n = sum(parts)
     counts = _part_counts(parts)
+    g = math.gcd(*(v for v, _ in counts))
+    pairs = all(v % 2 == 0 or c % 2 == 0 for v, c in counts)
+    few = len(parts) <= 2
     bits = 0
-    for i, m in enumerate(proper_block_sizes(n)):
-        if _in_blocks(counts, m, n // m, bool(sums >> m & 1)):
+    for i, m in enumerate(sizes):
+        k = n // m
+        if k == 2:
+            member = bool(sums >> m & 1) or g % 2 == 0
+        elif m == 2:
+            member = pairs
+        elif g % k == 0 or g % m == 0:
+            member = True
+        elif few:
+            member = False
+        else:
+            member = _wreath_solve(counts, k, m, {})
+        if member:
             bits |= 1 << i
     return bits
 
@@ -161,27 +200,6 @@ def _block_bits(parts: tuple[int, ...], sums: int) -> int:
 def _part_counts(parts: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """(part, multiplicity) of a descending part tuple, largest part first."""
     return tuple((v, len(list(run))) for v, run in itertools.groupby(parts))
-
-
-def _in_blocks(counts: tuple, m: int, k: int, m_is_sum: bool) -> bool:
-    """Does the type with part counts ``counts`` fill k blocks of size m?
-    ``m_is_sum`` says whether some of its cycles sum to m; only k = 2 reads it.
-
-    * k = 2: an element keeping two blocks fixes both, so its cycles split
-      into two sets summing to m (``m_is_sum``), or swaps them, so every
-      cycle is even.
-    * m = 2: a block cycle of length d over pairs carries one 2d-cycle or
-      two d-cycles, so every odd part must occur an even number of times.
-    * Otherwise ``_wreath_solve`` searches for the grouping.
-
-    Parts divisible by m cannot be set aside first: (9,6,3) fills three
-    blocks of size 6, while (9,3) does not fill two.
-    """
-    if k == 2:
-        return m_is_sum or all(v % 2 == 0 for v, _ in counts)
-    if m == 2:
-        return all(v % 2 == 0 or c % 2 == 0 for v, c in counts)
-    return _wreath_solve(counts, k, m, {})
 
 
 def _wreath_solve(counts_now: tuple, blocks_left: int, m: int, memo: dict) -> bool:
@@ -193,19 +211,21 @@ def _wreath_solve(counts_now: tuple, blocks_left: int, m: int, memo: dict) -> bo
     many such groups as the copies and blocks allow, when that is more than
     one.  A True from there is a valid split, but a False proves nothing,
     so the search then falls back to placing one group at a time, and that
-    search decides.  On every partition of n <= 24 at every proper block
-    size, and on every call the witness claims make, the bulk try never
-    failed where the answer was True; no proof says it cannot, so the
-    fallback stays.  ``m`` and the memo are passed down rather than closed
-    over, so a call leaves no reference cycle behind.
+    search decides: one copy of v over a block cycle of each length d that
+    fits, completed by ``_fill_group``.  On every partition of n <= 24 at
+    every proper block size, and on every call the witness claims make, the
+    bulk try never failed where the answer was True; no proof says it
+    cannot, so the fallback stays.  ``m`` and the memo are passed down
+    rather than closed over, so a call leaves no reference cycle behind.
     """
     if not counts_now:
         return blocks_left == 0
     if blocks_left <= 0:
         return False
     key = (counts_now, blocks_left)
-    if key in memo:
-        return memo[key]
+    known = memo.get(key)
+    if known is not None:
+        return known
     v, c = counts_now[0]
     # the bulk try: g block cycles of length d, each of j copies of v;
     # only a True is final
@@ -218,46 +238,57 @@ def _wreath_solve(counts_now: tuple, blocks_left: int, m: int, memo: dict) -> bo
         if _wreath_solve(rest, blocks_left - g * d, m, memo):
             memo[key] = True
             return True
-    removed = list(counts_now)
-    if c - 1:
-        removed[0] = (v, c - 1)
-    else:
-        del removed[0]
-    removed_t = tuple(removed)
+    rest = ((v, c - 1),) + counts_now[1:] if c > 1 else counts_now[1:]
     ok = False
     for d in divisors(v):
-        if d > blocks_left or v // d > m:
+        if d > blocks_left:
+            break
+        need = m - v // d
+        if need < 0:
             continue
-        for rest in _complete_group(removed_t, d, m - v // d, 0):
-            if _wreath_solve(rest, blocks_left - d, m, memo):
-                ok = True
-                break
+        if need:
+            ok = _fill_group(rest, d, need, 0, blocks_left - d, m, memo)
+        else:
+            ok = _wreath_solve(rest, blocks_left - d, m, memo)
         if ok:
             break
     memo[key] = ok
     return ok
 
 
-def _complete_group(counts_now: tuple, d: int, need: int, start: int):
-    """Yield remaining multisets after removing d-divisible parts summing need*d."""
-    if need == 0:
-        yield counts_now
-        return
+def _fill_group(
+    counts_now: tuple, d: int, need: int, start: int, blocks_left: int, m: int, memo: dict
+) -> bool:
+    """Can parts divisible by d, taken from ``counts_now[start:]``, add
+    ``need * d`` points to the group being placed (need > 0), with the
+    parts left then filling ``blocks_left`` blocks?
+
+    Larger values and larger takes are tried first, and a take that fills
+    the group hands the parts left to ``_wreath_solve``.
+    """
     for idx in range(start, len(counts_now)):
         v, c = counts_now[idx]
-        if v % d or v // d > need:
-            continue
         unit = v // d
-        max_take = min(c, need // unit)
-        for take in range(max_take, 0, -1):
-            reduced = list(counts_now)
+        if v % d or unit > need:
+            continue
+        take = need // unit
+        if take > c:
+            take = c
+        while take:
+            left = need - take * unit
             if c - take:
-                reduced[idx] = (v, c - take)
+                reduced = counts_now[:idx] + ((v, c - take),) + counts_now[idx + 1 :]
                 next_start = idx + 1
             else:
-                del reduced[idx]
+                reduced = counts_now[:idx] + counts_now[idx + 1 :]
                 next_start = idx
-            yield from _complete_group(tuple(reduced), d, need - take * unit, next_start)
+            if left:
+                if _fill_group(reduced, d, left, next_start, blocks_left, m, memo):
+                    return True
+            elif _wreath_solve(reduced, blocks_left, m, memo):
+                return True
+            take -= 1
+    return False
 
 
 def wreath_product_generators(m: int, k: int) -> list[Permutation]:
@@ -872,10 +903,10 @@ class TypeProfile:
 
     ``rules[parts]`` holds the parity, partial-sum and block bits of a type,
     filled on its first lookup.  An S_n profile computes them, the block
-    bits from ``_block_bits``, one cache entry per type, which decides two
-    blocks and blocks of size two by rule and searches only the other block
-    sizes.  An A_n profile reads the S_n profile of its degree and drops bit
-    0, the parity bit, which is all the two masks of a type differ in.
+    bits from ``_block_bits``, which decides every block size by rule where
+    one applies and searches only the others.  An A_n profile reads the S_n
+    profile of its degree and drops bit 0, the parity bit, which is all the
+    two masks of a type differ in.
     ``verdict_state`` keeps a class's rule mask and its profile on its label,
     and ``features`` does so for a listed graph, one lookup per type.
     ``names`` maps each common mask a pair has met to its verdict, which
@@ -923,7 +954,7 @@ class TypeProfile:
         if (n - len(parts)) % 2 == 0:
             mask |= 1
         if self.block_sizes:
-            mask |= _block_bits(parts, sums) << self.block_shift
+            mask |= _block_bits(parts, sums, self.block_sizes) << self.block_shift
         self.rules[parts] = mask
         return mask
 

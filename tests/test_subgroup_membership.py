@@ -181,16 +181,18 @@ def test_wreath_member_matches_one_group_search():
 
 
 def test_wreath_member_leaves_no_reference_cycles():
-    # reference counting alone frees each call's search state, so the
-    # cyclic collector finds nothing after a batch of calls
-    calls = [
-        (t, m) for n in range(4, 17) for m in proper_block_sizes(n) for t in enumerate_partitions(n)
-    ]
+    # reference counting alone frees each search's state, so the cyclic
+    # collector finds nothing after a batch of block decisions; fresh
+    # profiles make them, since ``wreath_member`` reads the shared profile,
+    # which earlier calls may have filled
+    degrees = {n: list(enumerate_partitions(n)) for n in range(4, 17)}
     gc.collect()
     gc.disable()
     try:
-        for t, m in calls:
-            wreath_member.__wrapped__(t, m)
+        for n, types in degrees.items():
+            profile = TypeProfile(n, True)
+            for t in types:
+                profile.rule_mask(t.parts)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -229,17 +231,40 @@ def test_two_block_and_pair_rules_match_one_group_search():
     assert checks == 31735
 
 
-def test_rule_mask_block_bits_match_wreath_member():
-    # both profiles of a degree read the one per-type block decision
-    for n in range(3, 21):
-        sizes = proper_block_sizes(n)
-        profiles = [TypeProfile(n, sym) for sym in (True, False)]
+def _profile_block_bits(profile, t):
+    bits = profile.rule_mask(t.parts) >> profile.block_shift
+    assert bits >> len(profile.block_sizes) == 0, t
+    return [bool(bits >> i & 1) for i in range(len(profile.block_sizes))]
+
+
+def test_rule_mask_block_bits_match_one_group_search():
+    # the block bits of a fresh S_n profile, decided by rule where one
+    # applies (two blocks, blocks of size two, k | g, m | g, at most two
+    # parts) and by the search elsewhere, against the reference search,
+    # which has no rules
+    checks = 0
+    for n in range(3, 25):
+        profile = TypeProfile(n, True)
         for t in enumerate_partitions(n):
-            want = [wreath_member.__wrapped__(t, m) for m in sizes]
-            for profile in profiles:
-                bits = profile.rule_mask(t.parts) >> profile.block_shift
-                assert [bool(bits >> i & 1) for i in range(len(sizes))] == want, (t, profile.sym)
-                assert bits >> len(sizes) == 0, t
+            want = [_wreath_one_group_search(t, m) for m in profile.block_sizes]
+            assert _profile_block_bits(profile, t) == want, t
+            checks += len(want)
+    assert checks == 18894
+    # every type of one or two parts up to n = 360
+    for n in range(25, 361):
+        profile = TypeProfile(n, True)
+        for i in range(n // 2 + 1):
+            t = Partition([n - i, i] if i else [n])
+            want = [_wreath_one_group_search(t, m) for m in profile.block_sizes]
+            assert _profile_block_bits(profile, t) == want, t
+    # (9, 6): at m = 5 only k = 3 divides the gcd 3, and at m = 3 only m does
+    profile = TypeProfile(15, True)
+    t = Partition([9, 6])
+    bits = _profile_block_bits(profile, t)
+    for m in (5, 3):
+        k = 15 // m
+        assert (math.gcd(9, 6) % k == 0) != (math.gcd(9, 6) % m == 0), m
+        assert bits[profile.block_sizes.index(m)] and _wreath_one_group_search(t, m), m
 
 
 def test_alternating_rule_mask_is_the_symmetric_mask_without_parity():

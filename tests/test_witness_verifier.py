@@ -574,7 +574,7 @@ for lemma in wv.LEMMA_IDS[1:]:
                 continue
             wv.verify_witness(claim, sys.argv[1])
             claims += 1
-caches = (sm.type_profile, sm.wreath_member, sm.primitive_catalog, sm._block_bits)
+caches = (sm.type_profile, sm.wreath_member, sm.primitive_catalog)
 print(json.dumps([claims, *(f.cache_info().currsize for f in caches)]))
 """
 
@@ -588,14 +588,12 @@ def test_witness_claims_leave_bounded_caches(tmp_path):
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    claims, profiles, wreath, catalogs, block_bits = json.loads(done.stdout)
+    claims, profiles, wreath, catalogs = json.loads(done.stdout)
     assert claims == 514
     # the counts when this test was written: a profile per degree and group
-    # claimed, a catalog per exact degree from 11 up, the block memberships
-    # of the types the claims name (none since the profiles read
-    # ``_block_bits``), and one block-bit entry per type, shared by its
-    # degree's two profiles
+    # claimed, a catalog per exact degree from 11 up, and the block
+    # memberships of the types the claims name (none since the profiles read
+    # ``_block_bits``)
     assert profiles <= 207
     assert wreath <= 4190
     assert catalogs <= 5
-    assert block_bits <= 932
