@@ -14,9 +14,10 @@ distinct masks: for every feature bit it keeps a column, the set of
 vertices having it, and for every distinct mask one row, the complement of
 the union of its features' columns.  So a graph of V vertices and M
 distinct masks costs O(V + M * F) integer operations instead of a test per
-pair.  On the way it keeps each vertex's verdict state (its rule mask and
-the profile of its degree and group kind) on the label, so
-``shares_subgroup`` on two vertices of a built graph looks up no profile.
+pair.  On the way it keeps each vertex's verdict state (its rule mask, its
+fingerprint bits and the verdict table of its degree and group kind) on the
+label, so ``shares_subgroup`` on two vertices of a built graph looks up no
+profile.
 """
 
 from __future__ import annotations

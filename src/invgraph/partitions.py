@@ -129,7 +129,11 @@ def is_even_type(p: Partition) -> bool:
 
 def has_distinct_odd_parts(p: Partition) -> bool:
     """True when the class splits in the alternating group."""
-    parts = p.parts
+    return distinct_odd_parts(p.parts)
+
+
+def distinct_odd_parts(parts: tuple[int, ...]) -> bool:
+    """``has_distinct_odd_parts`` of a part tuple, which builds no ``Partition``."""
     return len(set(parts)) == len(parts) and all(part % 2 == 1 for part in parts)
 
 

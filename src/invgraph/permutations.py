@@ -788,14 +788,20 @@ def split_label(g: Permutation) -> Split:
 class ClassLabel:
     """A vertex: cycle type plus group tag, with a split tag for A_n.
 
-    Immutable, and equal and hashed by its three fields.  ``_rules`` holds
-    the verdict state (rule mask, profile), set by
-    subgroup_membership.TypeProfile.features when build_graph lists the
-    label, or else by TypeProfile.verdict_state at its first
-    shares_subgroup verdict; it is not part of the label's value.
+    Immutable, and equal and hashed by its three fields.  The verdict state
+    is not part of the label's value: ``_names``, the verdict table of its
+    degree and group kind (None until set), ``_rules``, its rule mask,
+    ``_profile``, the subgroup_membership.TypeProfile that owns the table,
+    and ``_bits``, its fingerprint bits.  A label that build_graph lists
+    gets all four in TypeProfile.features.  Any other label gets the first
+    three at its first shares_subgroup verdict, with ``_bits`` None, and its
+    fingerprint bits only at its first pair that the rules leave open; until
+    its first verdict only ``_names`` is set.
     """
 
-    __slots__ = ("cycle_type", "group", "split", "_rules", "__weakref__")
+    __slots__ = (
+        "cycle_type", "group", "split", "_names", "_rules", "_profile", "_bits", "__weakref__"
+    )
 
     def __init__(self, cycle_type: Partition, group: GroupKind, split: Split = Split.NONE):
         t = cycle_type
@@ -809,10 +815,10 @@ class ClassLabel:
             should_split = has_distinct_odd_parts(t)
         if should_split != (split is not Split.NONE):
             raise ValueError(f"bad split tag {split} for {t} in {group}")
-        object.__setattr__(self, "cycle_type", cycle_type)
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "split", split)
-        object.__setattr__(self, "_rules", None)
+        _set_cycle_type(self, cycle_type)
+        _set_group(self, group)
+        _set_split(self, split)
+        _set_names(self, None)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r} of a ClassLabel")
@@ -842,6 +848,17 @@ class ClassLabel:
 
     def __str__(self) -> str:
         return self.text()
+
+
+# The slot setters of a ClassLabel, which ``__setattr__`` refuses: each
+# call costs about half of ``object.__setattr__``, which looks the slot up.
+_set_cycle_type = ClassLabel.cycle_type.__set__
+_set_group = ClassLabel.group.__set__
+_set_split = ClassLabel.split.__set__
+_set_names = ClassLabel._names.__set__
+_set_rules = ClassLabel._rules.__set__
+_set_profile = ClassLabel._profile.__set__
+_set_bits = ClassLabel._bits.__set__
 
 
 @lru_cache(maxsize=None)

@@ -47,14 +47,16 @@ of ``primitive_rules``, which calls a pair an edge or leaves it ``Open``.
 The rule bits are decided once per type and degree: the S_n profile
 computes them, with the block bits from ``_block_bits``, which
 ``wreath_member`` reads back, and the A_n profile reads the S_n mask
-without its parity bit.  Each ``ClassLabel`` holds its rule mask and its
-profile: the graph build keeps them on every vertex it lists
-(``TypeProfile.features``, one lookup per type), and any other label gets
-them at its first verdict.
-A pair the rules decide is then one identity test of the two profiles, one
-AND and one plain-dict lookup keyed by the whole common mask.  The cache
-directory reaches only the fingerprint read, since every directory gives
-the same fingerprints.
+without its parity bit.  Each ``ClassLabel`` holds its rule mask, its
+fingerprint bits and the verdict table of its degree and group kind: the
+graph build keeps them on every vertex it lists (``TypeProfile.features``,
+one lookup per type), and any other label gets its rule mask and table at
+its first verdict and its fingerprint bits only at its first pair the rules
+leave open.  A pair of graph vertices is then one identity test of the two
+tables, one AND and one plain-dict lookup keyed by the whole common mask,
+and one more AND, of the fingerprint bits, when the rule masks do not meet.
+The cache directory reaches only the fingerprint read, since every
+directory gives the same fingerprints.
 
 The exact degrees, ``EXACT_DEGREES``, are the keys of the one table
 ``_CATALOG``, whose row for a degree returns its groups in catalog order;
@@ -86,7 +88,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from invgraph.arith import divisors, proper_block_sizes
 from invgraph.finite_fields import field
-from invgraph.partitions import Partition, has_distinct_odd_parts
+from invgraph.partitions import Partition, distinct_odd_parts
 from invgraph.primitive_rules import Open, theorem_verdict
 from invgraph.permutations import (
     ClassLabel,
@@ -95,6 +97,10 @@ from invgraph.permutations import (
     SiftedChain,
     Split,
     _class_levels,
+    _set_bits,
+    _set_names,
+    _set_profile,
+    _set_rules,
     _walk_scale,
     chain_member,
     chain_order,
@@ -670,7 +676,7 @@ def _fingerprint(spec: GroupSpec, reps: Iterable[bytes], odd: bool) -> Fingerpri
     for rep in reps:
         t = cycle_type_of_images(rep)
         splits = types.setdefault(t, set())
-        if len(splits) < 2 and t != identity and has_distinct_odd_parts(Partition(t)):
+        if len(splits) < 2 and t != identity and distinct_odd_parts(t):
             if odd:
                 splits.update((Split.PLUS, Split.MINUS))
             else:
@@ -818,7 +824,7 @@ def _load_fingerprints(
         for t, marks in fp.types.items():
             if sum(t) != n or min(t) < 1 or list(t) != sorted(t, reverse=True):
                 return None
-            if bool(marks) != (t != (1,) * n and has_distinct_odd_parts(Partition(t))):
+            if bool(marks) != (t != (1,) * n and distinct_odd_parts(t)):
                 return None
     return fps
 
@@ -907,8 +913,10 @@ class TypeProfile:
     one applies and searches only the others.  An A_n profile reads the S_n
     profile of its degree and drops bit 0, the parity bit, which is all the
     two masks of a type differ in.
-    ``verdict_state`` keeps a class's rule mask and its profile on its label,
-    and ``features`` does so for a listed graph, one lookup per type.
+    ``verdict_state`` keeps a class's rule mask, this profile and ``names``
+    on its label, and ``features`` keeps them with the class's fingerprint
+    bits on every label of a listed graph, one lookup per type; any other
+    label reads its fingerprint bits at its first pair the rules leave open.
     ``names`` maps each common mask a pair has met to its verdict, which
     ``name`` reads off the lowest bit, so a verdict is one lookup; the
     masks with one lowest bit share its one ``Sharing`` in ``bit_names``.
@@ -994,33 +1002,38 @@ class TypeProfile:
             self.primitive = table
         return table.get(parts, (0, 0))
 
-    def primitive_mask(self, label: ClassLabel, cache_dir: str | None) -> int:
-        """The fingerprint bits of a class; CatalogAbsent without a catalog."""
-        return self.primitive_masks(label.cycle_type.parts, cache_dir)[label.split is Split.MINUS]
-
-    def verdict_state(self, label: ClassLabel) -> tuple[int, TypeProfile]:
-        """A class's rule mask and this profile, kept on its label."""
-        state = (self.rule_mask(label.cycle_type.parts), self)
-        object.__setattr__(label, "_rules", state)
-        return state
+    def verdict_state(self, label: ClassLabel) -> None:
+        """Keep a class's rule mask, this profile and its verdict table on
+        its label; its fingerprint bits stay None until a pair the rules
+        leave open reads them."""
+        _set_rules(label, self.rule_mask(label.cycle_type.parts))
+        _set_bits(label, None)
+        _set_profile(label, self)
+        _set_names(label, self.names)
 
     def features(self, labels: Sequence[ClassLabel], cache_dir: str | None) -> list[int]:
-        """The feature mask of each label, each label keeping its verdict state.
+        """The feature mask of each label, each label keeping its verdict
+        state: its rule mask, its fingerprint bits, this profile and its
+        verdict table.
 
         Adjacent labels that hold one ``Partition``, the two classes of a
         split type as ``class_labels`` lists them, share one lookup of the
-        type's rule state and fingerprint bits.
+        type's rule mask and fingerprint bits.
         """
         out = []
         t = None
+        names = self.names
         for label in labels:
             if label.cycle_type is not t:
                 t = label.cycle_type
-                state = (self.rule_mask(t.parts), self)
-                plus, minus = self.primitive_masks(t.parts, cache_dir)
-                masks = (state[0] | plus, state[0] | minus)
-            object.__setattr__(label, "_rules", state)
-            out.append(masks[label.split is Split.MINUS])
+                rules = self.rule_mask(t.parts)
+                halves = self.primitive_masks(t.parts, cache_dir)
+            bits = halves[label.split is Split.MINUS]
+            _set_rules(label, rules)
+            _set_bits(label, bits)
+            _set_profile(label, self)
+            _set_names(label, names)
+            out.append(rules | bits)
         return out
 
     def name(self, common: int) -> Sharing:
@@ -1056,9 +1069,28 @@ def type_profile(n: int, sym: bool) -> TypeProfile:
     return TypeProfile(n, sym)
 
 
-def _label_rules(label: ClassLabel) -> tuple[int, TypeProfile]:
-    """The verdict state of a label no graph build has seen."""
-    return type_profile(label.degree, label.group is GroupKind.SYM).verdict_state(label)
+def _verdict_table(c1: ClassLabel, c2: ClassLabel) -> dict[int, Sharing]:
+    """The verdict table of a pair whose labels do not hold the same one.
+
+    A label no graph build has listed gets its state here, at its first
+    verdict; a pair of two degrees or two group kinds is refused.
+    """
+    for label in (c1, c2):
+        if label._names is None:
+            type_profile(label.degree, label.group is GroupKind.SYM).verdict_state(label)
+    if c1._names is not c2._names:
+        raise ValueError("degree mismatch" if c1.degree != c2.degree else "group mismatch")
+    return c1._names
+
+
+def _label_bits(label: ClassLabel, cache_dir: str | None) -> int:
+    """The fingerprint bits of a label no graph build has listed, kept on
+    it from its first pair the rules leave open; CatalogAbsent without a
+    catalog."""
+    halves = label._profile.primitive_masks(label.cycle_type.parts, cache_dir)
+    bits = halves[label.split is Split.MINUS]
+    _set_bits(label, bits)
+    return bits
 
 
 def shares_subgroup(
@@ -1072,29 +1104,36 @@ def shares_subgroup(
     bit the two classes' masks share: the smallest partial sum, the smallest
     block size, the first fingerprint in catalog order before its mirror.
 
-    Each label holds its verdict state: its rule mask and the profile of its
-    degree and group kind.  ``build_graph`` keeps it on every vertex it
-    lists, and any other label gets it on its first verdict.  The profiles
-    are one per degree and group kind, so one identity test checks that the
-    pair is comparable, and a pair the rules decide costs one AND and one
-    lookup of the common mask in the profile's ``names``, which the first
-    pair with that common mask fills.  Only a pair whose rule masks do not
-    meet reads the fingerprint bits of its profile, which ``cache_dir``
-    fills if they are not there yet.
+    Each label holds its verdict state: its rule mask, the verdict table
+    ``names`` of its degree and group kind and the profile that owns it,
+    and its fingerprint bits.  ``build_graph`` keeps all of it on every
+    vertex it lists.  Any other label gets the rest at its first verdict
+    and its fingerprint bits only at its first pair that the rules leave
+    open, read from its profile, which ``cache_dir`` fills if they are not
+    there yet.  The tables are one per degree and group kind, so one
+    identity test checks that the pair is comparable.  A pair the rules
+    decide then costs one AND and one lookup of the common rule mask in the
+    table, which the first pair with that common mask fills; an edge or a
+    pair that a fingerprint decides costs one more AND, of the two labels'
+    fingerprint bits, whose common mask is the key.
     """
-    mask1, profile = c1._rules or _label_rules(c1)
-    mask2, profile2 = c2._rules or _label_rules(c2)
-    if profile is not profile2:
-        raise ValueError("degree mismatch" if c1.degree != c2.degree else "group mismatch")
-    common = mask1 & mask2
+    names = c1._names
+    if names is not c2._names or names is None:
+        names = _verdict_table(c1, c2)
+    common = c1._rules & c2._rules
     if not common:
-        common = profile.primitive_mask(c1, cache_dir) & profile.primitive_mask(c2, cache_dir)
+        bits1, bits2 = c1._bits, c2._bits
+        if bits1 is None:
+            bits1 = _label_bits(c1, cache_dir)
+        if bits2 is None:
+            bits2 = _label_bits(c2, cache_dir)
+        common = bits1 & bits2
         if not common:
             return None
     try:
-        return profile.names[common]
+        return names[common]
     except KeyError:
-        return profile.name(common)
+        return c1._profile.name(common)
 
 
 def verdict(

@@ -37,6 +37,7 @@ from invgraph.subgroup_membership import (
     EXACT_DEGREES,
     CatalogAbsent,
     TypeProfile,
+    degree_fingerprints,
     shares_subgroup,
     type_profile,
 )
@@ -516,8 +517,7 @@ def test_twin_classes_share_one_row(graph, cache_dir):
     for n in sorted(EXACT_DEGREES):
         for group in GroupKind:
             g = graph(n, group)
-            profile = type_profile(n, group is GroupKind.SYM)
-            features = [v._rules[0] | profile.primitive_mask(v, cache_dir) for v in g.vertices]
+            features = [v._rules | v._bits for v in g.vertices]
             masks += _check_twin_rows(g, features)
             classes += len(g.vertices)
     assert (masks, classes) == (704, 1753)
@@ -562,4 +562,30 @@ def test_both_groups_of_a_degree_enumerate_its_types_once(graph, cache_dir, monk
             build_graph.__wrapped__(n, group, cache_dir)
     assert all(made[n] <= p[n] for n in EXACT_DEGREES), made
     assert sum(made.values()) == sum(p.values())
+
+
+def test_rereading_the_fingerprint_files_builds_no_partition(graph, cache_dir, monkeypatch):
+    # the cache reader checks each type's split marks on its part tuple, so
+    # builds that reread every fingerprint file construct only the p(n)
+    # Partitions of the one enumeration, in whatever order the tests ran
+    for n in EXACT_DEGREES:
+        for group in GroupKind:
+            graph(n, group)
+    p = {n: sum(1 for _ in enumerate_partitions(n)) for n in EXACT_DEGREES}
+    degree_fingerprints.cache_clear()
+    fresh = lru_cache(maxsize=None)(permutations._degree_types.__wrapped__)
+    monkeypatch.setattr(permutations, "_degree_types", fresh)
+    made = collections.Counter()
+    init = Partition.__init__
+
+    def counting(self, parts):
+        init(self, parts)
+        made[sum(self.parts)] += 1
+
+    monkeypatch.setattr(Partition, "__init__", counting)
+    for n in sorted(EXACT_DEGREES):
+        for group in GroupKind:
+            build_graph.__wrapped__(n, group, cache_dir)
+    assert degree_fingerprints.cache_info().misses == len(EXACT_DEGREES)
+    assert made == collections.Counter(p), made
 

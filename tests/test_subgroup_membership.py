@@ -1,3 +1,4 @@
+import collections
 import gc
 import hashlib
 import importlib.util
@@ -49,6 +50,7 @@ from invgraph.subgroup_membership import (
     degree_fingerprints,
     primitive_catalog,
     shares_subgroup,
+    type_profile,
     wreath_member,
     wreath_member_oracle,
     wreath_product_generators,
@@ -670,7 +672,7 @@ def test_value_types_keep_their_values(cache_dir):
     fresh = ClassLabel(Partition([7]), GroupKind.ALT, Split.MINUS)
     before = hash(minus)
     assert shares_subgroup(minus, minus, cache_dir) == Sharing("primitive", "C7")
-    assert minus._rules is not None and fresh._rules is None
+    assert minus._names is not None and fresh._names is None
     assert minus == fresh and hash(minus) == hash(fresh) == before
     assert minus != ClassLabel(Partition([7]), GroupKind.ALT, Split.PLUS)
     assert minus != (Partition([7]), GroupKind.ALT, Split.MINUS)
@@ -755,21 +757,30 @@ _SEEDED_GRAPHS = ((7, GroupKind.SYM), (8, GroupKind.ALT), (12, GroupKind.SYM), (
 
 def test_graph_build_seeds_each_vertex_with_its_verdict_state(tmp_path):
     # before any verdict, every vertex of a graph carries the state a fresh
-    # label of the same class gets on its first verdict, table included
+    # label of the same class gets on its first verdict, table and profile
+    # included, and its fingerprint bits, which the fresh label gets only
+    # at its first pair that the rules leave open
+    cache = str(tmp_path)
     for n, group in _SEEDED_GRAPHS:
-        for label in build_graph(n, group, str(tmp_path)).vertices:
-            assert label._rules is not None, label
+        profile = type_profile(n, group is GroupKind.SYM)
+        for label in build_graph(n, group, cache).vertices:
+            assert label._names is profile.names and label._profile is profile, label
+            halves = profile.primitive_masks(label.cycle_type.parts, cache)
+            assert label._bits == halves[label.split is Split.MINUS], label
             fresh = ClassLabel(label.cycle_type, label.group, label.split)
-            assert fresh._rules is None
-            shares_subgroup(fresh, fresh, str(tmp_path))
-            assert fresh._rules[0] == label._rules[0], label
-            assert fresh._rules[1] is label._rules[1], label
+            assert fresh._names is None
+            shares_subgroup(fresh, fresh, cache)
+            assert fresh._rules == label._rules, label
+            assert fresh._names is label._names and fresh._profile is profile, label
+            # a nonzero rule mask meets itself, so the pair read no bits
+            assert fresh._bits == (None if label._rules else label._bits), label
 
 
 def test_graph_labels_and_fresh_labels_share_one_name_table(tmp_path):
     # mixing a graph vertex with a fresh label of any class of the same
-    # degree and group gives the vertices' verdict and edge bit; across
-    # groups or degrees the pair is refused as before
+    # degree and group, at the label's first verdict or later, in either
+    # order, gives the vertices' verdict and edge bit; across groups or
+    # degrees the pair is refused as before
     cache = str(tmp_path)
     for n, group in _SEEDED_GRAPHS:
         g = build_graph(n, group, cache)
@@ -782,9 +793,13 @@ def test_graph_labels_and_fresh_labels_share_one_name_table(tmp_path):
                 verdict = shares_subgroup(a, b, cache)
                 assert verdict == shares_subgroup(b, a, cache)
                 assert verdict == shares_subgroup(a, g.vertices[j], cache), (a, b)
+                first = ClassLabel(b.cycle_type, group, b.split)
+                assert verdict == shares_subgroup(first, a, cache), (a, b)
+                first = ClassLabel(b.cycle_type, group, b.split)
+                assert verdict == shares_subgroup(a, first, cache), (a, b)
                 assert (g.adjacency[i] >> j & 1) == (i != j and verdict is None), (a, b)
-        table = g.vertices[0]._rules[1]
-        assert all(lbl._rules[1] is table for lbl in g.vertices + tuple(fresh))
+        table = g.vertices[0]._names
+        assert all(lbl._names is table for lbl in g.vertices + tuple(fresh))
         other_group = GroupKind.ALT if group is GroupKind.SYM else GroupKind.SYM
         other = type_labels(Partition([3] + [1] * (n - 3)), other_group)[0]
         with pytest.raises(ValueError, match="^group mismatch$"):
@@ -795,8 +810,9 @@ def test_graph_labels_and_fresh_labels_share_one_name_table(tmp_path):
 
 
 def test_rule_decided_verdicts_on_graph_vertices_read_no_profile(tmp_path, monkeypatch):
-    # a pair whose rule masks meet is answered from the labels alone: neither
-    # the profile nor the fallback that fills a label's state is asked
+    # every pair of graph vertices, edges and fingerprint-decided pairs
+    # included, is answered from the labels alone: no profile, no fallback
+    # that fills a label's state and no fingerprint read is asked
     cache = str(tmp_path)
     graphs = [build_graph(n, group, cache) for n, group in _SEEDED_GRAPHS]
     expected = {
@@ -804,18 +820,45 @@ def test_rule_decided_verdicts_on_graph_vertices_read_no_profile(tmp_path, monke
         for g in graphs
         for a in g.vertices
         for b in g.vertices
-        if a._rules[0] & b._rules[0]
     }
-    assert len(expected) > 1000
+    families = collections.Counter(v and v.family for v in expected.values())
+    assert families[None] > 300 and families["primitive"] > 50, families
+    assert len(expected) > 9000
 
     def refuse(*args):
-        raise AssertionError("a rule-decided verdict asked for its state")
+        raise AssertionError("a verdict on graph vertices asked for its state")
 
     monkeypatch.setattr(subgroup_membership, "type_profile", refuse)
-    monkeypatch.setattr(subgroup_membership, "_label_rules", refuse)
+    monkeypatch.setattr(subgroup_membership, "_verdict_table", refuse)
+    monkeypatch.setattr(subgroup_membership, "_label_bits", refuse)
+    monkeypatch.setattr(subgroup_membership, "degree_fingerprints", refuse)
+    monkeypatch.setattr(TypeProfile, "primitive_masks", refuse)
     for (a, b), want in expected.items():
-        assert want is not None
         assert shares_subgroup(a, b, cache) == want, (a, b)
+
+
+def test_fresh_labels_off_the_catalog_answer_the_pairs_the_rules_decide(tmp_path):
+    # at degree 14, which has no catalog, each pair of labels at their first
+    # verdict is answered when the rules decide it and otherwise raises the
+    # catalog's own message
+    cache = str(tmp_path)
+    with pytest.raises(CatalogAbsent) as absent:
+        primitive_catalog(14)
+    types = [label.cycle_type for label in class_labels(14, GroupKind.SYM)]
+    decided = open_pairs = 0
+    for t1 in types:
+        for t2 in types:
+            a, b = ClassLabel(t1, GroupKind.SYM), ClassLabel(t2, GroupKind.SYM)
+            want = _reference_rule_sharing(a, b)
+            if want is None:
+                with pytest.raises(CatalogAbsent) as raised:
+                    shares_subgroup(a, b, cache)
+                assert str(raised.value) == str(absent.value), (a, b)
+                open_pairs += 1
+            else:
+                assert shares_subgroup(a, b, cache) == want, (a, b)
+                decided += 1
+    assert decided > 10_000 and open_pairs > 100, (decided, open_pairs)
 
 
 def test_absent_catalog_is_asked_once_per_profile(tmp_path):
@@ -855,8 +898,9 @@ def _reference_contains(fp, label, mirrored):
     return side in incidence
 
 
-def _reference_shares_subgroup(c1, c2, cache_dir):
-    """The verdict recomputed per pair from the types and fingerprints."""
+def _reference_rule_sharing(c1, c2):
+    """The verdict of the parity, partial-sum and block rules, recomputed
+    per pair from the types; None for a pair they leave open."""
     n = c1.degree
     t1, t2 = c1.cycle_type, c2.cycle_type
     if c1.group is GroupKind.SYM and is_even_type(t1) and is_even_type(t2):
@@ -867,6 +911,15 @@ def _reference_shares_subgroup(c1, c2, cache_dir):
     for m in proper_block_sizes(n):
         if wreath_member(t1, m) and wreath_member(t2, m):
             return Sharing("imprimitive", f"m={m}")
+    return None
+
+
+def _reference_shares_subgroup(c1, c2, cache_dir):
+    """The verdict recomputed per pair from the types and fingerprints."""
+    rules = _reference_rule_sharing(c1, c2)
+    if rules is not None:
+        return rules
+    n = c1.degree
     for fp in degree_fingerprints(n, cache_dir):
         for mirrored in (False, True):
             if _reference_contains(fp, c1, mirrored) and _reference_contains(fp, c2, mirrored):
@@ -928,7 +981,7 @@ def test_verdict_names_hold_one_object_per_verdict(graph):
     for i, a in enumerate(vertices):
         for b in vertices[i + 1:]:
             shares_subgroup(a, b)
-    names = vertices[0]._rules[1].names
+    names = vertices[0]._names
     assert len(names) > len(set(names.values()))
     assert len({id(v) for v in names.values()}) == len(set(names.values()))
 

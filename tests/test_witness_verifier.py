@@ -509,10 +509,10 @@ def test_witness_with_no_targets_is_isolated_in_exact_graphs(graph, cache_dir):
 
 
 def test_isolated_family_certified_without_catalog(monkeypatch):
-    def no_catalog(self, label, cache_dir):
-        raise AssertionError(f"catalog read for {label}")
+    def no_catalog(self, parts, cache_dir):
+        raise AssertionError(f"catalog read for {parts}")
 
-    monkeypatch.setattr(TypeProfile, "primitive_mask", no_catalog)
+    monkeypatch.setattr(TypeProfile, "primitive_masks", no_catalog)
     cases = 0
     for n in range(6, 41):
         for group in (GroupKind.SYM, GroupKind.ALT):
