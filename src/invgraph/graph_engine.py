@@ -39,7 +39,6 @@ from invgraph.permutations import (
     class_labels,
     conjugacy_class,
     cyclic_powers,
-    is_transitive,
     normalizer_generators,
     stabilizer_chain,
     symmetric_group_generators,
@@ -231,8 +230,9 @@ def _class_elements(n: int, group: GroupKind) -> dict[tuple, list[bytes]]:
     Each class starts from ``canonical_of_type``, which is PLUS by the
     definition in ``split_label``; a MINUS class starts from its conjugate
     by the odd transposition (0 1).  ``conjugacy_class`` then walks the
-    class by conjugating with the group's generators, and lists its members
-    in walk order with the start first.
+    class by conjugating with the group's two generators (only (0 1 2) for
+    A_3): ``symmetric_group_generators`` or ``alternating_group_generators``.
+    It lists the members in walk order with the start first.
     """
     if group is GroupKind.SYM:
         generators = [g.images for g in symmetric_group_generators(n)]
@@ -253,14 +253,42 @@ def _generates(x: bytes, y: bytes, n: int, order: int) -> bool:
     """Whether <x, y> is all of G, given x and y in G and ``order == |G|``.
 
     G is S_n or A_n, both transitive, so an intransitive pair generates a
-    proper subgroup and needs no chain.  Otherwise the chain of <x, y> stops
-    as soon as its order reaches ``|G|``, which it can only do when
-    <x, y> = G.  Like the rest of the oracle, this consults no rule or
-    catalog.
+    proper subgroup and needs no chain; the orbit of 0 is walked on the
+    images themselves.  Otherwise the chain of <x, y> stops as soon as its
+    order reaches ``|G|``, which it can only do when <x, y> = G.  Like the
+    rest of the oracle, this consults no rule or catalog.
     """
-    if not is_transitive([Permutation(x), Permutation(y)], n):
+    reached = {0}
+    orbit = [0]
+    for point in orbit:  # breadth-first; orbit grows while it is walked
+        for image in (x[point], y[point]):
+            if image not in reached:
+                reached.add(image)
+                orbit.append(image)
+    if len(orbit) < n:
         return False
     return chain_order(stabilizer_chain([x, y], n, order=order)) == order
+
+
+def _mark(y: bytes, normalizer: list[bytes], n: int, seen: set[bytes]) -> None:
+    """Add to ``seen`` the unit powers ``z^k`` of every z in y's orbit under
+    conjugation by ``normalizer``.
+
+    That is the union of the orbits of y's unit powers ``y^k``, since
+    conjugation commutes with powers: the orbit of y^k is ``{z^k}``.  So
+    the orbit is walked once, for y, and each member z is stepped through
+    its powers by ``translate``.
+    """
+    order = len(cyclic_powers(y))
+    units = [gcd(k, order) == 1 for k in range(1, order)]
+    tail = bytes(range(n, 256))
+    for z in conjugacy_class(y, normalizer, n):
+        table = z + tail
+        power = z
+        for unit in units:
+            if unit:
+                seen.add(power)
+            power = power.translate(table)  # z * z^k
 
 
 def oracle_adjacency(n: int, group: GroupKind) -> ClassGraph:
@@ -268,11 +296,12 @@ def oracle_adjacency(n: int, group: GroupKind) -> ClassGraph:
 
     Classes c1, c2 are joined iff for a fixed representative x of c1 every
     member y of c2 satisfies <x, y> = G.  ``_class_elements`` lists every
-    class by conjugation from its canonical representative (for a MINUS
-    class, that representative conjugated by (0 1)), and x is the first
-    member of the larger class.  Each pair is decided by ``_generates``: a
-    stabilizer chain of <x, y> that stops once its order reaches the order
-    of G.  No subgroup catalog or rule is consulted.
+    class by conjugation under two generators of G from its canonical
+    representative (for a MINUS class, that representative conjugated by
+    (0 1)), and x is the first member of the larger class.  Each pair is
+    decided by ``_generates``: a stabilizer chain of <x, y> that stops once
+    its order reaches the order of G.  No subgroup catalog or rule is
+    consulted.
 
     Once y generates, the pair's answer is known for every member of y's
     orbit under two kinds of map, and the walk skips them:
@@ -283,6 +312,7 @@ def oracle_adjacency(n: int, group: GroupKind) -> ClassGraph:
       ``normalizer_generators(x)``, computed once per class, spans it.
     - unit powers: ``<x, y^k> = <x, y>`` for k prime to |y|.
 
+    ``_mark`` marks both at once, from one walk of y's normalizer orbit.
     An orbit member outside the class being walked is never visited, so
     marking it seen is harmless.
     """
@@ -313,10 +343,7 @@ def oracle_adjacency(n: int, group: GroupKind) -> ClassGraph:
                 if not _generates(x, y, n, group_order):
                     adjacent = False
                     break
-                powers = cyclic_powers(y)
-                for k, power in enumerate(powers, 1):
-                    if gcd(k, len(powers)) == 1 and power not in seen:
-                        seen.update(conjugacy_class(power, normalizer, n))
+                _mark(y, normalizer, n, seen)
             if adjacent:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i

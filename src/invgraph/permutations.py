@@ -34,9 +34,10 @@ generators, each level below under those of the level beneath it and the
 transversal elements their orbit of the base point misses
 (``_level_generators``), so the walk builds no chain of its own.
 ``symmetric_group_generators`` and ``alternating_group_generators`` are the
-generating sets the edge oracle walks its classes with, and
-``normalizer_generators`` spans the normalizer of <x> whose orbits it
-skips.  ``closure_images`` returns the set of every element, found
+two-element generating sets the edge oracle walks its classes with, a
+transposition and an n-cycle for S_n, a 3-cycle and an n- or (n-1)-cycle
+for A_n, and ``normalizer_generators`` spans the normalizer of <x> whose
+orbits it skips.  ``closure_images`` returns the set of every element, found
 breadth-first; its one option is a cap on that set's size.  No module of
 the package calls it: it is the reference enumeration for the tests and
 for ``scripts/find_curated_generators.py``.
@@ -63,6 +64,10 @@ DEFAULT_CLOSURE_CAP = 10**6
 class GroupKind(Enum):
     SYM = "sym"
     ALT = "alt"
+
+
+# read in ClassLabel.__init__: a module global is cheaper than an Enum member
+_ALT = GroupKind.ALT
 
 
 class Split(Enum):
@@ -788,7 +793,8 @@ def split_label(g: Permutation) -> Split:
 class ClassLabel:
     """A vertex: cycle type plus group tag, with a split tag for A_n.
 
-    Immutable, and equal and hashed by its three fields.  The verdict state
+    Immutable, and equal and hashed by its three fields.  ``degree``, the
+    sum of the parts, is summed once, at construction.  The verdict state
     is not part of the label's value: ``_names``, the verdict table of its
     degree and group kind (None until set), ``_rules``, its rule mask,
     ``_profile``, the subgroup_membership.TypeProfile that owns the table,
@@ -800,7 +806,8 @@ class ClassLabel:
     """
 
     __slots__ = (
-        "cycle_type", "group", "split", "_names", "_rules", "_profile", "_bits", "__weakref__"
+        "cycle_type", "group", "split", "degree", "_names", "_rules", "_profile", "_bits",
+        "__weakref__",
     )
 
     def __init__(self, cycle_type: Partition, group: GroupKind, split: Split = Split.NONE):
@@ -809,7 +816,7 @@ class ClassLabel:
         if count == n:  # every part is 1
             raise ValueError("the identity class is not a vertex")
         should_split = False
-        if group is GroupKind.ALT:
+        if group is _ALT:
             if (n - count) % 2:
                 raise ValueError(f"odd type {t} has no class in the alternating group")
             should_split = has_distinct_odd_parts(t)
@@ -818,6 +825,7 @@ class ClassLabel:
         _set_cycle_type(self, cycle_type)
         _set_group(self, group)
         _set_split(self, split)
+        _set_degree(self, n)
         _set_names(self, None)
 
     def __setattr__(self, name: str, value) -> None:
@@ -839,10 +847,6 @@ class ClassLabel:
             f" split={self.split!r})"
         )
 
-    @property
-    def degree(self) -> int:
-        return self.cycle_type.n
-
     def text(self) -> str:
         return f"{self.cycle_type}{self.split.value}"
 
@@ -855,6 +859,7 @@ class ClassLabel:
 _set_cycle_type = ClassLabel.cycle_type.__set__
 _set_group = ClassLabel.group.__set__
 _set_split = ClassLabel.split.__set__
+_set_degree = ClassLabel.degree.__set__
 _set_names = ClassLabel._names.__set__
 _set_rules = ClassLabel._rules.__set__
 _set_profile = ClassLabel._profile.__set__
@@ -911,8 +916,15 @@ def symmetric_group_generators(n: int) -> list[Permutation]:
 
 
 def alternating_group_generators(n: int) -> list[Permutation]:
-    """The 3-cycles (0 1 k) for k = 2..n-1, which generate A_n for n >= 3."""
-    return [Permutation.from_cycles(n, [(0, 1, k)]) for k in range(2, n)]
+    """The classical pair that generates A_n for n >= 3: the 3-cycle (0 1 2)
+    with the n-cycle (0 1 ... n-1) for odd n, and with the (n-1)-cycle
+    (1 2 ... n-1) for even n; at n = 3 the two are one, (0 1 2)."""
+    if n < 3:
+        raise ValueError("need n >= 3")
+    three = Permutation.from_cycles(n, [(0, 1, 2)])
+    if n == 3:
+        return [three]
+    return [three, Permutation.from_cycles(n, [tuple(range(1 - n % 2, n))])]
 
 
 def is_transitive(generators: Sequence[Permutation], n: int) -> bool:

@@ -97,6 +97,7 @@ from invgraph.permutations import (
     SiftedChain,
     Split,
     _class_levels,
+    _cycles,
     _set_bits,
     _set_names,
     _set_profile,
@@ -104,13 +105,13 @@ from invgraph.permutations import (
     _walk_scale,
     chain_member,
     chain_order,
-    cycle_type_of_images,
     parse_cycles,
-    split_label,
     stabilizer_chain,
 )
 
 CATALOG_VERSION = 3
+# read in _verdict_table: a module global is cheaper than an Enum member
+_SYM = GroupKind.SYM
 _WREATH_ORACLE_CAP = 1_200_000
 
 
@@ -674,18 +675,32 @@ def _fingerprint(spec: GroupSpec, reps: Iterable[bytes], odd: bool) -> Fingerpri
     types: dict[tuple[int, ...], set[Split]] = {}
     identity = (1,) * spec.degree
     for rep in reps:
-        t = cycle_type_of_images(rep)
+        cycles = _cycles(rep)
+        t = tuple(sorted(map(len, cycles), reverse=True))
         splits = types.setdefault(t, set())
         if len(splits) < 2 and t != identity and distinct_odd_parts(t):
             if odd:
                 splits.update((Split.PLUS, Split.MINUS))
             else:
-                splits.add(split_label(Permutation(rep)))
+                splits.add(_split_sign(cycles))
     return Fingerprint(
         spec.name,
         spec.expected_order,
         MappingProxyType({t: frozenset(v) for t, v in types.items()}),
     )
+
+
+def _split_sign(cycles: list[tuple[int, ...]]) -> Split:
+    """The ``split_label`` of an even permutation of a splitting type, from
+    its ``_cycles``.
+
+    ``conjugator`` lists the cycles of x = ``canonical_of_type(t)`` and of
+    the permutation longest first, ties by least point; x's then read 0, 1,
+    ..., n-1, so the conjugator from x is the inverse of the permutation's
+    cycles read in that order as one image sequence, and has its parity.
+    """
+    line = [point for c in sorted(cycles, key=len, reverse=True) for point in c]
+    return Split.PLUS if (len(line) - len(_cycles(line))) % 2 == 0 else Split.MINUS
 
 
 class _Walked(NamedTuple):
@@ -1077,7 +1092,7 @@ def _verdict_table(c1: ClassLabel, c2: ClassLabel) -> dict[int, Sharing]:
     """
     for label in (c1, c2):
         if label._names is None:
-            type_profile(label.degree, label.group is GroupKind.SYM).verdict_state(label)
+            type_profile(label.degree, label.group is _SYM).verdict_state(label)
     if c1._names is not c2._names:
         raise ValueError("degree mismatch" if c1.degree != c2.degree else "group mismatch")
     return c1._names

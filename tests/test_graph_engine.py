@@ -3,7 +3,7 @@ import hashlib
 import itertools
 import json
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +18,9 @@ from invgraph.permutations import (
     Split,
     class_labels,
     closure_images,
+    conjugacy_class,
     cycle_type_of_images,
+    cyclic_powers,
     split_label,
     symmetric_group_generators,
 )
@@ -429,6 +431,32 @@ def test_oracle_skips_the_normalizer_and_unit_power_orbits(monkeypatch):
         calls.clear()
         oracle_adjacency(n, group)
         assert 0 < len(calls) <= most, (n, group, len(calls))
+
+
+def test_oracle_marks_the_normalizer_orbits_of_every_unit_power(monkeypatch):
+    """The set marked after each generating y is the union of the normalizer
+    orbits of y's unit powers, one walk per power as a reference."""
+    mark = graph_engine._mark
+    marked = []
+
+    def recording(y, normalizer, n, seen):
+        fresh = set()
+        mark(y, normalizer, n, fresh)
+        marked.append((y, normalizer, n, fresh))
+        seen.update(fresh)
+
+    monkeypatch.setattr(graph_engine, "_mark", recording)
+    for n, group in ((7, GroupKind.ALT), (6, GroupKind.SYM)):
+        marked.clear()
+        oracle_adjacency(n, group)
+        assert marked, (n, group)
+        for y, normalizer, n, fresh in marked:
+            reference = set()
+            powers = cyclic_powers(y)
+            for k, power in enumerate(powers, 1):
+                if gcd(k, len(powers)) == 1 and power not in reference:
+                    reference.update(conjugacy_class(power, normalizer, n))
+            assert fresh == reference, (n, group, y)
 
 
 def test_xi_of_a_graph_without_isolated_vertices_is_itself(graph):

@@ -15,6 +15,7 @@ TEST_REFERENCES = {
     "primes": "the primes the projective-cardinality checks loop over",
     "is_primitive": "checks that every catalog group is primitive",
     "verify_isolated_family": "certifies the isolated family beyond the exact degrees",
+    "split_label": "the split label the class scans and fingerprint signs are checked against",
 }
 
 _SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)

@@ -272,7 +272,7 @@ def test_class_walk_of_m12_walks_few_elements(monkeypatch):
 
 
 def test_stabilizer_chain_orders_of_symmetric_and_alternating_groups():
-    for n in range(1, 9):
+    for n in range(1, 11):
         sym = [g.images for g in symmetric_group_generators(n)]
         assert chain_order(stabilizer_chain(sym, n)) == math.factorial(n), n
         if n >= 3:

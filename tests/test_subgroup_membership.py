@@ -2,6 +2,7 @@ import collections
 import gc
 import hashlib
 import importlib.util
+import itertools
 import json
 import math
 import os
@@ -47,6 +48,7 @@ from invgraph.subgroup_membership import (
     Sharing,
     TypeProfile,
     _row_fingerprints,
+    _split_sign,
     degree_fingerprints,
     primitive_catalog,
     shares_subgroup,
@@ -517,6 +519,20 @@ def test_wreath_oracle_refuses_a_group_above_the_cap_before_enumerating():
         wreath_member_oracle(Partition([7, 7]), 7)
     assert type(info.value) is ValueError
     assert f"order {math.factorial(7) ** 2 * 2}," in str(info.value)
+
+
+def test_split_sign_matches_split_label():
+    # every permutation of a splitting type at degrees 4, 5 and 8: the
+    # types (3,1), (5), and (7,1) and (5,3)
+    for n in (4, 5, 8):
+        checked = 0
+        for images in itertools.permutations(range(n)):
+            cycles = _cycles(images)
+            t = tuple(sorted(map(len, cycles), reverse=True))
+            if t != (1,) * n and has_distinct_odd_parts(Partition(t)):
+                assert _split_sign(cycles) is split_label(Permutation(images)), images
+                checked += 1
+        assert checked == {4: 8, 5: 24, 8: 5760 + 2688}[n]
 
 
 def test_compute_fingerprint_rejects_wrong_chain_order():
