@@ -2,8 +2,15 @@
 
 Only the handful of fields the group constructions need.  An element code
 is read base-p: code = sum(d_i * p^i) for the coefficient vector (d_0..d_{r-1})
-of the residue polynomial.  Addition/multiplication tables are built eagerly;
-every field used here has q <= 19^1 or q <= 16, so the tables are trivial.
+of the residue polynomial.
+
+A field keeps two tables of O(q) entries: the powers of a generator mu of
+the cyclic group GF(q)*, and their logarithms.  Multiplication, inverses,
+powers and the Frobenius map are then index arithmetic on the exponents.
+The tables come from the run of powers of mu, q - 2 products by
+``_poly_mul``, plus the shorter runs of the smaller codes that turn out not
+to generate, instead of a q x q product table.  Addition adds digits (XOR
+at p = 2), which needs no table.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ class GF:
             if (p, r) not in _REDUCTION:
                 raise ValueError(f"no reduction polynomial on file for GF({p}^{r})")
             self._red = _REDUCTION[(p, r)]
-        self._mul_table = self._build_mul_table()
+        self._mu, self._exp, self._log = self._power_tables()
 
     def _to_vec(self, code: int) -> list[int]:
         vec = []
@@ -67,77 +74,77 @@ class GF:
                     prod[k - r + j] = (prod[k - r + j] - coeff * c) % p
         return self._from_vec(prod[: r])
 
-    def _build_mul_table(self):
-        """The table of a * b, from r products per row instead of q.
+    def _power_tables(self) -> tuple[int, list[int], list[int]]:
+        """The least code mu of full order, ``exp`` and ``log``.
 
-        Multiplying by b is linear over GF(p): for a = sum_i d_i x^i,
-        a * b = sum_i d_i (x^i * b).  Row b is built one digit at a time; the
-        codes with digit i equal to d are d * p^i plus the codes below p^i,
-        so each digit repeats the vectors so far p times, shifted by d times
-        x^i * b.  The table is symmetric, so row b is also column b.
+        ``exp[k]`` is mu^k for 0 <= k < 2(q - 1), twice round the cycle so
+        that a sum of two logarithms needs no reduction, and ``log[a]`` is
+        the k < q - 1 with mu^k = a, for a != 0 (``log[0]`` is unused).
+        Codes are tried from 2 up, each by its run of powers; a run that
+        returns to 1 early marks all its powers, which have the same short
+        order or a shorter one, so they are never tried.
         """
-        p, r, q = self.p, self.r, self.q
-        if r == 1:
-            return [[a * b % p for b in range(q)] for a in range(q)]
-        table = []
-        for b in range(q):
-            vectors = [[0] * r]
-            for i in range(r):
-                step = self._to_vec(self._poly_mul(p**i, b))
-                vectors = [
-                    [(u + d * v) % p for u, v in zip(vec, step)]
-                    for d in range(p)
-                    for vec in vectors
-                ]
-            table.append([self._from_vec(vec) for vec in vectors])
-        return table
+        q = self.q
+        tried = bytearray(q)
+        for mu in range(2, q) if q > 2 else (1,):
+            if tried[mu]:
+                continue
+            powers = [1]
+            x = mu
+            while x != 1:
+                powers.append(x)
+                tried[x] = 1
+                x = self._poly_mul(x, mu)
+            if len(powers) == q - 1:
+                log = [0] * q
+                for k, x in enumerate(powers):
+                    log[x] = k
+                return mu, powers + powers, log
+        raise ArithmeticError("no primitive element found")
 
     def add(self, a: int, b: int) -> int:
-        va, vb = self._to_vec(a), self._to_vec(b)
-        return self._from_vec([(x + y) % self.p for x, y in zip(va, vb)])
+        p = self.p
+        if p == 2:
+            return a ^ b
+        if self.r == 1:
+            return (a + b) % p
+        out, place = 0, 1
+        while a or b:
+            out += (a % p + b % p) % p * place
+            a //= p
+            b //= p
+            place *= p
+        return out
 
     def neg(self, a: int) -> int:
-        return self._from_vec([(-x) % self.p for x in self._to_vec(a)])
+        """-a, which is a times -1 = mu^((q-1)/2) at odd p."""
+        if self.p == 2 or a == 0:
+            return a
+        return self._exp[self._log[a] + (self.q - 1) // 2]
 
     def mul(self, a: int, b: int) -> int:
-        return self._mul_table[a][b]
+        if a and b:
+            log = self._log
+            return self._exp[log[a] + log[b]]
+        return 0
 
     def power(self, a: int, k: int) -> int:
-        out, base = 1, a
-        while k:
-            if k & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return out
+        if a == 0:
+            return 0 if k else 1
+        return self._exp[self._log[a] * k % (self.q - 1)]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError
-        return self.power(a, self.q - 2)
+        return self._exp[self.q - 1 - self._log[a]]
 
     def frobenius(self, a: int, steps: int = 1) -> int:
-        out = a
-        for _ in range(steps % self.r):
-            out = self.power(out, self.p)
-        return out
-
-    def element_order(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("0 has no multiplicative order")
-        k, x = 1, a
-        while x != 1:
-            x = self.mul(x, a)
-            k += 1
-        return k
+        """a^(p^steps), the field automorphism applied ``steps`` times."""
+        return self.power(a, self.p ** (steps % self.r))
 
     def primitive_element(self) -> int:
-        for a in range(2, self.q):
-            if self.element_order(a) == self.q - 1:
-                return a
-        if self.q == 2:
-            return 1
-        raise ArithmeticError("no primitive element found")
+        """The least code of multiplicative order q - 1."""
+        return self._mu
 
 
 @lru_cache(maxsize=None)

@@ -378,7 +378,9 @@ def conjugacy_class(x: bytes, generators: Iterable[Sequence[int]], degree: int) 
     """The class of x in the group the generators span, x first, in walk order.
 
     Each member is conjugated by every generator until nothing new appears,
-    which reaches the whole class in a finite group.
+    which reaches the whole class in a finite group.  A member's translate
+    table is formed once, and each generator g reads it and then the table
+    of g^-1.
     """
     identity = bytes(range(degree))
     tail = bytes(range(degree, 256))
@@ -387,8 +389,9 @@ def conjugacy_class(x: bytes, generators: Iterable[Sequence[int]], degree: int) 
     seen = {x}
     add, push = seen.add, members.append
     for member in members:  # breadth-first; members grows while it is walked
+        table = member + tail
         for g_translate, inverse_table in conjugators:
-            y = g_translate(member.translate(inverse_table) + tail)  # g^-1 * member * g
+            y = g_translate(table).translate(inverse_table)  # g^-1 * member * g
             if y not in seen:
                 add(y)
                 push(y)

@@ -182,9 +182,25 @@ def _block_bits(parts: tuple[int, ...], sums: int, sizes: tuple[int, ...]) -> in
     blocks of size 6, while (9,3) does not fill two.
     """
     n = sum(parts)
-    counts = _part_counts(parts)
-    g = math.gcd(*(v for v, _ in counts))
-    pairs = all(v % 2 == 0 or c % 2 == 0 for v, c in counts)
+    # one pass over the descending parts: the (part, multiplicity) runs, the
+    # gcd g, and in bit 0 of ``unpaired`` whether an odd part occurs an odd
+    # number of times (v & c is odd exactly when both are)
+    counts = []
+    g = unpaired = 0
+    last = c = 0
+    for v in parts:
+        if v == last:
+            c += 1
+            continue
+        if c:
+            counts.append((last, c))
+            unpaired |= last & c
+        g = math.gcd(g, v)
+        last, c = v, 1
+    counts.append((last, c))
+    unpaired |= last & c
+    counts = tuple(counts)
+    pairs = not unpaired & 1
     few = len(parts) <= 2
     bits = 0
     for i, m in enumerate(sizes):
@@ -202,11 +218,6 @@ def _block_bits(parts: tuple[int, ...], sums: int, sizes: tuple[int, ...]) -> in
         if member:
             bits |= 1 << i
     return bits
-
-
-def _part_counts(parts: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """(part, multiplicity) of a descending part tuple, largest part first."""
-    return tuple((v, len(list(run))) for v, run in itertools.groupby(parts))
 
 
 def _wreath_solve(counts_now: tuple, blocks_left: int, m: int, memo: dict) -> bool:

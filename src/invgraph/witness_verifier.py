@@ -33,6 +33,7 @@ for the masks that have one, to report the first pair in enumeration order.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 from invgraph.arith import is_prime, prime_power, smallest_prime_factor
@@ -694,11 +695,15 @@ def _disjoint_partners(masks: Sequence[int], top: int) -> list[int]:
 
     ``holders[i]`` is the set of indices whose mask has bit i, as a bitset;
     the partners of a mask are the complement of the union of its bits' sets.
+    Each byte lane of the masks, last mask first behind a zero byte, is one
+    ``bytes``; translating it by ``_bit_digits()[b]`` writes bit b of every
+    byte as an ASCII digit, which ``int(..., 2)`` reads as the holder set.
     """
-    holders = [
-        int("0" + "".join("1" if m >> i & 1 else "0" for m in reversed(masks)), 2)
-        for i in range(1, top + 1)
+    lanes = [
+        bytes([0, *(m >> shift & 255 for m in reversed(masks))]) for shift in range(0, top + 1, 8)
     ]
+    digits = _bit_digits()
+    holders = [int(lanes[i >> 3].translate(digits[i & 7]), 2) for i in range(1, top + 1)]
     everyone = (1 << len(masks)) - 1
     partners = []
     for m in masks:
@@ -708,6 +713,12 @@ def _disjoint_partners(masks: Sequence[int], top: int) -> list[int]:
                 blocked |= holder
         partners.append(everyone & ~blocked)
     return partners
+
+
+@lru_cache(maxsize=None)
+def _bit_digits() -> tuple[bytes, ...]:
+    """The 8 translate tables taking a byte to b"1" or b"0" by its bit b."""
+    return tuple(bytes(b"01"[x >> b & 1] for x in range(256)) for b in range(8))
 
 
 def _first_partition(n: int, mask: int) -> Partition:
