@@ -9,7 +9,6 @@ sums to i.  Python integers serve as the fixed-width bit arrays.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import gcd
 from typing import Iterable, Iterator
 
@@ -109,7 +108,6 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
         yield Partition(parts)
 
 
-@lru_cache(maxsize=None)
 def partial_sum_mask(p: Partition) -> int:
     """Bit mask of the subset sums of p (bit 0 and bit n always set)."""
     mask = 1

@@ -13,9 +13,10 @@ tail)`` is ``g^-1 * x * g`` (translating ``g`` by a table of ``x`` composes
 ``stabilizer_chain`` gives a group's order by Schreier-Sims without listing
 its elements.  Given the order of a group known to contain the generated
 one, it stops as soon as its order reaches that bound, which decides
-generation.  ``chain_member`` decides membership by sifting an element
-through a chain; a ``SiftedChain`` keeps the tables a sift reads, so the
-membership test and the class walk of one chain build them once.
+generation.  It returns a ``StabilizerChain``: the transversals, with the
+sift tables and the strong generators of each level that Schreier-Sims
+built, so no consumer builds them again.  ``chain_member`` decides
+membership by sifting an element through a chain with those tables.
 ``conjugacy_class`` walks one class by conjugating with the generators.
 ``_class_levels`` finds elements that meet every class by
 climbing the chain from its deepest level up: an element with a fixed point
@@ -29,10 +30,11 @@ products ``C_k wr S_m``), the elements of K that sift through the chain
 form ``C_H(x)``, and the class has ``|H| / |C_H(x)|`` members.  Listing K
 costs ``|K|`` sifts, fewer than the at least ``|H| / |K|`` conjugations a
 walk would take.  The other classes, whose centralizer in S_n is large, are
-small, and are walked by ``conjugacy_class``: the top level under the given
-generators, each level below under those of the level beneath it and the
-transversal elements their orbit of the base point misses
-(``_level_generators``), so the walk builds no chain of its own.
+small, and are walked by ``conjugacy_class``, each level under the chain's
+strong generators that fix the earlier base points: those of a base and
+strong generating set generate each stabilizer in the chain (Holt, Eick &
+O'Brien, Handbook of Computational Group Theory, 2005, 4.4), so the walk
+builds no chain of its own.
 ``symmetric_group_generators`` and ``alternating_group_generators`` are the
 two-element generating sets the edge oracle walks its classes with, a
 transposition and an n-cycle for S_n, a 3-cycle and an n- or (n-1)-cycle
@@ -230,9 +232,29 @@ def closure_images(
     return seen
 
 
+class StabilizerChain(list):
+    """The transversals of a ``stabilizer_chain``, one per level, with what
+    its construction built for each level: ``sifts[j]``, the base point and
+    the table of ``u^-1`` for each transversal element u, by orbit point,
+    which every sift through the chain reads, and ``strong[j]``, the strong
+    generators that fix the earlier base points, as images.  A slice is a
+    plain list of transversals, so ``chain_order(chain[j:])`` still reads
+    one.  Nothing edits the levels after the tables are built."""
+
+    def __init__(
+        self,
+        transversals: list[dict[int, bytes]],
+        sifts: list[tuple[int, dict[int, bytes]]],
+        strong: list[list[bytes]],
+    ):
+        super().__init__(transversals)
+        self.sifts = sifts
+        self.strong = strong
+
+
 def stabilizer_chain(
     generators: Iterable[Sequence[int]], degree: int, *, order: int | None = None
-) -> list[dict[int, bytes]]:
+) -> StabilizerChain:
     """A base and strong generating set, by deterministic Schreier-Sims.
 
     Returns one transversal per base point b: a dict from each point y of
@@ -251,18 +273,31 @@ def stabilizer_chain(
     transversal element's inverse table is built once, when ``grow_orbit``
     adds it, and kept beside the transversal for every sift.
 
+    The transversals come as a ``StabilizerChain``, which also carries
+    per level what the construction built: its base point and inverse
+    tables (``sifts``) and its strong generators (``strong``), those of
+    the set that fix the earlier base points.  ``strong[0]`` is the given
+    generators, without repeats and without the identity, since a residue
+    fixes a base point and joins deeper levels only.  Once Schreier-Sims
+    has run to completion, ``strong[j]`` generates the group of
+    ``chain[j:]`` (Handbook, 4.4).
+
     ``order``, when given, is the order of a group known to contain the
     generated group H, and the chain is returned as soon as its order
     reaches it (Handbook, 4.4-4.5).  Each level's orbit is an orbit of a
     subgroup of the true stabilizer of the earlier base points in H, so
     before the chain is complete its order is a lower bound on ``|H|``.
     Reaching ``order >= |H|`` forces every orbit to be full and the last
-    stabilizer trivial, so the early chain is complete and equal to the
-    full one in order.  A chain that stops short of ``order`` has run to
-    completion and gives ``|H|`` exactly.  Callers that check generators
-    by comparing the chain order with an expected order (fingerprints,
-    wreath products) pass no ``order``: an early stop would only show
-    ``|H| >= order`` and hide generators that span too large a group.
+    stabilizer trivial, so the early chain is complete.  It is even the
+    full record: the strong generators of each level lie in the group of
+    the level above, so with full orbits each level's generators span it
+    and every remaining Schreier generator would sift.  Its one caller,
+    ``_generates``, reads only its order.  A chain that stops short of
+    ``order`` has run to completion and gives ``|H|`` exactly.  Callers
+    that check generators by comparing the chain order with an expected
+    order (fingerprints, wreath products) pass no ``order``: an early stop
+    would only show ``|H| >= order`` and hide generators that span too
+    large a group.
     """
     identity = bytes(range(degree))
     tail = bytes(range(degree, 256))
@@ -326,13 +361,11 @@ def stabilizer_chain(
     for i in range(len(base)):
         level_tables[i] = [g + tail for g in gens if all(g[b] == b for b in base[:i])]
         grow_orbit(i)
-    if order is not None and reached >= order:
-        return transversals
 
     # the levels after i are complete; a residue fixes the base points before
     # level j, so it joins the strong generators of levels i+1..j
     i = len(base) - 1
-    while i >= 0:
+    while i >= 0 and (order is None or reached < order):
         found = schreier_residue(i)
         if found is None:
             i -= 1
@@ -343,10 +376,9 @@ def stabilizer_chain(
         for level in range(i + 1, j + 1):
             level_tables[level].append(residue + tail)
             grow_orbit(level)
-        if order is not None and reached >= order:
-            return transversals
         i = j
-    return transversals
+    strong = [[table[:degree] for table in tables] for tables in level_tables]
+    return StabilizerChain(transversals, list(zip(base, inverses)), strong)
 
 
 def chain_order(chain: Sequence[dict[int, bytes]]) -> int:
@@ -461,56 +493,24 @@ def _centralizer_order(lengths: Iterable[int]) -> int:
     return math.prod(k**m * math.factorial(m) for k, m in Counter(lengths).items())
 
 
-def _level_generators(deeper: list[bytes], transversal: dict[int, bytes]) -> list[bytes]:
-    """Generators of a chain level's group ``H_j``, from those of ``H_{j+1}``.
-
-    ``deeper`` generates ``H_{j+1}`` and ``transversal`` is ``chain[j]``,
-    with base point ``b_j`` and orbit ``O_j``.  Going through the
-    transversal in order, the element ``u_y`` of each point y that the
-    orbit of ``b_j`` under the generators so far does not reach is added;
-    the orbit is a breadth-first walk on points, and no group element is
-    listed.  The group K the result spans lies in ``H_j`` and contains
-    ``H_{j+1}``, the stabilizer of ``b_j`` in ``H_j``, and its orbit of
-    ``b_j`` is all of ``O_j``, so ``|K| >= |O_j| * |H_{j+1}| = |H_j|`` and
-    K is ``H_j``.  The same count shows that the orbit of ``b_j`` under the
-    generators so far has ``|K| / |H_{j+1}|`` points, so each added element
-    at least doubles it, and a level adds at most ``log2 |O_j|`` of them.
-    """
-    gens = list(deeper)
-    base = next(iter(transversal))
-    reached = [base]  # H_{j+1} fixes b_j, so its orbit is {b_j}
-    seen = {base}
-    for y, u in transversal.items():
-        if y not in seen:
-            gens.append(u)
-            for point in reached:  # breadth-first; reached grows while it is walked
-                for g in gens:
-                    if g[point] not in seen:
-                        seen.add(g[point])
-                        reached.append(g[point])
-    return gens
-
-
 def _walk_scale(chain: Sequence[dict[int, bytes]], degree: int) -> int:
     """The factor by which ``_class_levels`` scales its weights:
     ``lcm(1..degree)`` per chain level."""
     return math.lcm(*range(1, degree + 1)) ** len(chain)
 
 
-def _class_levels(
-    chain: Sequence[dict[int, bytes]], generators: Iterable[Sequence[int]], degree: int
-) -> Iterator[list[tuple[bytes, int]]]:
+def _class_levels(chain: StabilizerChain, degree: int) -> Iterator[list[tuple[bytes, int]]]:
     """Weighted class representatives of each chain level, deepest first.
 
-    ``chain`` is the ``stabilizer_chain`` of the group ``generators`` span,
-    or its ``SiftedChain``, whose tables the walk's sifts then read;
-    ``H_j`` is the group of ``chain[j:]``, so ``H_0`` is the whole group,
-    and ``O_j`` is the orbit of the base point of ``chain[j]``.  For j =
-    len(chain) down to 0 this yields pairs (r, w) of elements of ``H_j``
-    and weights, such that every class C of ``H_j`` holds one r or more
-    and their weights sum to ``|C| * scale``, with ``scale`` from
-    ``_walk_scale``; so the weights sum to ``|H_j| * scale``, and the
-    elements of the last list meet every class of the group.
+    ``chain`` is a group's ``stabilizer_chain``, whose sift tables and
+    strong generators the walk reads; ``H_j`` is the group of ``chain[j:]``,
+    so ``H_0`` is the whole group, and ``O_j`` is the orbit of the base
+    point of ``chain[j]``.  For j = len(chain) down to 0 this yields pairs
+    (r, w) of elements of ``H_j`` and weights, such that every class C of
+    ``H_j`` holds one r or more and their weights sum to ``|C| * scale``,
+    with ``scale`` from ``_walk_scale``; so the weights sum to
+    ``|H_j| * scale``, and the elements of the last list meet every class
+    of the group.
 
     The walk runs from the trivial group ``H_len(chain)`` up to ``H_0`` and
     rests on two facts.  An element of ``H_j`` that fixes a point
@@ -546,12 +546,11 @@ def _class_levels(
     ``s^-1 * r * s == y``; one c per coset ``C_{H_j}(r) * c`` is tested,
     ``|K : C_{H_j}(r)|`` sifts.  Otherwise ``K`` is large and the class
     small, and its ``conjugacy_class`` is walked and kept, so a later
-    element is found in it by lookup.  A walk runs under the given
-    generators at the top level, and at a level j below it under the
-    generators of ``H_{j+1}`` and one transversal element of ``chain[j]``
-    for each point of ``O_j`` their orbit of ``b_j`` does not yet reach
-    (``_level_generators``, which shows that they span ``H_j``).  These are
-    read off the chain, so the walk builds no chain of its own.
+    element is found in it by lookup.  A walk at level j runs under
+    ``chain.strong[j]``, the strong generators that fix the earlier base
+    points, which generate ``H_j`` (Handbook of Computational Group Theory,
+    4.4); at the top level they are the given generators.  The walk builds
+    no chain of its own.
 
     Raises RuntimeError when a representative from the level below fixes no
     point of ``O_j`` (a transversal holds an element of another level),
@@ -568,16 +567,11 @@ def _class_levels(
     """
     identity = bytes(range(degree))
     scale = _walk_scale(chain, degree)
-    sifts = _chain_sifts(chain, degree)
-    level_gens: list[bytes] = []  # generators of H_{j+1}, then of H_j
+    sifts = chain.sifts
     weighted = [(identity, scale)]
     yield weighted
     for j in range(len(chain) - 1, -1, -1):
         transversal = chain[j]
-        if j:
-            level_gens = _level_generators(level_gens, transversal)
-        else:
-            level_gens = [bytes(g) for g in generators]
         orbit = {u[sifts[j][0]] for u in transversal.values()}  # O_j, as images: all below degree
         order = chain_order(chain[j:])
         # each class of H_j with a fixed point in O_j meets H_{j+1}, and
@@ -635,7 +629,7 @@ def _class_levels(
                     counted.setdefault(tuple(map(len, cycles)), []).append((cycles, coset_tables))
                     counted_size += size
                 else:
-                    members = conjugacy_class(power, level_gens, degree)
+                    members = conjugacy_class(power, chain.strong[j], degree)
                     size = len(members)
                     if order % size or order // size % power_order:
                         raise RuntimeError(
@@ -673,32 +667,9 @@ def _sifter(
     return member
 
 
-class SiftedChain(list):
-    """A ``stabilizer_chain`` with what a sift through it reads: per level,
-    its base point and the table of ``u^-1`` for each transversal element
-    u, by orbit point.  The tables are built once, for ``chain_member`` and
-    ``_class_levels`` alike, so the levels must not change afterwards."""
-
-    def __init__(self, chain: Sequence[dict[int, bytes]], degree: int):
-        super().__init__(chain)
-        identity = bytes(range(degree))
-        self.sifts = [
-            (next(iter(t)), {y: bytes.maketrans(u, identity) for y, u in t.items()}) for t in chain
-        ]
-
-
-def _chain_sifts(
-    chain: Sequence[dict[int, bytes]], degree: int
-) -> list[tuple[int, dict[int, bytes]]]:
-    """The sifts of a chain: those a ``SiftedChain`` keeps, else built."""
-    if isinstance(chain, SiftedChain):
-        return chain.sifts
-    return SiftedChain(chain, degree).sifts
-
-
-def chain_member(chain: Sequence[dict[int, bytes]], degree: int) -> Callable[[bytes], bool]:
+def chain_member(chain: StabilizerChain, degree: int) -> Callable[[bytes], bool]:
     """Whether an element lies in the group a ``stabilizer_chain`` describes."""
-    return _sifter(_chain_sifts(chain, degree), bytes(range(degree)))
+    return _sifter(chain.sifts, bytes(range(degree)))
 
 
 def _count_class(

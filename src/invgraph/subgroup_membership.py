@@ -94,8 +94,8 @@ from invgraph.permutations import (
     ClassLabel,
     GroupKind,
     Permutation,
-    SiftedChain,
     Split,
+    StabilizerChain,
     _class_levels,
     _cycles,
     _set_bits,
@@ -132,6 +132,8 @@ class CatalogAbsent(ValueError):
 # ---------------------------------------------------------------------------
 
 
+# The cache never hits on any workload; it stays because perfbench/tracer.py
+# reads its cache_info(), until the benchmark change of ROADMAP item 10.
 @lru_cache(maxsize=None)
 def wreath_member(t: Partition, m: int) -> bool:
     """Does the type t occur in the block-imprimitive wreath group S_m wr S_{n/m}?
@@ -378,6 +380,8 @@ class Fingerprint(NamedTuple):
 
 
 class CatalogResult(NamedTuple):
+    # one field: perfbench/tracer.py reads ``.groups``, until the benchmark
+    # change of ROADMAP item 10
     groups: tuple[GroupSpec, ...]
 
 
@@ -657,16 +661,16 @@ def _catalog_digest(groups: Sequence[GroupSpec]) -> str:
     return h.hexdigest()
 
 
-def _checked_chain(spec: GroupSpec) -> SiftedChain:
-    """The group's ``stabilizer_chain``, with its sifts; RuntimeError unless
-    its order is the catalog's."""
+def _checked_chain(spec: GroupSpec) -> StabilizerChain:
+    """The group's ``stabilizer_chain``; RuntimeError unless its order is
+    the catalog's."""
     chain = stabilizer_chain([g.images for g in spec.generators], spec.degree)
     order = chain_order(chain)
     if order != spec.expected_order:
         raise RuntimeError(
             f"{spec.name}: chain order {order} != expected {spec.expected_order}"
         )
-    return SiftedChain(chain, spec.degree)
+    return chain
 
 
 def _has_odd(spec: GroupSpec) -> bool:
@@ -715,11 +719,12 @@ def _split_sign(cycles: list[tuple[int, ...]]) -> Split:
 
 
 class _Walked(NamedTuple):
-    """A group whose class walk ran: its membership test, the weighted
-    representatives of its top level, each class C weighing ``|C| * scale``,
-    and whether it has an odd element."""
+    """A group whose class walk ran: its chain and membership test, the
+    weighted representatives of its top level, each class C weighing
+    ``|C| * scale``, and whether it has an odd element."""
 
     spec: GroupSpec
+    chain: StabilizerChain
     member: Callable[[bytes], bool]
     weighted: list[tuple[bytes, int]]
     scale: int
@@ -746,8 +751,9 @@ def _row_fingerprints(groups: Sequence[GroupSpec]) -> tuple[Fingerprint, ...]:
     split type it holds.  Otherwise G lies in A_n, each class of G lies in
     one A_n class, and the split label of each representative decides.
     Only walked groups stand as G, since a derived group's representatives
-    meet G's classes, not all of its own.  Each group's membership test and
-    walk read the one set of sift tables of its ``SiftedChain``.
+    meet G's classes, not all of its own.  Each group's membership test,
+    walk and normality test read the sift tables and generators its
+    ``StabilizerChain`` carries.
     """
     fingerprints: list[Fingerprint | None] = [None] * len(groups)
     walked: list[_Walked] = []
@@ -756,12 +762,12 @@ def _row_fingerprints(groups: Sequence[GroupSpec]) -> tuple[Fingerprint, ...]:
         n = spec.degree
         chain = _checked_chain(spec)
         member = chain_member(chain, n)
-        over = next((w for w in walked if _is_normal_in(spec, member, w)), None)
+        over = next((w for w in walked if _is_normal_in(spec, chain, member, w)), None)
         if over is None:
-            *_, weighted = _class_levels(chain, [g.images for g in spec.generators], n)
+            *_, weighted = _class_levels(chain, n)
             scale = _walk_scale(chain, n)
             odd = _has_odd(spec)
-            walked.append(_Walked(spec, member, weighted, scale, odd))
+            walked.append(_Walked(spec, chain, member, weighted, scale, odd))
             reps = [r for r, _ in weighted]
         else:
             inside = [(r, w) for r, w in over.weighted if member(r)]
@@ -777,24 +783,27 @@ def _row_fingerprints(groups: Sequence[GroupSpec]) -> tuple[Fingerprint, ...]:
     return tuple(fingerprints)
 
 
-def _is_normal_in(spec: GroupSpec, member: Callable[[bytes], bool], over: _Walked) -> bool:
-    """Is the group ``spec``, of membership test ``member``, a normal
-    subgroup of the walked group?
+def _is_normal_in(
+    spec: GroupSpec, chain: StabilizerChain, member: Callable[[bytes], bool], over: _Walked
+) -> bool:
+    """Is the group ``spec``, of chain ``chain`` and membership test
+    ``member``, a normal subgroup of the walked group?
 
     It is when its generators sift through the walked group's chain, and
     each conjugate ``g^-1 * h * g`` of one of its generators h by one of the
     walked group's generators g sifts through its own: conjugation by each
     g then maps the group into itself, so onto itself, and so does
-    conjugation by every element of the walked group.
+    conjugation by every element of the walked group.  The generators are
+    each chain's ``strong[0]``.
     """
     if over.spec.expected_order % spec.expected_order:
         return False
-    hs = [bytes(h.images) for h in spec.generators]
+    hs = chain.strong[0]
     if not all(map(over.member, hs)):
         return False
     identity = bytes(range(spec.degree))
     tail = bytes(range(spec.degree, 256))
-    for g in (bytes(x.images) for x in over.spec.generators):
+    for g in over.chain.strong[0]:
         inverse = bytes.maketrans(g, identity)
         # g^-1 * h * g, with the tables of the ``permutations`` docstring
         if not all(member(g.translate(h.translate(inverse) + tail)) for h in hs):

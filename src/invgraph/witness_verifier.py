@@ -657,9 +657,7 @@ def verify_sper(n: int) -> tuple[bool, tuple[Partition, Partition] | None]:
     partner.  Disjointness is symmetric, so a partnered mask's partners are
     partnered too, and the first partitions of the partnered masks
     (``_first_partition``) are all the pair needs: a is the earliest of
-    them, b the earliest among a's partners.  No cache outlives the call,
-    and the ``partial_sum_mask`` cache, which would keep every partition of
-    every n alive, is not touched.
+    them, b the earliest among a's partners.  No cache outlives the call.
     """
     two, three, five, seven = (1 << i | 1 << 2 * i for i in (2, 3, 5, 7))
     bad = [m for m in _sum_masks(n) if m & two and m & three and m & five and m & seven]
@@ -727,14 +725,10 @@ def _first_partition(n: int, mask: int) -> Partition:
 
     ``enumerate_partitions_with_sums_in`` lists, in enumeration order, the
     partitions whose sums lie in the mask; the first whose sums fill it is
-    the one.  The sums are computed here, not by the ``partial_sum_mask``
-    cache.
+    the one.
     """
     for p in enumerate_partitions_with_sums_in(n, mask):
-        sums = 1
-        for part in p.parts:
-            sums |= sums << part
-        if sums == mask:
+        if partial_sum_mask(p) == mask:
             return p
     raise ValueError(f"no partition of {n} has the partial-sum mask {mask:b}")
 

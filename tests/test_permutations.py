@@ -128,10 +128,46 @@ CLASS_COUNTS = [
 ]
 
 
-def _class_representatives(chain, gens, degree):
+def _class_representatives(chain, degree):
     """Elements that meet every class: the top level of the class walk."""
-    *_, top = permutations._class_levels(chain, gens, degree)
+    *_, top = permutations._class_levels(chain, degree)
     return [rep for rep, _ in top]
+
+
+def _sift_tables(levels, degree):
+    """Per level, its base point and the table of u^-1 by orbit point."""
+    identity = bytes(range(degree))
+    return [
+        (next(iter(t)), {y: bytes.maketrans(u, identity) for y, u in t.items()}) for t in levels
+    ]
+
+
+def _edited_chain(levels, generators, degree):
+    """A chain record of edited levels: the sift tables re-derived from
+    them, ``generators`` at the top level, and below it the generators of
+    the next level down plus the transversal elements whose points their
+    orbit of the base point misses.  Those span each level of a sound
+    chain, and on a broken one they keep each fixture on the check it
+    exists for."""
+    strong = []
+    gens = []
+    for transversal in reversed(levels[1:]):
+        gens = list(gens)
+        base = next(iter(transversal))
+        reached = [base]  # the next level down fixes the base point
+        seen = {base}
+        for y, u in transversal.items():
+            if y not in seen:
+                gens.append(u)
+                for point in reached:  # breadth-first; reached grows while it is walked
+                    for g in gens:
+                        if g[point] not in seen:
+                            seen.add(g[point])
+                            reached.append(g[point])
+        strong.insert(0, gens)
+    return permutations.StabilizerChain(
+        levels, _sift_tables(levels, degree), [list(generators), *strong]
+    )
 
 
 def _class_count(reps, gens, degree):
@@ -152,7 +188,7 @@ def test_class_representatives_match_published_class_counts(name, generators, de
     # the walk may return several elements of one class; walking each one's
     # class under the group's generators merges them
     gens = [g.images for g in generators()]
-    reps = _class_representatives(stabilizer_chain(gens, degree), gens, degree)
+    reps = _class_representatives(stabilizer_chain(gens, degree), degree)
     assert _class_count(reps, gens, degree) == classes
 
 
@@ -168,13 +204,13 @@ def test_class_walk_rejects_a_chain_of_the_wrong_order(name):
         for point in list(transversal)[1:]:
             fewer = [dict(t) for t in chain]
             del fewer[level][point]
-            broken.append(fewer)
+            broken.append(_edited_chain(fewer, gens, degree))
         more = [dict(t) for t in chain]
         more[level][degree] = bytes(range(degree))
-        broken.append(more)
+        broken.append(_edited_chain(more, gens, degree))
     for wrong in broken:
         with pytest.raises(RuntimeError, match="class walk"):
-            _class_representatives(wrong, gens, degree)
+            _class_representatives(wrong, degree)
 
 
 def _translations_and_a_rotation():
@@ -185,7 +221,8 @@ def _translations_and_a_rotation():
     # even, and the classes cover exactly the seven
     translations = [bytes(x ^ v for x in range(8)) for v in (1, 2, 4)]
     rotation = bytes((x << 1 & 7) | x >> 2 for x in range(8))
-    return stabilizer_chain(translations, 8), translations + [rotation], 8
+    levels = list(stabilizer_chain(translations, 8))
+    return _edited_chain(levels, translations + [rotation], 8), 8
 
 
 def _rotations_of_a_square():
@@ -194,25 +231,26 @@ def _rotations_of_a_square():
     # identity fall into classes of 2 and 1, which cover them, but a class
     # of 2 elements of order 4 needs a centralizer of order 4, not 4 / 2
     rotation = bytes([1, 2, 3, 0])
-    return stabilizer_chain([rotation], 4), [rotation, bytes([0, 3, 2, 1])], 4
+    levels = list(stabilizer_chain([rotation], 4))
+    return _edited_chain(levels, [rotation, bytes([0, 3, 2, 1])], 4), 4
 
 
 def _catalog_chain_cut(name, degree, level, points):
     # a catalog group's chain with the given points removed from one level
     gens = [g.images for g in _catalog_generators(degree, name)]
-    chain = stabilizer_chain(gens, degree)
+    levels = [dict(t) for t in stabilizer_chain(gens, degree)]
     for point in points:
-        del chain[level][point]
-    return chain, gens, degree
+        del levels[level][point]
+    return _edited_chain(levels, gens, degree), degree
 
 
 def _catalog_chain_mixed(name, degree, level, point, into):
     # a catalog group's chain with one transversal element replaced by one
     # of another level: ``into`` is (level, point) of the replaced element
     gens = [g.images for g in _catalog_generators(degree, name)]
-    chain = stabilizer_chain(gens, degree)
-    chain[into[0]][into[1]] = chain[level][point]
-    return chain, gens, degree
+    levels = [dict(t) for t in stabilizer_chain(gens, degree)]
+    levels[into[0]][into[1]] = levels[level][point]
+    return _edited_chain(levels, gens, degree), degree
 
 
 @pytest.mark.parametrize(
@@ -245,9 +283,9 @@ def test_class_walk_checks_each_class_against_the_chain_order(case, message):
     # each case is caught by one check of the walk alone: with that check
     # removed, the walk returns without noticing, or, for mixed levels,
     # divides by a fixed-point count of 0
-    chain, gens, degree = case()
+    chain, degree = case()
     with pytest.raises(RuntimeError, match=re.escape("class walk " + message)):
-        _class_representatives(chain, gens, degree)
+        _class_representatives(chain, degree)
 
 
 def test_class_walk_of_m12_walks_few_elements(monkeypatch):
@@ -265,7 +303,7 @@ def test_class_walk_of_m12_walks_few_elements(monkeypatch):
     gens = [g.images for g in _catalog_generators(12, "M12")]
     chain = stabilizer_chain(gens, 12)
     assert chain_order(chain) == 95040
-    reps = _class_representatives(chain, gens, 12)
+    reps = _class_representatives(chain, 12)
     assert 0 < sum(walked) <= 40000
     monkeypatch.undo()
     assert _class_count(reps, gens, 12) == 15
@@ -298,8 +336,8 @@ def test_stabilizer_chain_stopped_at_the_known_order_is_complete():
         early = stabilizer_chain(gens, n, order=order)
         assert chain_order(full) == order, name
         assert chain_order(early) == chain_order(full), name
-        assert _class_count(_class_representatives(early, gens, n), gens, n) == _class_count(
-            _class_representatives(full, gens, n), gens, n
+        assert _class_count(_class_representatives(early, n), gens, n) == _class_count(
+            _class_representatives(full, n), gens, n
         ), name
 
 
@@ -317,7 +355,7 @@ def test_class_level_weights_count_each_level():
     for name, gens, n in groups:
         chain = stabilizer_chain(gens, n)
         scale = math.lcm(*range(1, n + 1)) ** len(chain)
-        levels = list(permutations._class_levels(chain, gens, n))
+        levels = list(permutations._class_levels(chain, n))
         assert len(levels) == len(chain) + 1, name
         for j, weighted in zip(range(len(chain), -1, -1), levels):
             order = chain_order(chain[j:])
@@ -357,7 +395,7 @@ def test_counted_class_sizes_match_the_walked_classes(monkeypatch, degree, name)
         return size, coset_tables
 
     monkeypatch.setattr(permutations, "_count_class", recording)
-    _class_representatives(chain, gens, degree)
+    _class_representatives(chain, degree)
     monkeypatch.undo()
     assert counted, name
     level_of = {chain_order(chain[j:]): j for j in range(len(chain))}
@@ -379,7 +417,7 @@ def test_class_walk_of_m12_counts_its_large_classes(monkeypatch):
 
     monkeypatch.setattr(permutations, "conjugacy_class", walking)
     gens = [g.images for g in _catalog_generators(12, "M12")]
-    reps = _class_representatives(stabilizer_chain(gens, 12), gens, 12)
+    reps = _class_representatives(stabilizer_chain(gens, 12), 12)
     assert 0 < sum(walked) <= 5000
     monkeypatch.undo()
     assert _class_count(reps, gens, 12) == 15
@@ -408,9 +446,9 @@ def test_class_walk_of_m12_counts_its_large_classes(monkeypatch):
     ids=["element-order", "chain-order"],
 )
 def test_class_count_checks_each_centralizer_against_the_chain_order(case, message):
-    chain, gens, degree = case()
+    chain, degree = case()
     with pytest.raises(RuntimeError, match=re.escape("class walk " + message)):
-        _class_representatives(chain, gens, degree)
+        _class_representatives(chain, degree)
 
 
 def test_class_walk_builds_no_chains(monkeypatch):
@@ -430,34 +468,36 @@ def test_class_walk_builds_no_chains(monkeypatch):
         for spec in primitive_catalog(n).groups
     ] + [(gens, n) for _, gens, n in _oracle_wreath_products()]
     assert len(groups) == 70
-    prepared = [(stabilizer_chain(gens, n), gens, n) for gens, n in groups]
+    prepared = [(stabilizer_chain(gens, n), n) for gens, n in groups]
     monkeypatch.setattr(permutations, "stabilizer_chain", counting)
-    for chain, gens, n in prepared:
-        _class_representatives(chain, gens, n)
+    for chain, n in prepared:
+        _class_representatives(chain, n)
     assert len(chains) == 0
 
 
-def test_level_generators_span_each_chain_level():
-    # the generators the class walk reads off the chain for level j >= 1,
-    # those of level j + 1 and the transversal elements their orbit of the
-    # base point misses, span exactly the group of chain[j:].  Each added
-    # element at least doubles that orbit, and every level adds one, so a
-    # level has at most 6 generators unless it has more levels below it:
-    # level 1 of S5wrS2, with 7 levels, has 7
+def test_stabilizer_chain_record_carries_its_tables_and_strong_generators():
+    # the record's top level is the given generators; each level's strong
+    # generators span the group of the levels from it down (Handbook of
+    # Computational Group Theory, 4.4); and each sift table is the one its
+    # transversal gives, also in a record stopped early
     groups = [g[:3] for g in _groups_with_known_orders()] + list(_oracle_wreath_products())
     for name, gens, n in groups:
         chain = stabilizer_chain(gens, n)
-        level_gens = []
-        for j in range(len(chain) - 1, 0, -1):
-            deeper = len(level_gens)
-            level_gens = permutations._level_generators(level_gens, chain[j])
-            added = len(level_gens) - deeper
-            assert 1 <= added and 2**added <= len(chain[j]), (name, j)
-            assert len(level_gens) <= max(6, len(chain) - j), (name, j)
-            assert chain_order(stabilizer_chain(level_gens, n)) == chain_order(chain[j:]), (
+        identity = bytes(range(n))
+        given = [g for g in dict.fromkeys(map(bytes, gens)) if g != identity]
+        assert chain.strong[0] == given, name
+        assert len(chain.strong) == len(chain.sifts) == len(chain), name
+        for j in range(len(chain)):
+            assert chain_order(stabilizer_chain(chain.strong[j], n)) == chain_order(chain[j:]), (
                 name,
                 j,
             )
+        assert chain.sifts == _sift_tables(chain, n), name
+        # stopped at the group's order, the record is already the full one
+        early = stabilizer_chain(gens + [identity, gens[0]], n, order=chain_order(chain))
+        assert chain_order(early) == chain_order(chain), name
+        assert early.sifts == _sift_tables(early, n), name
+        assert (early, early.strong) == (chain, chain.strong), name
 
 
 def test_chain_member_accepts_exactly_the_group():
@@ -513,7 +553,7 @@ def test_stabilizer_chain_of_the_identity():
         identity = tuple(range(n))
         assert stabilizer_chain([identity], n) == []
         assert chain_order([]) == 1
-        assert _class_representatives([], [identity], n) == [bytes(identity)]
+        assert _class_representatives(stabilizer_chain([identity], n), n) == [bytes(identity)]
 
 
 def test_split_label_examples():
