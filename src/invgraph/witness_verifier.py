@@ -25,9 +25,10 @@ certifies the structured family of isolated vertices (``In_family``).
 
 ``verify_sper`` checks the disjoint-partial-sum statement the witnesses use
 from degree 23 upward.  It reads only partial-sum masks: the distinct masks
-of n come from a recurrence over the largest allowed part, a per-bit index
-gives each bad mask its disjoint bad partners, and partitions are named only
-for the masks that have one, to report the first pair in enumeration order.
+of n come from a recurrence over the largest allowed part, per-lane union
+tables give each bad mask its disjoint bad partners, and partitions are
+named only for the masks that have one, to report the first pair in
+enumeration order.
 """
 
 from __future__ import annotations
@@ -649,10 +650,14 @@ def verify_sper(n: int) -> tuple[bool, tuple[Partition, Partition] | None]:
 
     A mask is bad when it reaches i or 2i for each of the four i, and the
     check fails exactly when some bad mask has a bad partner, itself
-    allowed, with no common bit in 1..n/2 (``_disjoint_partners``).  That
-    needs no partition, so a degree without a pair, every one from 18 to
-    42, builds none.  Only a failing check names its pair: the one a scan
-    over all partitions a <= b in enumeration order meets first, where a
+    allowed, with no common bit in 1..n/2.  ``_disjoint_partners`` gives
+    each bad mask its partners as one bitset: it takes, for every bit, the
+    set of masks holding it; for every lane of ``_LANE_BITS`` bits, the
+    union of those sets for each pattern of the lane's bits; and for each
+    mask, the complement of the OR of one table entry per lane.  That needs
+    no partition, so a degree without a pair, every one from 18 to 42,
+    builds none.  Only a failing check names its pair: the one a scan over
+    all partitions a <= b in enumeration order meets first, where a
     is the first partition with a bad disjoint partner and b its first
     partner.  Disjointness is symmetric, so a partnered mask's partners are
     partnered too, and the first partitions of the partnered masks
@@ -687,28 +692,50 @@ def _sum_masks(n: int) -> set[int]:
     return masks[n]
 
 
+# the width of a lane of ``_disjoint_partners``: 5 to 7 bits tie over
+# n = 15..30, 4 costs a fourth lookup per mask at n = 30, and 8's
+# 256-entry tables cost more than they save below n = 26
+_LANE_BITS = 6
+
+
 def _disjoint_partners(masks: Sequence[int], top: int) -> list[int]:
     """For each mask, the bitset of the indices whose masks share no bit
     1..top with it, its own index included when it has none there.
 
     ``holders[i]`` is the set of indices whose mask has bit i, as a bitset;
     the partners of a mask are the complement of the union of its bits' sets.
-    Each byte lane of the masks, last mask first behind a zero byte, is one
-    ``bytes``; translating it by ``_bit_digits()[b]`` writes bit b of every
-    byte as an ASCII digit, which ``int(..., 2)`` reads as the holder set.
+    The bytes at each byte offset of the masks, last mask first behind a
+    zero byte, make one ``bytes``; translating it by ``_bit_digits()[b]``
+    writes bit b of every byte as an ASCII digit, which ``int(..., 2)``
+    reads as the holder set.
+
+    The bits 1..top fall into lanes of ``_LANE_BITS`` bits, the last one
+    possibly narrower.  A lane of b bits from bit lo has a table of 2^b
+    unions: entry x is the union of the holder sets of the bits of x, bit j
+    of x standing for bit lo + j of a mask, built by doubling (the entries
+    with bit j set are the ones below 2^j, each joined with bit j's set).
+    A mask's union over bits 1..top is then the OR of one entry per lane,
+    ``m >> lo`` cut to b bits.  Bit 0 and the bits above top fall outside
+    every lane, so the union, and each partner set, is the same as joining
+    the holder set of every bit the mask has in 1..top one at a time.
     """
-    lanes = [
+    byte_columns = [
         bytes([0, *(m >> shift & 255 for m in reversed(masks))]) for shift in range(0, top + 1, 8)
     ]
     digits = _bit_digits()
-    holders = [int(lanes[i >> 3].translate(digits[i & 7]), 2) for i in range(1, top + 1)]
+    holders = [int(byte_columns[i >> 3].translate(digits[i & 7]), 2) for i in range(1, top + 1)]
+    lanes = []
+    for lo in range(1, top + 1, _LANE_BITS):
+        table = [0]
+        for holder in holders[lo - 1 : lo - 1 + _LANE_BITS]:
+            table += [x | holder for x in table]
+        lanes.append((lo, len(table) - 1, table))
     everyone = (1 << len(masks)) - 1
     partners = []
     for m in masks:
         blocked = 0
-        for i, holder in enumerate(holders, 1):
-            if m >> i & 1:
-                blocked |= holder
+        for lo, width, table in lanes:
+            blocked |= table[m >> lo & width]
         partners.append(everyone & ~blocked)
     return partners
 

@@ -31,6 +31,7 @@ from invgraph.witness_verifier import (
     InadmissibleDegree,
     WitnessClaim,
     WitnessReport,
+    _LANE_BITS,
     _disjoint_partners,
     _first_partition,
     _sum_masks,
@@ -413,6 +414,21 @@ def test_sper_index_matches_the_pairwise_scan():
         masks = [rng.getrandbits(12) for _ in range(rng.randrange(1, 40))]
         top = rng.randrange(0, 12)
         assert _disjoint_partners(masks, top) == _disjoint_partner_scan(masks, top), (masks, top)
+    # masks over three or more lanes, with top on and beside a lane boundary
+    # and bits set above it
+    w = _LANE_BITS
+    for _ in range(100):
+        masks = [rng.getrandbits(3 * w + 8) for _ in range(rng.randrange(1, 40))]
+        top = rng.choice([w - 1, w, w + 1, 2 * w, 3 * w + 1, rng.randrange(2 * w, 3 * w + 7)])
+        assert _disjoint_partners(masks, top) == _disjoint_partner_scan(masks, top), (masks, top)
+    for top in (0, 1, w, 3 * w + 1):
+        assert _disjoint_partners([], top) == []
+        assert _disjoint_partners([0b110], top) == [int(top < 1)]
+        assert _disjoint_partners([1 << 40 | 1], top) == [1]
+    two, three, five, seven = (1 << i | 1 << 2 * i for i in (2, 3, 5, 7))
+    for n in range(31, 37):
+        bad = [m for m in _sum_masks(n) if m & two and m & three and m & five and m & seven]
+        assert _disjoint_partners(bad, n // 2) == _disjoint_partner_scan(bad, n // 2), n
 
 
 def test_sper_mask_set_is_every_partitions_mask():
