@@ -13,15 +13,7 @@ computation.
 """
 
 from invgraph.partitions import Partition, power_type
-from invgraph.permutations import (
-    ClassLabel,
-    GroupKind,
-    Permutation,
-    Split,
-    class_labels,
-    conjugator,
-    split_label,
-)
+from invgraph.permutations import GroupKind, Permutation, Split, conjugator, split_label
 from invgraph.graph_engine import (
     ClassGraph,
     SpecialDiameter,
@@ -32,6 +24,8 @@ from invgraph.graph_engine import (
     xi_subgraph,
 )
 from invgraph.subgroup_membership import (
+    ClassLabel,
+    class_labels,
     primitive_catalog,
     shares_subgroup,
     wreath_member,

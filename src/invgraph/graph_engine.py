@@ -14,9 +14,9 @@ distinct masks: for every feature bit it keeps a column, the set of
 vertices having it, and for every distinct mask one row, the complement of
 the union of its features' columns.  So a graph of V vertices and M
 distinct masks costs O(V + M * F) integer operations instead of a test per
-pair.  On the way it keeps each vertex's verdict state (its rule mask, its
-fingerprint bits and the verdict table of its degree and group kind) on the
-label, so ``shares_subgroup`` on two vertices of a built graph looks up no
+pair.  Each vertex is built with its rule mask and the verdict table of
+its degree and group kind, and the build keeps its fingerprint bits on it,
+so ``shares_subgroup`` on two vertices of a built graph looks up no
 profile.
 """
 
@@ -29,21 +29,24 @@ from math import factorial, gcd
 from typing import NamedTuple
 
 from invgraph.permutations import (
-    ClassLabel,
     GroupKind,
     Permutation,
     Split,
     alternating_group_generators,
     canonical_of_type,
     chain_order,
-    class_labels,
     conjugacy_class,
     cyclic_powers,
     normalizer_generators,
     stabilizer_chain,
     symmetric_group_generators,
 )
-from invgraph.subgroup_membership import degree_fingerprints, type_profile
+from invgraph.subgroup_membership import (
+    ClassLabel,
+    class_labels,
+    degree_fingerprints,
+    type_profile,
+)
 
 EXPORT_SCHEMA = 1
 

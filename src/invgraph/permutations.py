@@ -1,4 +1,4 @@
-"""Concrete permutations, stabilizer chains, class walks and class labeling.
+"""Concrete permutations, stabilizer chains and class walks.
 
 Permutations act on {0..n-1}; composition is function composition, so
 ``(p * q)(x) == p(q(x))``.  Group algorithms work internally on ``bytes``
@@ -50,15 +50,9 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from enum import Enum
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
-from invgraph.partitions import (
-    Partition,
-    enumerate_partitions,
-    has_distinct_odd_parts,
-    is_even_type,
-)
+from invgraph.partitions import Partition, has_distinct_odd_parts
 
 DEFAULT_CLOSURE_CAP = 10**6
 
@@ -66,10 +60,6 @@ DEFAULT_CLOSURE_CAP = 10**6
 class GroupKind(Enum):
     SYM = "sym"
     ALT = "alt"
-
-
-# read in ClassLabel.__init__: a module global is cheaper than an Enum member
-_ALT = GroupKind.ALT
 
 
 class Split(Enum):
@@ -762,121 +752,6 @@ def split_label(g: Permutation) -> Split:
     s = conjugator(canonical_of_type(t), g)
     assert s is not None
     return Split.PLUS if s.is_even else Split.MINUS
-
-
-class ClassLabel:
-    """A vertex: cycle type plus group tag, with a split tag for A_n.
-
-    Immutable, and equal and hashed by its three fields.  ``degree``, the
-    sum of the parts, is summed once, at construction.  The verdict state
-    is not part of the label's value: ``_names``, the verdict table of its
-    degree and group kind (None until set), ``_rules``, its rule mask,
-    ``_profile``, the subgroup_membership.TypeProfile that owns the table,
-    and ``_bits``, its fingerprint bits.  A label that build_graph lists
-    gets all four in TypeProfile.features.  Any other label gets the first
-    three at its first shares_subgroup verdict, with ``_bits`` None, and its
-    fingerprint bits only at its first pair that the rules leave open; until
-    its first verdict only ``_names`` is set.
-    """
-
-    __slots__ = (
-        "cycle_type", "group", "split", "degree", "_names", "_rules", "_profile", "_bits",
-        "__weakref__",
-    )
-
-    def __init__(self, cycle_type: Partition, group: GroupKind, split: Split = Split.NONE):
-        t = cycle_type
-        n, count = sum(t.parts), len(t.parts)
-        if count == n:  # every part is 1
-            raise ValueError("the identity class is not a vertex")
-        should_split = False
-        if group is _ALT:
-            if (n - count) % 2:
-                raise ValueError(f"odd type {t} has no class in the alternating group")
-            should_split = has_distinct_odd_parts(t)
-        if should_split != (split is not Split.NONE):
-            raise ValueError(f"bad split tag {split} for {t} in {group}")
-        _set_cycle_type(self, cycle_type)
-        _set_group(self, group)
-        _set_split(self, split)
-        _set_degree(self, n)
-        _set_names(self, None)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of a ClassLabel")
-
-    def __eq__(self, other):
-        if other.__class__ is not ClassLabel:
-            return NotImplemented
-        return (self.cycle_type, self.group, self.split) == (
-            other.cycle_type, other.group, other.split
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.cycle_type, self.group, self.split))
-
-    def __repr__(self) -> str:
-        return (
-            f"ClassLabel(cycle_type={self.cycle_type!r}, group={self.group!r},"
-            f" split={self.split!r})"
-        )
-
-    def text(self) -> str:
-        return f"{self.cycle_type}{self.split.value}"
-
-    def __str__(self) -> str:
-        return self.text()
-
-
-# The slot setters of a ClassLabel, which ``__setattr__`` refuses: each
-# call costs about half of ``object.__setattr__``, which looks the slot up.
-_set_cycle_type = ClassLabel.cycle_type.__set__
-_set_group = ClassLabel.group.__set__
-_set_split = ClassLabel.split.__set__
-_set_degree = ClassLabel.degree.__set__
-_set_names = ClassLabel._names.__set__
-_set_rules = ClassLabel._rules.__set__
-_set_profile = ClassLabel._profile.__set__
-_set_bits = ClassLabel._bits.__set__
-
-
-@lru_cache(maxsize=None)
-def _degree_types(n: int) -> tuple[tuple[Partition, bool, bool], ...]:
-    """The cycle types of degree n other than the identity's, in enumeration
-    order, each with whether it is even and whether its A_n class splits.
-
-    One list per degree: the S_n and A_n labels of a degree hold its
-    ``Partition`` objects, built once.
-    """
-    return tuple(
-        (p, is_even_type(p), has_distinct_odd_parts(p))
-        for p in enumerate_partitions(n)
-        if p.parts[0] > 1
-    )
-
-
-def class_labels(n: int, group: GroupKind) -> list[ClassLabel]:
-    """All vertices at degree n, in enumeration order (split: PLUS then MINUS)."""
-    if n < 3:
-        raise ValueError("need n >= 3")
-    if group is GroupKind.SYM:
-        return [ClassLabel(p, group) for p, _, _ in _degree_types(n)]
-    out: list[ClassLabel] = []
-    for p, even, splits in _degree_types(n):
-        if not even:
-            continue
-        if splits:
-            out += (ClassLabel(p, group, Split.PLUS), ClassLabel(p, group, Split.MINUS))
-        else:
-            out.append(ClassLabel(p, group))
-    return out
-
-
-def type_labels(p: Partition, group: GroupKind) -> list[ClassLabel]:
-    """The vertices of one cycle type: PLUS then MINUS when its A_n class splits."""
-    if group is GroupKind.ALT and has_distinct_odd_parts(p):
-        return [ClassLabel(p, group, Split.PLUS), ClassLabel(p, group, Split.MINUS)]
-    return [ClassLabel(p, group)]
 
 
 def symmetric_group_generators(n: int) -> list[Permutation]:

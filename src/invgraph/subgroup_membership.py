@@ -47,16 +47,17 @@ of ``primitive_rules``, which calls a pair an edge or leaves it ``Open``.
 The rule bits are decided once per type and degree: the S_n profile
 computes them, with the block bits from ``_block_bits``, which
 ``wreath_member`` reads back, and the A_n profile reads the S_n mask
-without its parity bit.  Each ``ClassLabel`` holds its rule mask, its
-fingerprint bits and the verdict table of its degree and group kind: the
-graph build keeps them on every vertex it lists (``TypeProfile.features``,
-one lookup per type), and any other label gets its rule mask and table at
-its first verdict and its fingerprint bits only at its first pair the rules
-leave open.  A pair of graph vertices is then one identity test of the two
-tables, one AND and one plain-dict lookup keyed by the whole common mask,
-and one more AND, of the fingerprint bits, when the rule masks do not meet.
-The cache directory reaches only the fingerprint read, since every
-directory gives the same fingerprints.
+without its parity bit.  The vertices, ``ClassLabel``, are defined here,
+beside the profiles, since each is born with its verdict state: its rule
+mask and the verdict table of its degree and group kind, set at
+construction.  Its fingerprint bits come later, from the graph build for
+every vertex it lists (``TypeProfile.features``, one lookup per type), and
+otherwise at the label's first pair the rules leave open.  A pair of labels
+is then one identity test of the two tables, one AND and one plain-dict
+lookup keyed by the whole common mask, and one more AND, of the fingerprint
+bits, when the rule masks do not meet.  The cache directory reaches only
+the fingerprint read, since every directory gives the same fingerprints, so
+building a label reads no file.
 
 The exact degrees, ``EXACT_DEGREES``, are the keys of the one table
 ``_CATALOG``, whose row for a degree returns its groups in catalog order;
@@ -88,20 +89,21 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from invgraph.arith import divisors, proper_block_sizes
 from invgraph.finite_fields import field
-from invgraph.partitions import Partition, distinct_odd_parts
+from invgraph.partitions import (
+    Partition,
+    distinct_odd_parts,
+    enumerate_partitions,
+    has_distinct_odd_parts,
+    is_even_type,
+)
 from invgraph.primitive_rules import Open, theorem_verdict
 from invgraph.permutations import (
-    ClassLabel,
     GroupKind,
     Permutation,
     Split,
     StabilizerChain,
     _class_levels,
     _cycles,
-    _set_bits,
-    _set_names,
-    _set_profile,
-    _set_rules,
     _walk_scale,
     chain_member,
     chain_order,
@@ -110,8 +112,8 @@ from invgraph.permutations import (
 )
 
 CATALOG_VERSION = 3
-# read in _verdict_table: a module global is cheaper than an Enum member
-_SYM = GroupKind.SYM
+# read in ClassLabel.__init__: a module global is cheaper than an Enum member
+_SYM, _ALT = GroupKind.SYM, GroupKind.ALT
 _WREATH_ORACLE_CAP = 1_200_000
 
 
@@ -948,10 +950,10 @@ class TypeProfile:
     one applies and searches only the others.  An A_n profile reads the S_n
     profile of its degree and drops bit 0, the parity bit, which is all the
     two masks of a type differ in.
-    ``verdict_state`` keeps a class's rule mask, this profile and ``names``
-    on its label, and ``features`` keeps them with the class's fingerprint
-    bits on every label of a listed graph, one lookup per type; any other
-    label reads its fingerprint bits at its first pair the rules leave open.
+    Every ``ClassLabel`` of this degree and group kind holds its rule mask,
+    this profile and ``names`` from construction; ``features`` keeps the
+    fingerprint bits on every label of a listed graph, and any other label
+    reads them at its first pair the rules leave open.
     ``names`` maps each common mask a pair has met to its verdict, which
     ``name`` reads off the lowest bit, so a verdict is one lookup; the
     masks with one lowest bit share its one ``Sharing`` in ``bit_names``.
@@ -1037,38 +1039,23 @@ class TypeProfile:
             self.primitive = table
         return table.get(parts, (0, 0))
 
-    def verdict_state(self, label: ClassLabel) -> None:
-        """Keep a class's rule mask, this profile and its verdict table on
-        its label; its fingerprint bits stay None until a pair the rules
-        leave open reads them."""
-        _set_rules(label, self.rule_mask(label.cycle_type.parts))
-        _set_bits(label, None)
-        _set_profile(label, self)
-        _set_names(label, self.names)
-
     def features(self, labels: Sequence[ClassLabel], cache_dir: str | None) -> list[int]:
-        """The feature mask of each label, each label keeping its verdict
-        state: its rule mask, its fingerprint bits, this profile and its
-        verdict table.
+        """The feature mask of each label, each label keeping its
+        fingerprint bits.
 
         Adjacent labels that hold one ``Partition``, the two classes of a
         split type as ``class_labels`` lists them, share one lookup of the
-        type's rule mask and fingerprint bits.
+        type's fingerprint bits.
         """
         out = []
         t = None
-        names = self.names
         for label in labels:
             if label.cycle_type is not t:
                 t = label.cycle_type
-                rules = self.rule_mask(t.parts)
                 halves = self.primitive_masks(t.parts, cache_dir)
             bits = halves[label.split is Split.MINUS]
-            _set_rules(label, rules)
             _set_bits(label, bits)
-            _set_profile(label, self)
-            _set_names(label, names)
-            out.append(rules | bits)
+            out.append(label._rules | bits)
         return out
 
     def name(self, common: int) -> Sharing:
@@ -1104,18 +1091,125 @@ def type_profile(n: int, sym: bool) -> TypeProfile:
     return TypeProfile(n, sym)
 
 
-def _verdict_table(c1: ClassLabel, c2: ClassLabel) -> dict[int, Sharing]:
-    """The verdict table of a pair whose labels do not hold the same one.
+class ClassLabel:
+    """A vertex: cycle type plus group tag, with a split tag for A_n.
 
-    A label no graph build has listed gets its state here, at its first
-    verdict; a pair of two degrees or two group kinds is refused.
+    Immutable, and equal and hashed by its three fields.  ``degree``, the
+    sum of the parts, is summed once, at construction.  The verdict state
+    is not part of the label's value: ``_rules``, its rule mask, ``_names``,
+    the verdict table of its degree and group kind, and ``_profile``, the
+    ``type_profile`` that owns the table, all set at construction, and
+    ``_bits``, its fingerprint bits.  A label that ``build_graph`` lists
+    gets its bits in ``TypeProfile.features``; any other label gets them at
+    its first pair that the rules leave open, and they are None until then.
     """
-    for label in (c1, c2):
-        if label._names is None:
-            type_profile(label.degree, label.group is _SYM).verdict_state(label)
-    if c1._names is not c2._names:
-        raise ValueError("degree mismatch" if c1.degree != c2.degree else "group mismatch")
-    return c1._names
+
+    __slots__ = (
+        "cycle_type", "group", "split", "degree", "_names", "_rules", "_profile", "_bits",
+        "__weakref__",
+    )
+
+    def __init__(self, cycle_type: Partition, group: GroupKind, split: Split = Split.NONE):
+        t = cycle_type
+        parts = t.parts
+        n, count = sum(parts), len(parts)
+        if count == n:  # every part is 1
+            raise ValueError("the identity class is not a vertex")
+        if group is _SYM:
+            should_split = False
+        elif group is _ALT:
+            if (n - count) % 2:
+                raise ValueError(f"odd type {t} has no class in the alternating group")
+            should_split = distinct_odd_parts(parts)
+        else:
+            raise ValueError(f"group {group!r} is not a GroupKind")
+        if split not in ((Split.PLUS, Split.MINUS) if should_split else (Split.NONE,)):
+            raise ValueError(f"bad split tag {split} for {t} in {group}")
+        profile = type_profile(n, group is _SYM)
+        _set_cycle_type(self, cycle_type)
+        _set_group(self, group)
+        _set_split(self, split)
+        _set_degree(self, n)
+        _set_rules(self, profile.rule_mask(parts))
+        _set_profile(self, profile)
+        _set_names(self, profile.names)
+        _set_bits(self, None)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a ClassLabel")
+
+    def __eq__(self, other):
+        if other.__class__ is not ClassLabel:
+            return NotImplemented
+        return (self.cycle_type, self.group, self.split) == (
+            other.cycle_type, other.group, other.split
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.cycle_type, self.group, self.split))
+
+    def __repr__(self) -> str:
+        return (
+            f"ClassLabel(cycle_type={self.cycle_type!r}, group={self.group!r},"
+            f" split={self.split!r})"
+        )
+
+    def text(self) -> str:
+        return f"{self.cycle_type}{self.split.value}"
+
+    def __str__(self) -> str:
+        return self.text()
+
+
+# The slot setters of a ClassLabel, which ``__setattr__`` refuses: each
+# call costs about half of ``object.__setattr__``, which looks the slot up.
+_set_cycle_type = ClassLabel.cycle_type.__set__
+_set_group = ClassLabel.group.__set__
+_set_split = ClassLabel.split.__set__
+_set_degree = ClassLabel.degree.__set__
+_set_names = ClassLabel._names.__set__
+_set_rules = ClassLabel._rules.__set__
+_set_profile = ClassLabel._profile.__set__
+_set_bits = ClassLabel._bits.__set__
+
+
+@lru_cache(maxsize=None)
+def _degree_types(n: int) -> tuple[tuple[Partition, bool, bool], ...]:
+    """The cycle types of degree n other than the identity's, in enumeration
+    order, each with whether it is even and whether its A_n class splits.
+
+    One list per degree: the S_n and A_n labels of a degree hold its
+    ``Partition`` objects, built once.
+    """
+    return tuple(
+        (p, is_even_type(p), has_distinct_odd_parts(p))
+        for p in enumerate_partitions(n)
+        if p.parts[0] > 1
+    )
+
+
+def class_labels(n: int, group: GroupKind) -> list[ClassLabel]:
+    """All vertices at degree n, in enumeration order (split: PLUS then MINUS)."""
+    if n < 3:
+        raise ValueError("need n >= 3")
+    if group is GroupKind.SYM:
+        return [ClassLabel(p, group) for p, _, _ in _degree_types(n)]
+    out: list[ClassLabel] = []
+    for p, even, splits in _degree_types(n):
+        if not even:
+            continue
+        if splits:
+            out += (ClassLabel(p, group, Split.PLUS), ClassLabel(p, group, Split.MINUS))
+        else:
+            out.append(ClassLabel(p, group))
+    return out
+
+
+def type_labels(p: Partition, group: GroupKind) -> list[ClassLabel]:
+    """The vertices of one cycle type: PLUS then MINUS when its A_n class splits."""
+    if group is GroupKind.ALT and has_distinct_odd_parts(p):
+        return [ClassLabel(p, group, Split.PLUS), ClassLabel(p, group, Split.MINUS)]
+    return [ClassLabel(p, group)]
 
 
 def _label_bits(label: ClassLabel, cache_dir: str | None) -> int:
@@ -1139,22 +1233,21 @@ def shares_subgroup(
     bit the two classes' masks share: the smallest partial sum, the smallest
     block size, the first fingerprint in catalog order before its mirror.
 
-    Each label holds its verdict state: its rule mask, the verdict table
-    ``names`` of its degree and group kind and the profile that owns it,
-    and its fingerprint bits.  ``build_graph`` keeps all of it on every
-    vertex it lists.  Any other label gets the rest at its first verdict
-    and its fingerprint bits only at its first pair that the rules leave
-    open, read from its profile, which ``cache_dir`` fills if they are not
-    there yet.  The tables are one per degree and group kind, so one
-    identity test checks that the pair is comparable.  A pair the rules
-    decide then costs one AND and one lookup of the common rule mask in the
-    table, which the first pair with that common mask fills; an edge or a
-    pair that a fingerprint decides costs one more AND, of the two labels'
-    fingerprint bits, whose common mask is the key.
+    Each label holds its verdict state from construction: its rule mask,
+    the verdict table ``names`` of its degree and group kind and the
+    profile that owns it.  Its fingerprint bits come from ``build_graph``
+    for every vertex it lists, and otherwise at the label's first pair that
+    the rules leave open, read from its profile, which ``cache_dir`` fills
+    if they are not there yet.  The tables are one per degree and group
+    kind, so one identity test checks that the pair is comparable.  A pair
+    the rules decide then costs one AND and one lookup of the common rule
+    mask in the table, which the first pair with that common mask fills; an
+    edge or a pair that a fingerprint decides costs one more AND, of the
+    two labels' fingerprint bits, whose common mask is the key.
     """
     names = c1._names
-    if names is not c2._names or names is None:
-        names = _verdict_table(c1, c2)
+    if names is not c2._names:
+        raise ValueError("degree mismatch" if c1.degree != c2.degree else "group mismatch")
     common = c1._rules & c2._rules
     if not common:
         bits1, bits2 = c1._bits, c2._bits

@@ -34,7 +34,6 @@ enumeration order.
 from __future__ import annotations
 
 import json
-from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 from invgraph.arith import is_prime, prime_power, smallest_prime_factor
@@ -52,13 +51,15 @@ from invgraph.partitions import (
     is_even_type,
     partial_sum_mask,
 )
-from invgraph.permutations import ClassLabel, GroupKind, type_labels
+from invgraph.permutations import GroupKind
 from invgraph.primitive_rules import projective_cardinality_solutions
 from invgraph.subgroup_membership import (
     EXACT_DEGREES,
     CatalogAbsent,
+    ClassLabel,
     Sharing,
     shares_subgroup,
+    type_labels,
     verdict,
 )
 
@@ -696,6 +697,9 @@ def _sum_masks(n: int) -> set[int]:
 # n = 15..30, 4 costs a fourth lookup per mask at n = 30, and 8's
 # 256-entry tables cost more than they save below n = 26
 _LANE_BITS = 6
+# the translate table of bit b writes each byte as b"1" when it has bit b
+# and as b"0" otherwise: the bytes run in blocks of 2^b alike in bit b
+_BIT_DIGITS = tuple((b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8))
 
 
 def _disjoint_partners(masks: Sequence[int], top: int) -> list[int]:
@@ -705,7 +709,7 @@ def _disjoint_partners(masks: Sequence[int], top: int) -> list[int]:
     ``holders[i]`` is the set of indices whose mask has bit i, as a bitset;
     the partners of a mask are the complement of the union of its bits' sets.
     The bytes at each byte offset of the masks, last mask first behind a
-    zero byte, make one ``bytes``; translating it by ``_bit_digits()[b]``
+    zero byte, make one ``bytes``; translating it by ``_BIT_DIGITS[b]``
     writes bit b of every byte as an ASCII digit, which ``int(..., 2)``
     reads as the holder set.
 
@@ -722,8 +726,9 @@ def _disjoint_partners(masks: Sequence[int], top: int) -> list[int]:
     byte_columns = [
         bytes([0, *(m >> shift & 255 for m in reversed(masks))]) for shift in range(0, top + 1, 8)
     ]
-    digits = _bit_digits()
-    holders = [int(byte_columns[i >> 3].translate(digits[i & 7]), 2) for i in range(1, top + 1)]
+    holders = [
+        int(byte_columns[i >> 3].translate(_BIT_DIGITS[i & 7]), 2) for i in range(1, top + 1)
+    ]
     lanes = []
     for lo in range(1, top + 1, _LANE_BITS):
         table = [0]
@@ -738,12 +743,6 @@ def _disjoint_partners(masks: Sequence[int], top: int) -> list[int]:
             blocked |= table[m >> lo & width]
         partners.append(everyone & ~blocked)
     return partners
-
-
-@lru_cache(maxsize=None)
-def _bit_digits() -> tuple[bytes, ...]:
-    """The 8 translate tables taking a byte to b"1" or b"0" by its bit b."""
-    return tuple(bytes(b"01"[x >> b & 1] for x in range(256)) for b in range(8))
 
 
 def _first_partition(n: int, mask: int) -> Partition:

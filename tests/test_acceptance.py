@@ -13,7 +13,7 @@ from invgraph.partitions import (
     partial_sum_mask,
     power_type,
 )
-from invgraph.permutations import ClassLabel, GroupKind, Split
+from invgraph.permutations import GroupKind, Split
 from invgraph.graph_engine import (
     SpecialDiameter,
     adjacency_diff,
@@ -22,7 +22,7 @@ from invgraph.graph_engine import (
     oracle_adjacency,
     xi_subgraph,
 )
-from invgraph.subgroup_membership import wreath_member, wreath_member_oracle
+from invgraph.subgroup_membership import ClassLabel, wreath_member, wreath_member_oracle
 from invgraph.witness_verifier import construct_witness, verify_sper, verify_witness
 
 

@@ -9,14 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invgraph import graph_engine, permutations
+from invgraph import graph_engine, subgroup_membership
 from invgraph.partitions import Partition, enumerate_partitions, has_distinct_odd_parts
 from invgraph.permutations import (
-    ClassLabel,
     GroupKind,
     Permutation,
     Split,
-    class_labels,
     closure_images,
     conjugacy_class,
     cycle_type_of_images,
@@ -38,7 +36,9 @@ from invgraph.graph_engine import (
 from invgraph.subgroup_membership import (
     EXACT_DEGREES,
     CatalogAbsent,
+    ClassLabel,
     TypeProfile,
+    class_labels,
     degree_fingerprints,
     shares_subgroup,
     type_profile,
@@ -575,8 +575,8 @@ def test_both_groups_of_a_degree_enumerate_its_types_once(graph, cache_dir, monk
         for group in GroupKind:
             graph(n, group)
     p = {n: sum(1 for _ in enumerate_partitions(n)) for n in EXACT_DEGREES}
-    fresh = lru_cache(maxsize=None)(permutations._degree_types.__wrapped__)
-    monkeypatch.setattr(permutations, "_degree_types", fresh)
+    fresh = lru_cache(maxsize=None)(subgroup_membership._degree_types.__wrapped__)
+    monkeypatch.setattr(subgroup_membership, "_degree_types", fresh)
     made = collections.Counter()
     init = Partition.__init__
 
@@ -601,8 +601,8 @@ def test_rereading_the_fingerprint_files_builds_no_partition(graph, cache_dir, m
             graph(n, group)
     p = {n: sum(1 for _ in enumerate_partitions(n)) for n in EXACT_DEGREES}
     degree_fingerprints.cache_clear()
-    fresh = lru_cache(maxsize=None)(permutations._degree_types.__wrapped__)
-    monkeypatch.setattr(permutations, "_degree_types", fresh)
+    fresh = lru_cache(maxsize=None)(subgroup_membership._degree_types.__wrapped__)
+    monkeypatch.setattr(subgroup_membership, "_degree_types", fresh)
     made = collections.Counter()
     init = Partition.__init__
 

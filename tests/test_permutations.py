@@ -11,7 +11,6 @@ from invgraph import permutations
 from invgraph.arith import proper_block_sizes
 from invgraph.partitions import Partition, enumerate_partitions, has_distinct_odd_parts
 from invgraph.permutations import (
-    ClassLabel,
     ClosureCapExceeded,
     GroupKind,
     Permutation,
@@ -20,7 +19,6 @@ from invgraph.permutations import (
     canonical_of_type,
     chain_member,
     chain_order,
-    class_labels,
     closure_images,
     conjugacy_class,
     conjugator,
@@ -34,6 +32,8 @@ from invgraph.permutations import (
 )
 from invgraph.subgroup_membership import (
     EXACT_DEGREES,
+    ClassLabel,
+    class_labels,
     primitive_catalog,
     wreath_product_generators,
 )
@@ -633,6 +633,16 @@ def test_class_label_validation():
         ClassLabel(Partition([3]), GroupKind.ALT)  # missing split tag
     with pytest.raises(ValueError):
         ClassLabel(Partition([2, 2]), GroupKind.ALT, Split.PLUS)  # spurious split
+    # a group or split tag given by its value: such a label once read the
+    # A_n profile for "sym", so (3,1,1) and (5) made an edge of S_5, or the
+    # PLUS class's fingerprint bits for "-"
+    for group in ("sym", "alt", None):
+        with pytest.raises(ValueError, match="is not a GroupKind$"):
+            ClassLabel(Partition([3, 1, 1]), group)
+    for split in ("+", "-", ""):
+        for group in GroupKind:
+            with pytest.raises(ValueError, match="^bad split tag"):
+                ClassLabel(Partition([5]), group, split)
 
 
 def test_transitivity_and_primitivity():

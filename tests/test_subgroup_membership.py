@@ -26,32 +26,32 @@ from invgraph.partitions import (
     partial_sum_mask,
 )
 from invgraph.permutations import (
-    ClassLabel,
     GroupKind,
     Permutation,
     Split,
     chain_order,
-    class_labels,
     closure_images,
     format_cycles,
     is_primitive,
     is_transitive,
     split_label,
     stabilizer_chain,
-    type_labels,
 )
 from invgraph.primitive_rules import FamilyTag, Open
 from invgraph.subgroup_membership import (
     EXACT_DEGREES,
     CatalogAbsent,
+    ClassLabel,
     Fingerprint,
     Sharing,
     TypeProfile,
     _row_fingerprints,
     _split_sign,
+    class_labels,
     degree_fingerprints,
     primitive_catalog,
     shares_subgroup,
+    type_labels,
     type_profile,
     wreath_member,
     wreath_member_oracle,
@@ -595,8 +595,6 @@ def test_shares_subgroup_examples(cache_dir):
 
 
 def test_shares_subgroup_is_symmetric(cache_dir):
-    from invgraph.permutations import class_labels
-
     for n, group in ((7, GroupKind.SYM), (8, GroupKind.ALT)):
         labels = class_labels(n, group)
         for a in labels:
@@ -684,11 +682,12 @@ def test_value_types_keep_their_values(cache_dir):
     )
     spec = primitive_catalog(12).groups[0]
     assert spec.name == "PSL(2,11)@12"
-    # the verdict state a label carries is not part of its value
+    # the verdict state a label carries is not part of its value: the
+    # verdict gives ``minus`` its fingerprint bits, which ``fresh`` lacks
     fresh = ClassLabel(Partition([7]), GroupKind.ALT, Split.MINUS)
     before = hash(minus)
     assert shares_subgroup(minus, minus, cache_dir) == Sharing("primitive", "C7")
-    assert minus._names is not None and fresh._names is None
+    assert minus._bits is not None and fresh._bits is None
     assert minus == fresh and hash(minus) == hash(fresh) == before
     assert minus != ClassLabel(Partition([7]), GroupKind.ALT, Split.PLUS)
     assert minus != (Partition([7]), GroupKind.ALT, Split.MINUS)
@@ -773,9 +772,9 @@ _SEEDED_GRAPHS = ((7, GroupKind.SYM), (8, GroupKind.ALT), (12, GroupKind.SYM), (
 
 def test_graph_build_seeds_each_vertex_with_its_verdict_state(tmp_path):
     # before any verdict, every vertex of a graph carries the state a fresh
-    # label of the same class gets on its first verdict, table and profile
-    # included, and its fingerprint bits, which the fresh label gets only
-    # at its first pair that the rules leave open
+    # label of the same class is built with, table and profile included,
+    # and its fingerprint bits, which the fresh label gets only at its
+    # first pair that the rules leave open
     cache = str(tmp_path)
     for n, group in _SEEDED_GRAPHS:
         profile = type_profile(n, group is GroupKind.SYM)
@@ -784,12 +783,59 @@ def test_graph_build_seeds_each_vertex_with_its_verdict_state(tmp_path):
             halves = profile.primitive_masks(label.cycle_type.parts, cache)
             assert label._bits == halves[label.split is Split.MINUS], label
             fresh = ClassLabel(label.cycle_type, label.group, label.split)
-            assert fresh._names is None
-            shares_subgroup(fresh, fresh, cache)
             assert fresh._rules == label._rules, label
             assert fresh._names is label._names and fresh._profile is profile, label
+            assert fresh._bits is None, label
+            shares_subgroup(fresh, fresh, cache)
             # a nonzero rule mask meets itself, so the pair read no bits
             assert fresh._bits == (None if label._rules else label._bits), label
+
+
+# types of degree 1000, far past every catalog: a full cycle (odd, so a
+# class of S_n only), a type whose A_n class splits, and three even types
+# with a repeated part
+_DEGREE_1000_TYPES = ([1000], [999, 1], [500, 500], [3] + [1] * 997, [7, 5, 3] + [1] * 985)
+
+
+def test_labels_are_built_with_their_verdict_state_and_read_no_fingerprint(
+    graph, tmp_path, monkeypatch
+):
+    # relisting every vertex of every exact graph, and listing labels at
+    # degrees 14 and 1000, which have no catalog, reads no fingerprint and
+    # makes no cache directory, named or default; each label is built with
+    # the rule mask, table and profile of its graph vertex, or of its
+    # profile off the catalog, and without fingerprint bits
+    graphs = [graph(n, group) for n in sorted(EXACT_DEGREES) for group in GroupKind]
+
+    def refuse(*args):
+        raise AssertionError("building a label read a fingerprint")
+
+    monkeypatch.setattr(subgroup_membership, "degree_fingerprints", refuse)
+    monkeypatch.setattr(TypeProfile, "primitive_masks", refuse)
+    monkeypatch.setenv("INVGRAPH_CACHE_DIR", str(tmp_path / "named"))
+    monkeypatch.chdir(tmp_path)
+    for g in graphs:
+        fresh = class_labels(g.degree, g.group)
+        assert fresh == list(g.vertices)
+        for label, vertex in zip(fresh, g.vertices):
+            assert label._rules == vertex._rules, label
+            assert label._names is vertex._names and label._profile is vertex._profile, label
+            assert label._bits is None, label
+    for n, types in ((14, None), (1000, _DEGREE_1000_TYPES)):
+        for group in GroupKind:
+            sym = group is GroupKind.SYM
+            if types is None:
+                labels = class_labels(n, group)
+            else:
+                kept = [Partition(t) for t in types if sym or (n - len(t)) % 2 == 0]
+                labels = [label for t in kept for label in type_labels(t, group)]
+            profile = type_profile(n, sym)
+            for label in labels:
+                parts = label.cycle_type.parts
+                assert label._names is profile.names and label._profile is profile, label
+                assert label._rules == profile.rule_mask(parts), label
+                assert label._bits is None, label
+    assert os.listdir(tmp_path) == []
 
 
 def test_graph_labels_and_fresh_labels_share_one_name_table(tmp_path):
@@ -827,8 +873,8 @@ def test_graph_labels_and_fresh_labels_share_one_name_table(tmp_path):
 
 def test_rule_decided_verdicts_on_graph_vertices_read_no_profile(tmp_path, monkeypatch):
     # every pair of graph vertices, edges and fingerprint-decided pairs
-    # included, is answered from the labels alone: no profile, no fallback
-    # that fills a label's state and no fingerprint read is asked
+    # included, is answered from the labels alone: no profile, no
+    # fingerprint bits and no fingerprint read is asked
     cache = str(tmp_path)
     graphs = [build_graph(n, group, cache) for n, group in _SEEDED_GRAPHS]
     expected = {
@@ -845,7 +891,6 @@ def test_rule_decided_verdicts_on_graph_vertices_read_no_profile(tmp_path, monke
         raise AssertionError("a verdict on graph vertices asked for its state")
 
     monkeypatch.setattr(subgroup_membership, "type_profile", refuse)
-    monkeypatch.setattr(subgroup_membership, "_verdict_table", refuse)
     monkeypatch.setattr(subgroup_membership, "_label_bits", refuse)
     monkeypatch.setattr(subgroup_membership, "degree_fingerprints", refuse)
     monkeypatch.setattr(TypeProfile, "primitive_masks", refuse)
@@ -877,29 +922,48 @@ def test_fresh_labels_off_the_catalog_answer_the_pairs_the_rules_decide(tmp_path
     assert decided > 10_000 and open_pairs > 100, (decided, open_pairs)
 
 
+# Lists the S_14 classes, whose profile is fresh in a new process, asks
+# every pair's verdict under the directory named on the command line, and
+# prints how often primitive_catalog was asked, the number of types in
+# pairs the rules leave open and the messages those pairs raised.
+_VERDICTS_OFF_THE_CATALOG = """
+import json, sys
+from invgraph.permutations import GroupKind
+from invgraph.subgroup_membership import (
+    CatalogAbsent, class_labels, primitive_catalog, shares_subgroup,
+)
+labels = class_labels(14, GroupKind.SYM)
+misses = primitive_catalog.cache_info().misses
+messages, open_types = set(), set()
+for i, a in enumerate(labels):
+    for b in labels[i:]:
+        try:
+            shares_subgroup(a, b, sys.argv[1])
+        except CatalogAbsent as exc:
+            messages.add(str(exc))
+            open_types |= {a.cycle_type.parts, b.cycle_type.parts}
+asked = primitive_catalog.cache_info().misses - misses
+print(json.dumps([asked, len(open_types), sorted(messages)]))
+"""
+
+
 def test_absent_catalog_is_asked_once_per_profile(tmp_path):
     # every pair the rules leave open at degree 14 raises the catalog's own
     # message, and only the first one asks primitive_catalog; the labels
-    # carry a profile made here, which no earlier test can have filled
-    cache_dir = str(tmp_path)
-    profile = TypeProfile(14, True)
-    labels = class_labels(14, GroupKind.SYM)
-    for label in labels:
-        profile.verdict_state(label)
-    misses = primitive_catalog.cache_info().misses
-    messages, open_types = set(), set()
-    for i, a in enumerate(labels):
-        for b in labels[i:]:
-            try:
-                shares_subgroup(a, b, cache_dir)
-            except CatalogAbsent as exc:
-                messages.add(str(exc))
-                open_types |= {a.cycle_type, b.cycle_type}
-    assert len(open_types) > 1
-    assert primitive_catalog.cache_info().misses == misses + 1
+    # are built with the process's one S_14 profile, so the pairs run in a
+    # fresh process, where no earlier verdict can have filled it
+    src = os.path.dirname(os.path.dirname(subgroup_membership.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", _VERDICTS_OFF_THE_CATALOG, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    asked, open_types, messages = json.loads(done.stdout)
+    assert open_types > 1
+    assert asked == 1
     with pytest.raises(CatalogAbsent) as first:
         primitive_catalog(14)
-    assert messages == {str(first.value)}
+    assert messages == [str(first.value)]
 
 
 def _reference_contains(fp, label, mirrored):

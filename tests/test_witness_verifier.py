@@ -17,11 +17,12 @@ from invgraph.partitions import (
     is_even_type,
     partial_sum_mask,
 )
-from invgraph.permutations import ClassLabel, GroupKind, Split
+from invgraph.permutations import GroupKind, Split
 from invgraph.graph_engine import isolated_vertices
 from invgraph.primitive_rules import excludes, families_of, jordan_excludes
 from invgraph.subgroup_membership import (
     EXACT_DEGREES,
+    ClassLabel,
     TypeProfile,
     shares_subgroup,
     wreath_member,
